@@ -44,6 +44,7 @@ from .resolvers import (
 from .stub_server import StubServer
 from .router import (
     ConflictFeatures,
+    HybridResolver,
     RouteDecision,
     RouteRule,
     RouteTarget,

@@ -13,7 +13,7 @@ import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Literal, Sequence, TextIO
 
 from .corpus import ConflictRecord
 from .resolvers import Resolver
@@ -324,18 +324,23 @@ def write_balance_histogram_csv(path: str | Path, report: ComparisonReport) -> N
 def write_tuning_csv(path: str | Path, rows: Sequence[TuningRow]) -> None:
     """CSV with one row per configuration and the four tuning metric columns."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
+        dump_tuning_csv(rows, fh)
+
+
+def dump_tuning_csv(rows: Sequence[TuningRow], out: TextIO) -> None:
+    """Write the tuning CSV of ``write_tuning_csv`` to an open text stream."""
+    writer = csv.writer(out)
+    writer.writerow(
+        ["configuration", "budget_kind", "top1_similarity_count", "average_ranking", "average_similarity", "average_time"]
+    )
+    for row in rows:
         writer.writerow(
-            ["configuration", "budget_kind", "top1_similarity_count", "average_ranking", "average_similarity", "average_time"]
+            [
+                row.config_label,
+                row.budget_kind,
+                row.top1_count,
+                repr(row.avg_ranking),
+                repr(row.avg_similarity),
+                repr(row.avg_time),
+            ]
         )
-        for row in rows:
-            writer.writerow(
-                [
-                    row.config_label,
-                    row.budget_kind,
-                    row.top1_count,
-                    repr(row.avg_ranking),
-                    repr(row.avg_similarity),
-                    repr(row.avg_time),
-                ]
-            )

@@ -8,11 +8,11 @@ stderr; data goes to files or stdout.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import random
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import bench as bench_mod
@@ -26,9 +26,8 @@ from .resolvers import (
     TrivialResolver,
     TrivialStrategy,
 )
-from .router import RouteThresholds, extract_features, hybrid_resolve, route
+from .router import HybridResolver, RouteThresholds, extract_features, route
 from .search import SearchParams
-from .similarity import Granularity, similarity
 from .stub_server import StubServer
 
 ENDPOINT_ENV_VAR = "SBCR_REMOTE_URL"
@@ -187,28 +186,11 @@ def _load_config(path: str | None) -> dict:
     return config
 
 
-_FLAG_KEYS = {
-    "neighbors": "neighbors",
-    "stagnation": "stagnation",
-    "max_evals": "max_evals",
-    "time_budget": "time_budget",
-    "wallclock": "wallclock",
-    "top_n": "top_n",
-    "seed": "seed",
-    "endpoint": "endpoint",
-    "deadline": "deadline",
-    "input_token_limit": "input_token_limit",
-    "output_token_limit": "output_token_limit",
-    "non_english_tau": "non_english_tau",
-    "balance_beta": "balance_beta",
-}
-
-
 def _effective_config(args: argparse.Namespace) -> dict:
     """Built-in defaults, overridden by the config file, overridden by explicit flags."""
     config = _load_config(args.config)
-    for attr, key in _FLAG_KEYS.items():
-        value = getattr(args, attr, None)
+    for key in DEFAULTS:
+        value = getattr(args, key, None)
         if value is not None:
             config[key] = value
     return config
@@ -216,22 +198,14 @@ def _effective_config(args: argparse.Namespace) -> dict:
 
 def _search_params(config: dict) -> SearchParams:
     use_time = bool(config["wallclock"]) or config["time_budget"] is not None
+    if use_time and config["time_budget"] is None:
+        raise _UsageError("--wallclock requires --time-budget")
     try:
-        if use_time:
-            budget = config["time_budget"]
-            if budget is None:
-                raise _UsageError("--wallclock requires --time-budget")
-            return SearchParams(
-                neighbors_per_iteration=config["neighbors"],
-                max_stagnation_iterations=config["stagnation"],
-                max_execution_time=float(budget),
-                top_n=config["top_n"],
-                seed=config["seed"],
-            )
         return SearchParams(
             neighbors_per_iteration=config["neighbors"],
             max_stagnation_iterations=config["stagnation"],
-            max_evaluations=int(config["max_evals"]),
+            max_execution_time=float(config["time_budget"]) if use_time else None,
+            max_evaluations=None if use_time else int(config["max_evals"]),
             top_n=config["top_n"],
             seed=config["seed"],
         )
@@ -257,6 +231,12 @@ def _remote_resolver(config: dict) -> RemoteResolver:
     )
 
 
+def _hybrid(config: dict, on_decision=None) -> HybridResolver:
+    return HybridResolver(
+        SearchResolver(_search_params(config)), _remote_resolver(config), _thresholds(config), on_decision
+    )
+
+
 def _build_resolver(engine: str, config: dict) -> Resolver:
     # evaluation-budget mode keeps outputs byte-reproducible, so no wall clock
     deterministic = not (bool(config["wallclock"]) or config["time_budget"] is not None)
@@ -274,24 +254,25 @@ def _build_resolver(engine: str, config: dict) -> Resolver:
     if engine == "remote":
         return _remote_resolver(config)
     if engine == "hybrid":
-        search = SearchResolver(_search_params(config))
-        generative = _remote_resolver(config)
-        thresholds = _thresholds(config)
-
-        class _Hybrid(Resolver):
-            resolver_id = "hybrid"
-
-            def resolve(self, chunk):
-                return hybrid_resolve(chunk, search, generative, thresholds)
-
-        return _Hybrid()
+        return _hybrid(config)
     raise _UsageError(f"unknown engine {engine!r}")
 
 
-def _open_out(path: str):
+@contextmanager
+def _output(path: str):
+    """The file at ``path``, or stdout for '-'; only a file is closed on exit."""
     if path == "-":
-        return sys.stdout
-    return open(path, "w", encoding="utf-8")
+        yield sys.stdout
+        return
+    # newline="": resolved files keep their own line endings and csv writes its own
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        yield fh
+
+
+def _write_jsonl(path: str, objects) -> None:
+    with _output(path) as out:
+        for obj in objects:
+            out.write(json.dumps(obj, ensure_ascii=False) + "\n")
 
 
 def _read_text(path: str) -> str:
@@ -326,13 +307,7 @@ def _cmd_ingest(args, config) -> int:
                 records, rejections = corpus.ingest_records(fh, flags)
     except OSError as exc:
         raise _InputError(f"cannot read {args.records}: {exc}")
-    out = _open_out(args.out)
-    try:
-        for record in records:
-            out.write(json.dumps(record.to_json(), ensure_ascii=False) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    _write_jsonl(args.out, (record.to_json() for record in records))
     rejects_path = args.rejects or (args.out + ".rejects.jsonl" if args.out != "-" else None)
     if rejects_path:
         corpus.write_rejections(rejects_path, rejections)
@@ -384,13 +359,7 @@ def _cmd_resolve(args, config) -> int:
     except parsing.MarkerError as exc:
         raise _InputError(f"{args.file}: {exc}")
     if args.records:
-        out = _open_out(args.out)
-        try:
-            for record in parsing.extract_records(parsed, path=args.file if args.file != "-" else ""):
-                out.write(json.dumps(record, ensure_ascii=False) + "\n")
-        finally:
-            if out is not sys.stdout:
-                out.close()
+        _write_jsonl(args.out, parsing.extract_records(parsed, path=args.file if args.file != "-" else ""))
         return EXIT_OK
     resolver = _build_resolver(args.engine, config)
     resolutions = []
@@ -399,18 +368,14 @@ def _cmd_resolve(args, config) -> int:
             resolutions.append([])  # both sides deleted everything
             continue
         candidate = resolver.resolve(chunk)
-        if candidate.status is Status.FAILED and args.engine != "hybrid":
+        if candidate.status is Status.FAILED:
             if args.engine == "remote":
                 raise _RemoteError(f"remote resolver failed: {candidate.detail}")
             raise _InputError(f"resolver failed: {candidate.detail}")
         resolutions.append(list(candidate.lines))
     rendered = parsing.render_resolved(parsed, resolutions)
-    out = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         out.write(rendered)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return EXIT_OK
 
 
@@ -418,13 +383,7 @@ def _cmd_bench(args, config) -> int:
     records = _load_dataset(args.records)
     resolver = _build_resolver(args.engine, config)
     rows = bench_mod.run_benchmark(records, resolver, jobs=args.jobs, trim_trailing=args.trim_trailing_ws)
-    out = _open_out(args.out)
-    try:
-        for row in rows:
-            out.write(json.dumps(row.to_json(), ensure_ascii=False) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    _write_jsonl(args.out, (row.to_json() for row in rows))
     return EXIT_OK
 
 
@@ -462,13 +421,8 @@ def _cmd_tune(args, config) -> int:
     except ValueError as exc:
         raise _UsageError(str(exc))
     rows = bench_mod.tune_grid(sample, grid, config["seed"], ranking=args.ranking, jobs=args.jobs)
-    if args.out == "-":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["configuration", "budget_kind", "top1_similarity_count", "average_ranking", "average_similarity", "average_time"])
-        for row in rows:
-            writer.writerow([row.config_label, row.budget_kind, row.top1_count, repr(row.avg_ranking), repr(row.avg_similarity), repr(row.avg_time)])
-    else:
-        bench_mod.write_tuning_csv(args.out, rows)
+    with _output(args.out) as out:
+        bench_mod.dump_tuning_csv(rows, out)
     return EXIT_OK
 
 
@@ -497,38 +451,19 @@ def _cmd_compare(args, config) -> int:
 
 def _cmd_route(args, config) -> int:
     records = _load_dataset(args.records)
-    thresholds = _thresholds(config)
-    decisions_out = _open_out(args.decisions)
-    rows = []
-    try:
+    with _output(args.decisions) as decisions_out:
+
+        def log(record, decision) -> None:
+            decisions_out.write(json.dumps(_decision_json(record.id, decision)) + "\n")
+
         if args.dry_run:
+            thresholds = _thresholds(config)
             for record in records:
-                decision = route(extract_features(record), thresholds)
-                decisions_out.write(json.dumps(_decision_json(record.id, decision)) + "\n")
-        else:
-            search = SearchResolver(_search_params(config))
-            generative = _remote_resolver(config)
-            for record in records:
-                logged = []
-                candidate = hybrid_resolve(record, search, generative, thresholds, on_decision=logged.append)
-                decisions_out.write(json.dumps(_decision_json(record.id, logged[0])) + "\n")
-                rows.append((record, candidate))
-    finally:
-        if decisions_out is not sys.stdout:
-            decisions_out.close()
+                log(record, route(extract_features(record), thresholds))
+            return EXIT_OK
+        rows = bench_mod.run_benchmark(records, _hybrid(config, on_decision=log))
     if rows and args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            for record, candidate in rows:
-                row = bench_mod.ResultRow(
-                    conflict_id=record.id,
-                    resolver_id=candidate.resolver_id,
-                    sim_line=similarity(candidate.lines, record.resolution_lines, Granularity.LINE),
-                    sim_char=similarity(candidate.lines, record.resolution_lines, Granularity.CHAR),
-                    elapsed=candidate.elapsed,
-                    status=candidate.status.value,
-                    balance=extract_features(record).balance,
-                )
-                fh.write(json.dumps(row.to_json(), ensure_ascii=False) + "\n")
+        bench_mod.write_result_rows(args.out, rows)
     return EXIT_OK
 
 

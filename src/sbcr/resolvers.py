@@ -7,14 +7,16 @@ raising.
 
 from __future__ import annotations
 
+import http.client
+import json
 import re
 import threading
 import time
+import urllib.error
+import urllib.request
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
-
-import requests
 
 from .search import SearchParams, candidate_lines, rrhc_resolve
 
@@ -161,6 +163,19 @@ def _classify_response(
     return Status.OK
 
 
+def _post_json(url: str, payload: dict, timeout: float) -> tuple[int, bytes]:
+    """POST ``payload`` as JSON and return the status code and body of the reply, error replies included."""
+    request = urllib.request.Request(
+        url, data=json.dumps(payload).encode("utf-8"), headers={"Content-Type": "application/json"}
+    )
+    try:
+        with urllib.request.urlopen(request, timeout=timeout) as response:
+            return response.status, response.read()
+    except urllib.error.HTTPError as exc:  # urlopen raises for every non-2xx reply
+        with exc:
+            return exc.code, exc.read()
+
+
 class RemoteResolver(Resolver):
     """HTTP client for an external generative resolver speaking the /v1/resolve protocol.
 
@@ -195,23 +210,19 @@ class RemoteResolver(Resolver):
         start = self._clock()
         with self._slots:
             try:
-                response = requests.post(
-                    f"{self.endpoint}/v1/resolve", json=payload, timeout=self.deadline
-                )
-            except requests.RequestException as exc:
+                code, raw = _post_json(f"{self.endpoint}/v1/resolve", payload, self.deadline)
+            except (OSError, ValueError, http.client.HTTPException) as exc:
                 return _failure(self.resolver_id, self._clock() - start, f"request failed: {exc}")
         elapsed = self._clock() - start
-        if response.status_code != 200:
+        if code != 200:
             detail = ""
             try:
-                detail = response.json().get("error", "")
+                detail = json.loads(raw).get("error", "")
             except ValueError:
                 pass
-            return _failure(
-                self.resolver_id, elapsed, f"HTTP {response.status_code}: {detail or 'remote error'}"
-            )
+            return _failure(self.resolver_id, elapsed, f"HTTP {code}: {detail or 'remote error'}")
         try:
-            body = response.json()
+            body = json.loads(raw)
             lines = body["lines"]
             truncated = bool(body.get("truncated", False))
             if not isinstance(lines, list) or any(not isinstance(x, str) for x in lines):
@@ -222,23 +233,28 @@ class RemoteResolver(Resolver):
         return ResolutionCandidate(tuple(lines), self.resolver_id, elapsed, status)
 
 
-STUB_MODES = ("echo-v1", "echo-v2", "empty", "truncate", "slow", "garbage")
+# Every stub mode: whether it sleeps before replying, and its (lines, truncated)
+# reply to (v1, v2, output token limit); None stands for a body that is not JSON.
+_STUB_TABLE: dict[str, tuple[bool, Callable]] = {
+    "echo-v1": (False, lambda v1, v2, limit: (list(v1), False)),
+    "echo-v2": (False, lambda v1, v2, limit: (list(v2), False)),
+    "empty": (False, lambda v1, v2, limit: ([], False)),
+    "truncate": (False, lambda v1, v2, limit: (truncate_to_tokens(list(v1) if v1 else list(v2), limit), True)),
+    "slow": (True, lambda v1, v2, limit: (list(v1), False)),
+    "garbage": (False, lambda v1, v2, limit: None),
+}
+STUB_MODES = tuple(_STUB_TABLE)
 
 
-def stub_response(mode: str, v1: Sequence[str], v2: Sequence[str], output_limit: int) -> tuple[list[str], bool]:
-    """Shared stub behavior: the (lines, truncated) pair a stub in ``mode`` produces."""
-    if mode == "echo-v1":
-        return list(v1), False
-    if mode == "echo-v2":
-        return list(v2), False
-    if mode == "empty":
-        return [], False
-    if mode == "truncate":
-        source = list(v1) if v1 else list(v2)
-        return truncate_to_tokens(source, output_limit), True
-    if mode == "slow":
-        return list(v1), False
-    raise ValueError(f"unknown stub mode {mode!r}")
+def stub_reply(
+    mode: str, v1: Sequence[str], v2: Sequence[str], output_limit: int, slow_delay: float
+) -> tuple[list[str], bool] | None:
+    """Shared stub behavior: the (lines, truncated) reply of a stub in ``mode``, after
+    the mode's delay, or None when the stub answers with a body that is not JSON."""
+    delayed, reply = _STUB_TABLE[mode]
+    if delayed:
+        time.sleep(slow_delay)
+    return reply(v1, v2, output_limit)
 
 
 class StubGenerativeResolver(Resolver):
@@ -268,11 +284,10 @@ class StubGenerativeResolver(Resolver):
         with self._lock:
             self.calls += 1
         start = self._clock()
-        if self.mode == "slow":
-            time.sleep(self.slow_delay)
-        if self.mode == "garbage":
-            return _failure(self.resolver_id, self._clock() - start, "bad response body: not JSON")
-        lines, truncated = stub_response(self.mode, chunk.v1_lines, chunk.v2_lines, self.limits.output_limit)
+        reply = stub_reply(self.mode, chunk.v1_lines, chunk.v2_lines, self.limits.output_limit, self.slow_delay)
         elapsed = self._clock() - start
+        if reply is None:
+            return _failure(self.resolver_id, elapsed, "bad response body: not JSON")
+        lines, truncated = reply
         status = _classify_response(lines, truncated, self.limits.output_limit)
         return ResolutionCandidate(tuple(lines), self.resolver_id, elapsed, status)

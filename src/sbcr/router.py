@@ -8,6 +8,7 @@ is empty, truncated, or failed.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -125,3 +126,30 @@ def hybrid_resolve(
             detail=why,
         )
     return candidate
+
+
+class HybridResolver(Resolver):
+    """The router in front of a search and a generative resolver, as one resolver.
+
+    ``on_decision``, when given, is called with each chunk and its routing
+    decision before the chunk is resolved.
+    """
+
+    resolver_id = "hybrid"
+
+    def __init__(
+        self,
+        search_resolver: Resolver,
+        generative_resolver: Resolver,
+        thresholds: RouteThresholds = RouteThresholds(),
+        on_decision: Callable[[object, RouteDecision], None] | None = None,
+    ):
+        super().__init__()
+        self.search_resolver = search_resolver
+        self.generative_resolver = generative_resolver
+        self.thresholds = thresholds
+        self.on_decision = on_decision
+
+    def resolve(self, chunk) -> ResolutionCandidate:
+        log = None if self.on_decision is None else functools.partial(self.on_decision, chunk)
+        return hybrid_resolve(chunk, self.search_resolver, self.generative_resolver, self.thresholds, log)

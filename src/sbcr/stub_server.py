@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import json
 import threading
-import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from .resolvers import DEFAULT_OUTPUT_TOKEN_LIMIT, STUB_MODES, stub_response
+from .resolvers import DEFAULT_OUTPUT_TOKEN_LIMIT, STUB_MODES, stub_reply
 
 
 class _StubHandler(BaseHTTPRequestHandler):
@@ -24,9 +23,11 @@ class _StubHandler(BaseHTTPRequestHandler):
             super().log_message(format, *args)
 
     def _send_json(self, code: int, payload: dict) -> None:
-        body = json.dumps(payload).encode("utf-8")
+        self._send(code, json.dumps(payload).encode("utf-8"), "application/json")
+
+    def _send(self, code: int, body: bytes, content_type: str) -> None:
         self.send_response(code)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
@@ -52,18 +53,11 @@ class _StubHandler(BaseHTTPRequestHandler):
         except (ValueError, KeyError, TypeError) as exc:
             self._send_json(400, {"error": f"bad request: {exc}"})
             return
-        mode = self.server.mode
-        if mode == "slow":
-            time.sleep(self.server.slow_delay)
-        if mode == "garbage":
-            body = b"%% this is not json %%"
-            self.send_response(200)
-            self.send_header("Content-Type", "text/plain")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
+        reply = stub_reply(self.server.mode, v1, v2, output_limit, self.server.slow_delay)
+        if reply is None:
+            self._send(200, b"%% this is not json %%", "text/plain")
             return
-        lines, truncated = stub_response(mode, v1, v2, output_limit)
+        lines, truncated = reply
         self._send_json(200, {"lines": lines, "truncated": truncated})
 
 

@@ -143,6 +143,22 @@ def test_resolve_hybrid_with_stub_fallback(conflicted_file, tmp_path):
         server.stop()
 
 
+def test_resolve_hybrid_search_failure_exit_2(conflicted_file, tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("engine exploded")
+
+    monkeypatch.setattr("sbcr.resolvers.rrhc_resolve", broken)
+    server = StubServer(mode="echo-v1", port=0).start()
+    try:
+        out = tmp_path / "resolved.txt"
+        # one line a side is balanced, so the router sends the chunk to search
+        code = main(["resolve", str(conflicted_file), "--engine", "hybrid", "--endpoint", server.url, "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+    finally:
+        server.stop()
+
+
 def test_ingest_writes_accepted_and_rejects(tmp_path, capsys):
     data = tmp_path / "input.jsonl"
     good = {
@@ -202,6 +218,16 @@ def test_tune_emits_csv_grid(tmp_path):
     assert lines[0].startswith("configuration,budget_kind,top1_similarity_count")
 
 
+def test_tune_stdout_matches_out_file(tmp_path, capsys):
+    argv = ["tune", sample_args(), "--sample", "3", "--seed", "2", "--grid-neighbors", "2",
+            "--grid-budgets", "100,200", "--grid-stagnation", "5"]
+    out = tmp_path / "tuning.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+
+
 def test_compare_command_and_mismatch_exit_2(tmp_path, capsys):
     rows_a = tmp_path / "a.jsonl"
     rows_b = tmp_path / "b.jsonl"
@@ -250,6 +276,29 @@ def test_route_resolves_with_stub_endpoint(tmp_path):
         assert ids <= {"sbcr", "stub:echo-v1", "remote", "generative→search-fallback"}
     finally:
         server.stop()
+
+
+def test_route_rows_match_hybrid_bench_rows(tmp_path):
+    # records in reverse id order: decisions follow the input, rows are id-ordered like bench
+    lines = bundled_sample_path().read_text(encoding="utf-8").splitlines()
+    records = tmp_path / "reversed.jsonl"
+    records.write_text("\n".join(reversed(lines)) + "\n", encoding="utf-8")
+    server = StubServer(mode="echo-v1", port=0).start()
+    try:
+        flags = ["--endpoint", server.url, "--max-evals", "100", "--seed", "3"]
+        decisions, routed, benched = tmp_path / "decisions.jsonl", tmp_path / "routed.jsonl", tmp_path / "bench.jsonl"
+        assert main(["route", str(records), "--decisions", str(decisions), "--out", str(routed)] + flags) == 0
+        assert main(["bench", str(records), "--engine", "hybrid", "--out", str(benched)] + flags) == 0
+    finally:
+        server.stop()
+
+    def rows(path):  # remote calls are timed by the wall clock, so elapsed differs run to run
+        return [{k: v for k, v in json.loads(l).items() if k != "elapsed"} for l in path.read_text(encoding="utf-8").splitlines()]
+
+    assert rows(routed) == rows(benched)
+    assert [r["conflict_id"] for r in rows(routed)] == sorted(json.loads(l)["id"] for l in lines)
+    logged = [json.loads(l)["id"] for l in decisions.read_text(encoding="utf-8").splitlines()]
+    assert logged == [json.loads(l)["id"] for l in reversed(lines)]
 
 
 def test_route_without_endpoint_is_usage_error(tmp_path, monkeypatch):

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 from conftest import Chunk
@@ -193,6 +197,12 @@ def test_remote_slow_mode_hits_deadline():
         server.stop()
 
 
+def test_remote_http_error_reply_fails_with_its_error(echo_server):
+    candidate = RemoteResolver(echo_server.url + "/nope").resolve(CHUNK)
+    assert candidate.status is Status.FAILED
+    assert candidate.detail.startswith("HTTP 404: no such route")
+
+
 def test_remote_unreachable_endpoint_fails():
     candidate = RemoteResolver("http://127.0.0.1:9", deadline=0.5).resolve(CHUNK)
     assert candidate.status is Status.FAILED
@@ -205,3 +215,12 @@ def test_stub_server_rejects_bad_route_and_body(echo_server):
     assert requests.post(f"{echo_server.url}/v1/resolve", data=b"{", timeout=5).status_code == 400
     stats = requests.get(f"{echo_server.url}/stats", timeout=5).json()
     assert stats["mode"] == "echo-v1" and stats["calls"] >= 1
+
+
+def test_import_does_not_load_requests():
+    import sbcr
+
+    src = str(Path(sbcr.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sbcr, sys; assert 'requests' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
