@@ -294,8 +294,13 @@ def read_result_rows(path: str | Path) -> list[ResultRow]:
 
 def write_comparison_report(path: str | Path, report: ComparisonReport) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_json(), fh, indent=2)
-        fh.write("\n")
+        dump_comparison_report(report, fh)
+
+
+def dump_comparison_report(report: ComparisonReport, out: TextIO) -> None:
+    """Write the JSON report of ``write_comparison_report`` to an open text stream."""
+    json.dump(report.to_json(), out, indent=2)
+    out.write("\n")
 
 
 def write_sim_diff_csv(path: str | Path, report: ComparisonReport) -> None:

@@ -436,11 +436,8 @@ def _cmd_compare(args, config) -> int:
         report = bench_mod.compare_results(rows_a, rows_b, m=args.extremes)
     except ValueError as exc:
         raise _InputError(str(exc))
-    if args.out == "-":
-        json.dump(report.to_json(), sys.stdout, indent=2)
-        sys.stdout.write("\n")
-    else:
-        bench_mod.write_comparison_report(args.out, report)
+    with _output(args.out) as out:
+        bench_mod.dump_comparison_report(report, out)
     if args.csv_dir:
         csv_dir = Path(args.csv_dir)
         csv_dir.mkdir(parents=True, exist_ok=True)

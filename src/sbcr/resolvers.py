@@ -215,11 +215,11 @@ class RemoteResolver(Resolver):
                 return _failure(self.resolver_id, self._clock() - start, f"request failed: {exc}")
         elapsed = self._clock() - start
         if code != 200:
-            detail = ""
             try:
-                detail = json.loads(raw).get("error", "")
+                body = json.loads(raw)
             except ValueError:
-                pass
+                body = None
+            detail = body.get("error", "") if isinstance(body, dict) else ""
             return _failure(self.resolver_id, elapsed, f"HTTP {code}: {detail or 'remote error'}")
         try:
             body = json.loads(raw)

@@ -105,7 +105,8 @@ def hybrid_resolve(
 
     The fallback fires when the generative candidate is EMPTY, TRUNCATED, or
     FAILED; the returned candidate is then re-labelled so downstream records
-    show the fallback path.
+    show the fallback path, and its detail names the search failure too when
+    the fallback also fails.
     """
     decision = route(extract_features(chunk), thresholds)
     if on_decision is not None:
@@ -118,6 +119,8 @@ def hybrid_resolve(
         why = f"generative {candidate.status.value}"
         if candidate.detail:
             why += f": {candidate.detail}"
+        if fallback.status is Status.FAILED:
+            why += f"; search failed: {fallback.detail}"
         return ResolutionCandidate(
             lines=fallback.lines,
             resolver_id=FALLBACK_RESOLVER_ID,

@@ -181,39 +181,25 @@ def _unused_refs(candidate: Candidate, chunk: ChunkLike) -> list[SourceLineRef]:
 def _try_exchange(candidate: Candidate, rng: random.Random) -> Candidate | None:
     """Swap a uniformly drawn position pair; reject draws that break version order.
 
-    Gives up after len(candidate)**2 draws. A candidate containing lines from
-    both versions always has a legal swap (any adjacent cross-version pair),
-    so the cap only ends hopeless rejection streaks quickly.
+    A swap of positions p < q keeps both versions in order exactly when
+    q == p + 1 and the two refs come from different versions: a same-version
+    pair is reordered by the swap itself, and any line strictly between p
+    and q shares a version with one of the two, which would then be moved
+    across it. Gives up after len(candidate)**2 draws; the caller offers
+    this operator only when the candidate holds lines of both versions, so
+    an adjacent cross-version pair exists and the cap only ends long
+    rejection streaks.
     """
     n = len(candidate)
-    if n < 2:
-        return None
-    if len({ref.version for ref in candidate}) < 2:
-        return None  # same-version swaps always reorder that version
+    randrange = rng.randrange
     for _ in range(n * n):
-        p = rng.randrange(n)
-        q = rng.randrange(n)
-        if p == q:
-            continue
-        swapped = list(candidate)
-        swapped[p], swapped[q] = swapped[q], swapped[p]
-        if _order_ok(swapped):
-            return tuple(swapped)
+        p = randrange(n)
+        q = randrange(n)
+        if p > q:
+            p, q = q, p
+        if q - p == 1 and candidate[p].version is not candidate[q].version:
+            return candidate[:p] + (candidate[q], candidate[p]) + candidate[q + 1 :]
     return None
-
-
-def _order_ok(refs: Sequence[SourceLineRef]) -> bool:
-    last1 = last2 = -1
-    for ref in refs:
-        if ref.version is Version.V1:
-            if ref.index <= last1:
-                return False
-            last1 = ref.index
-        else:
-            if ref.index <= last2:
-                return False
-            last2 = ref.index
-    return True
 
 
 _ADD, _REMOVE, _EXCHANGE = "add", "remove", "exchange"
@@ -226,16 +212,17 @@ def neighbor(candidate: Candidate, chunk: ChunkLike, rng: random.Random) -> Cand
     exactly when both versions are empty.
     """
     operators = []
-    unused = _unused_refs(candidate, chunk)
-    if unused:
+    if len(candidate) < len(chunk.v1_lines) + len(chunk.v2_lines):
         operators.append(_ADD)
     if candidate:
         operators.append(_REMOVE)
-    if len(candidate) >= 2 and len({ref.version for ref in candidate}) == 2:
-        operators.append(_EXCHANGE)
+        first = candidate[0].version
+        if any(ref.version is not first for ref in candidate):
+            operators.append(_EXCHANGE)
     while operators:
         op = operators[rng.randrange(len(operators))]
         if op == _ADD:
+            unused = _unused_refs(candidate, chunk)
             ref = unused[rng.randrange(len(unused))]
             lo, hi = _addition_window(candidate, ref)
             slot = rng.randint(lo, hi)
@@ -278,17 +265,6 @@ class _TopN:
         return tuple(ScoredCandidate(candidate, score) for score, _, candidate in ordered)
 
 
-class _Canonical:
-    """Chunk view whose equal lines share one string object, speeding up LCS equality checks."""
-
-    __slots__ = ("v1_lines", "v2_lines")
-
-    def __init__(self, chunk: ChunkLike):
-        pool: dict[str, str] = {}
-        self.v1_lines = [pool.setdefault(line, line) for line in chunk.v1_lines]
-        self.v2_lines = [pool.setdefault(line, line) for line in chunk.v2_lines]
-
-
 def rrhc_resolve(
     chunk: ChunkLike,
     params: SearchParams,
@@ -312,7 +288,6 @@ def rrhc_resolve(
     if clock is None:
         clock = time.monotonic if params.max_execution_time is not None else lambda: 0.0
 
-    view = _Canonical(chunk)
     rng = random.Random(params.seed)
     top = _TopN(params.top_n)
     scores: dict[Candidate, float] = {}
@@ -330,11 +305,11 @@ def rrhc_resolve(
             return None
         evaluations += 1
         if check_invariants:
-            assert is_valid_candidate(candidate, view), "engine produced an invalid candidate"
+            assert is_valid_candidate(candidate, chunk), "engine produced an invalid candidate"
         score = scores.get(candidate)
         if score is None:
             score = _mean_parent_similarity(
-                candidate_lines(candidate, view), view.v1_lines, view.v2_lines
+                candidate_lines(candidate, chunk), chunk.v1_lines, chunk.v2_lines
             )
             scores[candidate] = score
         top.offer(candidate, score)
@@ -356,7 +331,7 @@ def rrhc_resolve(
         best_neighbor_score = -1.0
         exhausted = False
         for _ in range(k):
-            moved = neighbor(current, view, rng)
+            moved = neighbor(current, chunk, rng)
             score = evaluate_budgeted(moved)
             if score is None:
                 exhausted = True
@@ -373,7 +348,7 @@ def rrhc_resolve(
         if stagnation >= params.max_stagnation_iterations:
             restarts += 1
             stagnation = 0
-            current = random_candidate(view, rng)
+            current = random_candidate(chunk, rng)
             current_score = evaluate_budgeted(current)
 
     assert best is not None

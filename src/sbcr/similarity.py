@@ -8,7 +8,7 @@ lines with a single LF.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Sequence
+from typing import Hashable, Sequence
 
 
 class Granularity(Enum):
@@ -16,40 +16,31 @@ class Granularity(Enum):
     CHAR = "char"
 
 
-def lcs_length(a: Sequence, b: Sequence) -> int:
+def lcs_length(a: Sequence[Hashable], b: Sequence[Hashable]) -> int:
     """Length of the longest common subsequence of two sequences.
 
-    Elements are compared by exact equality. Runs the classic row-rolling
-    dynamic program using O(min(|a|, |b|)) memory; common prefixes and
-    suffixes are stripped first since real conflict candidates share
-    long runs with their parents.
+    Elements are compared by exact equality and must be hashable; callers
+    pass a ``str`` (char level) or a list of ``str`` (line level). Uses
+    Hyyrö's bit-parallel recurrence (Allison & Dix 1986; Hyyrö 2004): each
+    element of the shorter sequence maps to the bitmask of its positions,
+    and one pass over the longer sequence updates a bit vector ``v`` whose
+    zero bits count the LCS, in O(|a| * |b| / w) word operations.
     """
     if len(a) < len(b):
         a, b = b, a
-    # strip common prefix/suffix; they are always part of an LCS
-    lo = 0
-    hi_a, hi_b = len(a), len(b)
-    while lo < hi_b and a[lo] == b[lo]:
-        lo += 1
-    while hi_b > lo and a[hi_a - 1] == b[hi_b - 1]:
-        hi_a -= 1
-        hi_b -= 1
-    common = lo + (len(b) - hi_b)
-    a = a[lo:hi_a]
-    b = b[lo:hi_b]
-    if not b:
-        return common
-    row = [0] * (len(b) + 1)
+    masks: dict[Hashable, int] = {}
+    bit = 1
+    for y in b:
+        masks[y] = masks.get(y, 0) | bit
+        bit <<= 1
+    full = bit - 1
+    v = full
     for x in a:
-        prev = 0  # row[j] from the previous iteration of the outer loop
-        for j, y in enumerate(b, start=1):
-            cur = row[j]
-            if x == y:
-                row[j] = prev + 1
-            elif row[j - 1] > cur:
-                row[j] = row[j - 1]
-            prev = cur
-    return common + row[-1]
+        m = masks.get(x)
+        if m:
+            u = v & m
+            v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
 
 
 def flatten_lines(lines: Sequence[str]) -> str:

@@ -7,7 +7,13 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Sequence
 
+from hypothesis import settings
+
 from sbcr.search import SourceLineRef, Version, evaluate
+
+# Property tests replay the same examples on every run and never time out.
+settings.register_profile("tier1", derandomize=True, deadline=None, max_examples=200, database=None)
+settings.load_profile("tier1")
 
 
 @dataclass
@@ -133,3 +139,36 @@ def lcs_oracle(a: Sequence, b: Sequence) -> int:
         return value
 
     return go(0, 0)
+
+
+def lcs_row_dp(a: Sequence, b: Sequence) -> int:
+    """Row-rolling dynamic-programming LCS with common prefix/suffix stripping.
+
+    The reference for the bit-parallel ``lcs_length``: elements only need
+    equality here, and the memory is O(min(|a|, |b|)).
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    lo = 0
+    hi_a, hi_b = len(a), len(b)
+    while lo < hi_b and a[lo] == b[lo]:
+        lo += 1
+    while hi_b > lo and a[hi_a - 1] == b[hi_b - 1]:
+        hi_a -= 1
+        hi_b -= 1
+    common = lo + (len(b) - hi_b)
+    a = a[lo:hi_a]
+    b = b[lo:hi_b]
+    if not b:
+        return common
+    row = [0] * (len(b) + 1)
+    for x in a:
+        prev = 0  # row[j] from the previous iteration of the outer loop
+        for j, y in enumerate(b, start=1):
+            cur = row[j]
+            if x == y:
+                row[j] = prev + 1
+            elif row[j - 1] > cur:
+                row[j] = row[j - 1]
+            prev = cur
+    return common + row[-1]

@@ -249,6 +249,18 @@ def test_compare_command_and_mismatch_exit_2(tmp_path, capsys):
     assert "sample-0000" in err
 
 
+def test_compare_stdout_matches_out_file(tmp_path, capsys):
+    rows_a = tmp_path / "a.jsonl"
+    rows_b = tmp_path / "b.jsonl"
+    main(["bench", sample_args(), "--engine", "trivial:take-v1", "--out", str(rows_a)])
+    main(["bench", sample_args(), "--engine", "trivial:concat-v1-v2", "--out", str(rows_b)])
+    report_path = tmp_path / "report.json"
+    assert main(["compare", str(rows_a), str(rows_b), "--out", str(report_path)]) == 0
+    capsys.readouterr()
+    assert main(["compare", str(rows_a), str(rows_b), "--out", "-"]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == report_path.read_bytes()
+
+
 def test_route_dry_run_decision_log(tmp_path):
     decisions = tmp_path / "decisions.jsonl"
     assert main(["route", sample_args(), "--dry-run", "--decisions", str(decisions)]) == 0

@@ -224,3 +224,11 @@ def test_import_does_not_load_requests():
     env = {**os.environ, "PYTHONPATH": src}
     code = "import sbcr, sys; assert 'requests' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+@pytest.mark.parametrize("body", [b"[1, 2]", b"null"])
+def test_remote_error_reply_with_non_object_json_fails_cleanly(monkeypatch, body):
+    monkeypatch.setattr("sbcr.resolvers._post_json", lambda url, payload, timeout: (500, body))
+    candidate = RemoteResolver("http://127.0.0.1:9").resolve(CHUNK)
+    assert candidate.status is Status.FAILED
+    assert candidate.detail == "HTTP 500: remote error"

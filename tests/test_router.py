@@ -131,3 +131,15 @@ def test_hybrid_non_empty_when_search_has_an_optimum():
         candidate = hybrid_resolve(chunk, SEARCH, stub, RouteThresholds())
         assert candidate.status is not Status.EMPTY
         assert candidate.lines
+
+
+def test_hybrid_fallback_failure_detail_names_both_sides(monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("engine exploded")
+
+    monkeypatch.setattr("sbcr.resolvers.rrhc_resolve", broken)
+    candidate = hybrid_resolve(IMBALANCED, SEARCH, StubGenerativeResolver("empty"), RouteThresholds())
+    assert candidate.resolver_id == FALLBACK_RESOLVER_ID
+    assert candidate.status is Status.FAILED
+    assert candidate.detail.startswith("generative empty")
+    assert "engine exploded" in candidate.detail

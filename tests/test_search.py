@@ -214,3 +214,13 @@ def test_rrhc_restarts_counted():
     result = rrhc_resolve(Chunk([], ["y"]), eval_params(max_evaluations=500, max_stagnation_iterations=2))
     assert result.restarts > 0
     assert result.best_score == 0.5
+
+
+def test_rrhc_evaluation_budget_never_reads_the_clock(monkeypatch):
+    def no_clock():
+        raise AssertionError("an evaluation-budget search read the wall clock")
+
+    monkeypatch.setattr("sbcr.search.time.monotonic", no_clock)
+    result = rrhc_resolve(Chunk(["a", "b", "c"], ["a", "x", "c"]), eval_params(max_evaluations=500))
+    assert result.elapsed == 0.0
+    assert result.evaluations == 500

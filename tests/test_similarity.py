@@ -1,7 +1,9 @@
 import random
 import sys
 
-from conftest import lcs_oracle
+from conftest import lcs_oracle, lcs_row_dp
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sbcr.similarity import Granularity, lcs_length, similarity
 
@@ -66,3 +68,32 @@ def test_similarity_symmetry_and_bounds_fuzz():
 def test_trim_trailing_flag():
     assert similarity(["x  "], ["x"]) < 1.0
     assert similarity(["x  "], ["x"], trim_trailing=True) == 1.0
+
+
+def _symbol_lists(max_size: int):
+    """Pairs of line lists over the first 1-4 of a few lines, so duplicates abound."""
+    lines = ["a;", "b;", "}", ""]
+    return st.integers(1, len(lines)).flatmap(
+        lambda k: st.tuples(
+            st.lists(st.sampled_from(lines[:k]), max_size=max_size),
+            st.lists(st.sampled_from(lines[:k]), max_size=max_size),
+        )
+    )
+
+
+@given(_symbol_lists(max_size=150))
+def test_lcs_equals_row_dp_on_duplicate_heavy_lines(pair):
+    a, b = pair
+    assert lcs_length(a, b) == lcs_row_dp(a, b)
+
+
+@given(st.text(alphabet="ab\n \u00e9\u00fc\u20ac\U0001f600", max_size=120), st.text(max_size=60))
+def test_lcs_equals_row_dp_on_strings(a, b):
+    assert lcs_length(a, b) == lcs_row_dp(a, b)
+    assert lcs_length(a, a + b) == len(a)
+
+
+@given(st.one_of(st.text(max_size=30), st.lists(st.sampled_from(["x", "y"]), max_size=30)))
+def test_lcs_with_an_empty_side_is_zero(seq):
+    empty = seq[:0]
+    assert lcs_length(seq, empty) == lcs_length(empty, seq) == 0
