@@ -178,6 +178,23 @@ def _unused_refs(candidate: Candidate, chunk: ChunkLike) -> list[SourceLineRef]:
     return [r for r in refs if r not in used]
 
 
+def _below(getrandbits: Callable[[int], int], n: int) -> int:
+    """A uniform int in [0, n), drawn exactly as ``random.Random.randrange(n)`` draws it.
+
+    CPython's ``randrange(n)`` goes through ``_randbelow_with_getrandbits``:
+    it takes ``k = n.bit_length()`` bits and redraws while the value is >= n.
+    Doing the same here consumes the same generator words and returns the
+    same value, so seeded results stay byte-identical, without randrange's
+    argument checks and two extra call frames per draw. ``randint(lo, hi)``
+    is ``lo + _below(getrandbits, hi - lo + 1)``.
+    """
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def _try_exchange(candidate: Candidate, rng: random.Random) -> Candidate | None:
     """Swap a uniformly drawn position pair; reject draws that break version order.
 
@@ -189,12 +206,21 @@ def _try_exchange(candidate: Candidate, rng: random.Random) -> Candidate | None:
     this operator only when the candidate holds lines of both versions, so
     an adjacent cross-version pair exists and the cap only ends long
     rejection streaks.
+
+    Each position is drawn inline as ``_below`` draws it, which is exactly
+    how ``rng.randrange(n)`` draws it: these rejection draws dominate the
+    search on large chunks, so the call overhead per draw is what counts.
     """
     n = len(candidate)
-    randrange = rng.randrange
+    getrandbits = rng.getrandbits
+    k = n.bit_length()
     for _ in range(n * n):
-        p = randrange(n)
-        q = randrange(n)
+        p = getrandbits(k)
+        while p >= n:
+            p = getrandbits(k)
+        q = getrandbits(k)
+        while q >= n:
+            q = getrandbits(k)
         if p > q:
             p, q = q, p
         if q - p == 1 and candidate[p].version is not candidate[q].version:
@@ -219,16 +245,17 @@ def neighbor(candidate: Candidate, chunk: ChunkLike, rng: random.Random) -> Cand
         first = candidate[0].version
         if any(ref.version is not first for ref in candidate):
             operators.append(_EXCHANGE)
+    getrandbits = rng.getrandbits
     while operators:
-        op = operators[rng.randrange(len(operators))]
+        op = operators[_below(getrandbits, len(operators))]
         if op == _ADD:
             unused = _unused_refs(candidate, chunk)
-            ref = unused[rng.randrange(len(unused))]
+            ref = unused[_below(getrandbits, len(unused))]
             lo, hi = _addition_window(candidate, ref)
-            slot = rng.randint(lo, hi)
+            slot = lo + _below(getrandbits, hi - lo + 1)
             return candidate[:slot] + (ref,) + candidate[slot:]
         if op == _REMOVE:
-            pos = rng.randrange(len(candidate))
+            pos = _below(getrandbits, len(candidate))
             return candidate[:pos] + candidate[pos + 1 :]
         swapped = _try_exchange(candidate, rng)
         if swapped is not None:
@@ -263,6 +290,13 @@ class _TopN:
     def ranked(self) -> tuple[ScoredCandidate, ...]:
         ordered = sorted(self._heap, key=lambda item: (-item[0], -item[1]))
         return tuple(ScoredCandidate(candidate, score) for score, _, candidate in ordered)
+
+
+# Entries the score memo of one search may hold before it is emptied. The
+# memo is a pure cache, so emptying it changes no result. The limit bounds
+# memory under a wall-clock budget; it sits above the CLI's default budget
+# and the benchmark's (2,000 evaluations at most), which never reach it.
+_MEMO_LIMIT = 1 << 15
 
 
 def rrhc_resolve(
@@ -311,6 +345,8 @@ def rrhc_resolve(
             score = _mean_parent_similarity(
                 candidate_lines(candidate, chunk), chunk.v1_lines, chunk.v2_lines
             )
+            if len(scores) >= _MEMO_LIMIT:
+                scores.clear()
             scores[candidate] = score
         top.offer(candidate, score)
         if score > best_score:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -189,6 +190,19 @@ def test_split_deterministic_outputs(tmp_path):
     assert len(split["train_ids"]) == 40
     assert len(split["valid_ids"]) == 5
     assert len(split["test_ids"]) == 5
+
+
+# sha256 of the rows `bench <bundled sample> --engine sbcr --seed 7 --max-evals 5000`
+# writes. A change that alters the engine's random stream or its scores on
+# purpose updates this value and says why in CHANGES.md.
+GOLDEN_BENCH_SHA256 = "12e28f2b399aa27bbc0e93d1595ef8aa9958a9b94529bd44ec66ae577a97d6d2"
+
+
+def test_seeded_bench_rows_match_golden_hash(tmp_path):
+    out = tmp_path / "rows.jsonl"
+    argv = ["bench", sample_args(), "--engine", "sbcr", "--seed", "7", "--max-evals", "5000", "--out", str(out)]
+    assert main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_BENCH_SHA256
 
 
 def test_bench_trivial_runs(tmp_path):

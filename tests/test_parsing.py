@@ -2,6 +2,8 @@ import random
 
 import pytest
 from conftest import make_conflicted_file
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sbcr.parsing import (
     ConflictChunk,
@@ -156,6 +158,34 @@ def test_round_trip_fuzz():
     for _ in range(200):
         text = make_conflicted_file(rng)
         assert render_with_markers(parse_conflicted_file(text)) == text
+
+
+_LINE_PIECES = ["<<<<<<<", "|||||||", "=======", ">>>>>>>", "<", "=", " ", "\t", "\r", "x", "\u00e9", "\u20ac", "\U0001f600"]
+
+
+def _is_marker(line: str) -> bool:
+    """Seven marker characters, then the end of the line or a space. A trailing
+    CR is ignored, which errs towards rejecting lines: the parser strips it
+    only when an LF follows."""
+    line = line.removesuffix("\r")
+    return line[:7] in ("<" * 7, "|" * 7, "=" * 7, ">" * 7) and line[7:8] in ("", " ")
+
+
+_content_lines = st.one_of(
+    st.lists(st.sampled_from(_LINE_PIECES), max_size=5).map("".join),
+    st.text(st.characters(blacklist_characters="\n"), max_size=20),
+).filter(lambda line: not _is_marker(line))
+
+
+@given(
+    st.lists(st.tuples(_content_lines, st.sampled_from(["\n", "\r\n"])), max_size=8),
+    st.booleans(),
+)
+def test_round_trip_property_marker_free_text(lines, final_newline):
+    text = "".join(line + eol for line, eol in lines)
+    if lines and not final_newline:
+        text = text[: -len(lines[-1][1])]
+    assert render_with_markers(parse_conflicted_file(text)) == text
 
 
 def test_render_resolved_take_v1_equals_ours():

@@ -3,11 +3,15 @@ from collections import Counter
 
 import pytest
 from conftest import Chunk, brute_force_optimum, random_chunk
+from hypothesis import given
+from hypothesis import strategies as st
 
+from sbcr import search
 from sbcr.search import (
     SearchParams,
     SourceLineRef,
     Version,
+    _below,
     candidate_lines,
     concat_candidate,
     evaluate,
@@ -110,6 +114,49 @@ def test_neighbor_fuzz_validity():
         assert len(set(moved)) == len(moved)
         if chunk.v1_lines or chunk.v2_lines:
             assert moved != current
+
+
+@given(
+    st.sampled_from([("a",), ("a", "b")]).flatmap(
+        lambda alphabet: st.tuples(
+            st.lists(st.sampled_from(alphabet), max_size=12),
+            st.lists(st.sampled_from(alphabet), max_size=12),
+        )
+    ),
+    st.sampled_from(["random", "concat", "v1", "v2"]),
+    st.integers(0, 2**64 - 1),
+)
+def test_neighbor_walks_stay_valid_and_always_move(sides, start, seed):
+    chunk = Chunk(*sides)
+    rng = random.Random(seed)
+    current = {
+        "random": random_candidate(chunk, rng),
+        "concat": concat_candidate(chunk),
+        "v1": tuple(ref(1, i) for i in range(len(chunk.v1_lines))),
+        "v2": tuple(ref(2, j) for j in range(len(chunk.v2_lines))),
+    }[start]
+    for _ in range(30):
+        moved = neighbor(current, chunk, rng)
+        assert is_valid_candidate(moved, chunk), (chunk, current, moved)
+        assert len(set(moved)) == len(moved)
+        if chunk.v1_lines or chunk.v2_lines:
+            assert moved != current
+        else:
+            assert moved == current
+        current = moved
+
+
+def test_below_draws_exactly_as_randrange_and_randint():
+    # powers of two and their neighbours, plus sizes past one 32-bit generator word
+    sizes = [1, 2, 3] + [2**e + d for e in (2, 3, 5, 8, 16, 31, 32, 33) for d in (-1, 0, 1)]
+    sizes += [2**32 + 1, 2**40]
+    for seed in range(200):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        lo = seed - 100
+        for n in sizes:
+            assert _below(ours.getrandbits, n) == theirs.randrange(n), (seed, n)
+            assert lo + _below(ours.getrandbits, n) == theirs.randint(lo, lo + n - 1), (seed, n)
+            assert ours.getstate() == theirs.getstate(), (seed, n)
 
 
 def eval_params(**kwargs) -> SearchParams:
@@ -224,3 +271,25 @@ def test_rrhc_evaluation_budget_never_reads_the_clock(monkeypatch):
     result = rrhc_resolve(Chunk(["a", "b", "c"], ["a", "x", "c"]), eval_params(max_evaluations=500))
     assert result.elapsed == 0.0
     assert result.evaluations == 500
+
+
+def test_rrhc_memo_limit_changes_no_result(monkeypatch):
+    rng = random.Random(31)
+    cases = [
+        (random_chunk(rng, max_side=8), eval_params(seed=rng.randrange(2**32), max_evaluations=400))
+        for _ in range(8)
+    ]
+    scored = 0
+    real_lcs = search.lcs_length
+
+    def counting_lcs(a, b):
+        nonlocal scored
+        scored += 1
+        return real_lcs(a, b)
+
+    monkeypatch.setattr(search, "lcs_length", counting_lcs)
+    default = [rrhc_resolve(chunk, params) for chunk, params in cases]
+    scored_default, scored = scored, 0
+    monkeypatch.setattr(search, "_MEMO_LIMIT", 4)
+    assert [rrhc_resolve(chunk, params) for chunk, params in cases] == default
+    assert scored > scored_default  # the emptied memo rescored candidates it had seen
