@@ -155,11 +155,12 @@ def tune_grid(
         def measure(record: ConflictRecord) -> tuple[int, int, float, float]:
             result = rrhc_resolve(record, params)
             truth = record.resolution_lines
-            best_sim = similarity(candidate_lines(result.best, record), truth, Granularity.CHAR)
             rank = params.top_n + 1
             best_ranked_sim = -1.0
             for position, entry in enumerate(result.ranked, start=1):
                 sim = similarity(candidate_lines(entry.candidate, record), truth, Granularity.CHAR)
+                if position == 1:
+                    best_sim = sim  # ranked[0] is (best, best_score)
                 if ranking == "exact-match":
                     if sim == 1.0:
                         rank = position

@@ -4,7 +4,8 @@ A candidate resolution is an ordered selection of lines drawn from the two
 conflicting versions; lines from the same version may never be reordered.
 Candidates are scored by the mean of their line-level similarity to each
 parent version, and the search walks the neighborhood induced by three
-operators (add a line, remove a line, exchange two positions).
+operators (add a line, remove a line, swap two adjacent lines from different
+versions).
 """
 
 from __future__ import annotations
@@ -195,44 +196,19 @@ def _below(getrandbits: Callable[[int], int], n: int) -> int:
     return r
 
 
-def _try_exchange(candidate: Candidate, rng: random.Random) -> Candidate | None:
-    """Swap a uniformly drawn position pair; reject draws that break version order.
-
-    A swap of positions p < q keeps both versions in order exactly when
-    q == p + 1 and the two refs come from different versions: a same-version
-    pair is reordered by the swap itself, and any line strictly between p
-    and q shares a version with one of the two, which would then be moved
-    across it. Gives up after len(candidate)**2 draws; the caller offers
-    this operator only when the candidate holds lines of both versions, so
-    an adjacent cross-version pair exists and the cap only ends long
-    rejection streaks.
-
-    Each position is drawn inline as ``_below`` draws it, which is exactly
-    how ``rng.randrange(n)`` draws it: these rejection draws dominate the
-    search on large chunks, so the call overhead per draw is what counts.
-    """
-    n = len(candidate)
-    getrandbits = rng.getrandbits
-    k = n.bit_length()
-    for _ in range(n * n):
-        p = getrandbits(k)
-        while p >= n:
-            p = getrandbits(k)
-        q = getrandbits(k)
-        while q >= n:
-            q = getrandbits(k)
-        if p > q:
-            p, q = q, p
-        if q - p == 1 and candidate[p].version is not candidate[q].version:
-            return candidate[:p] + (candidate[q], candidate[p]) + candidate[q + 1 :]
-    return None
-
-
 _ADD, _REMOVE, _EXCHANGE = "add", "remove", "exchange"
 
 
 def neighbor(candidate: Candidate, chunk: ChunkLike, rng: random.Random) -> Candidate:
     """Apply one uniformly chosen applicable operator; always returns a valid candidate.
+
+    ADD inserts a uniformly drawn unused line at a uniform slot that keeps its
+    version in order; REMOVE drops a uniformly drawn line; EXCHANGE swaps a
+    uniformly drawn pair of adjacent lines from different versions. Those are
+    all the order-preserving swaps: a same-version pair is reordered by the
+    swap itself, and any line between two non-adjacent positions shares a
+    version with one of them, which would be moved across it. EXCHANGE
+    applies when the candidate holds lines of both versions.
 
     Returns the input unchanged only when no operator applies, which happens
     exactly when both versions are empty.
@@ -245,23 +221,22 @@ def neighbor(candidate: Candidate, chunk: ChunkLike, rng: random.Random) -> Cand
         first = candidate[0].version
         if any(ref.version is not first for ref in candidate):
             operators.append(_EXCHANGE)
+    if not operators:
+        return candidate
     getrandbits = rng.getrandbits
-    while operators:
-        op = operators[_below(getrandbits, len(operators))]
-        if op == _ADD:
-            unused = _unused_refs(candidate, chunk)
-            ref = unused[_below(getrandbits, len(unused))]
-            lo, hi = _addition_window(candidate, ref)
-            slot = lo + _below(getrandbits, hi - lo + 1)
-            return candidate[:slot] + (ref,) + candidate[slot:]
-        if op == _REMOVE:
-            pos = _below(getrandbits, len(candidate))
-            return candidate[:pos] + candidate[pos + 1 :]
-        swapped = _try_exchange(candidate, rng)
-        if swapped is not None:
-            return swapped
-        operators.remove(_EXCHANGE)
-    return candidate
+    op = operators[_below(getrandbits, len(operators))]
+    if op == _ADD:
+        unused = _unused_refs(candidate, chunk)
+        ref = unused[_below(getrandbits, len(unused))]
+        lo, hi = _addition_window(candidate, ref)
+        slot = lo + _below(getrandbits, hi - lo + 1)
+        return candidate[:slot] + (ref,) + candidate[slot:]
+    if op == _REMOVE:
+        pos = _below(getrandbits, len(candidate))
+        return candidate[:pos] + candidate[pos + 1 :]
+    slots = [p for p in range(len(candidate) - 1) if candidate[p].version is not candidate[p + 1].version]
+    p = slots[_below(getrandbits, len(slots))]
+    return candidate[:p] + (candidate[p + 1], candidate[p]) + candidate[p + 2 :]
 
 
 class _TopN:

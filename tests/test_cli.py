@@ -195,7 +195,7 @@ def test_split_deterministic_outputs(tmp_path):
 # sha256 of the rows `bench <bundled sample> --engine sbcr --seed 7 --max-evals 5000`
 # writes. A change that alters the engine's random stream or its scores on
 # purpose updates this value and says why in CHANGES.md.
-GOLDEN_BENCH_SHA256 = "12e28f2b399aa27bbc0e93d1595ef8aa9958a9b94529bd44ec66ae577a97d6d2"
+GOLDEN_BENCH_SHA256 = "b6ce70c2d866d944dd621a54eb3c534ac7df8d577e6eed76366957a251ce5a81"
 
 
 def test_seeded_bench_rows_match_golden_hash(tmp_path):

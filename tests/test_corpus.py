@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import random
+from pathlib import Path
 
 import pytest
 from conftest import achievable_sequences
@@ -8,6 +10,7 @@ from sbcr.corpus import (
     ConflictRecord,
     FilterFlags,
     Language,
+    bundled_sample_path,
     dedupe_by_commit,
     ingest_records,
     is_combination,
@@ -198,3 +201,14 @@ def test_split_rejects_bad_ratios():
         split_dataset(["a"], 0, (0.5, 0.5, 0.5))
     with pytest.raises(ValueError):
         split_dataset(["a"], 0, (-0.1, 0.6, 0.5))
+
+
+def test_bundled_sample_matches_its_generator(tmp_path, monkeypatch):
+    """tools/make_sample_dataset.py reproduces the bundled sample byte for byte."""
+    tool = Path(__file__).resolve().parent.parent / "tools" / "make_sample_dataset.py"
+    spec = importlib.util.spec_from_file_location("make_sample_dataset", tool)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(module, "OUT", tmp_path / "sample_conflicts.jsonl")
+    assert module.main() == 0
+    assert module.OUT.read_bytes() == bundled_sample_path().read_bytes()

@@ -239,6 +239,17 @@ def test_rrhc_ranked_list_sorted_and_deduplicated():
     assert result.ranked[0].score == result.best_score
 
 
+@pytest.mark.parametrize("top_n", [1, 100])
+def test_rrhc_ranked_head_is_best(top_n):
+    """``bench.tune_grid`` scores the best candidate as ``ranked[0]``."""
+    rng = random.Random(top_n)
+    for _ in range(30):
+        chunk = random_chunk(rng, max_side=6, alphabet=("a", "b"))
+        params = eval_params(seed=rng.getrandbits(32), max_evaluations=rng.randint(1, 400), top_n=top_n)
+        result = rrhc_resolve(chunk, params)
+        assert result.ranked[0] == (result.best, result.best_score)
+
+
 def test_rrhc_validity_closure_debug_mode():
     rng = random.Random(21)
     for _ in range(5):
