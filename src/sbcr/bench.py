@@ -293,48 +293,31 @@ def read_result_rows(path: str | Path) -> list[ResultRow]:
     return rows
 
 
-def write_comparison_report(path: str | Path, report: ComparisonReport) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        dump_comparison_report(report, fh)
+def dump_sim_diff_csv(report: ComparisonReport, out: TextIO) -> None:
+    """CSV of the per-conflict sim_char difference, a minus b, to a stream opened with newline=""."""
+    writer = csv.writer(out)
+    writer.writerow(["conflict_id", "sim_diff"])
+    for cid, diff in report.sim_diff:
+        writer.writerow([cid, repr(diff)])
 
 
-def dump_comparison_report(report: ComparisonReport, out: TextIO) -> None:
-    """Write the JSON report of ``write_comparison_report`` to an open text stream."""
-    json.dump(report.to_json(), out, indent=2)
-    out.write("\n")
-
-
-def write_sim_diff_csv(path: str | Path, report: ComparisonReport) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["conflict_id", "sim_diff"])
-        for cid, diff in report.sim_diff:
-            writer.writerow([cid, repr(diff)])
-
-
-def write_balance_histogram_csv(path: str | Path, report: ComparisonReport) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bucket_low_edge", "a_wins", "b_wins", "ties"])
-        for i in range(BALANCE_BUCKETS):
-            writer.writerow(
-                [
-                    round(-1.0 + 0.1 * i, 1),
-                    report.balance_histogram["a_wins"][i],
-                    report.balance_histogram["b_wins"][i],
-                    report.balance_histogram["ties"][i],
-                ]
-            )
-
-
-def write_tuning_csv(path: str | Path, rows: Sequence[TuningRow]) -> None:
-    """CSV with one row per configuration and the four tuning metric columns."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        dump_tuning_csv(rows, fh)
+def dump_balance_histogram_csv(report: ComparisonReport, out: TextIO) -> None:
+    """CSV of wins and ties per balance bucket, to a stream opened with newline=""."""
+    writer = csv.writer(out)
+    writer.writerow(["bucket_low_edge", "a_wins", "b_wins", "ties"])
+    for i in range(BALANCE_BUCKETS):
+        writer.writerow(
+            [
+                round(-1.0 + 0.1 * i, 1),
+                report.balance_histogram["a_wins"][i],
+                report.balance_histogram["b_wins"][i],
+                report.balance_histogram["ties"][i],
+            ]
+        )
 
 
 def dump_tuning_csv(rows: Sequence[TuningRow], out: TextIO) -> None:
-    """Write the tuning CSV of ``write_tuning_csv`` to an open text stream."""
+    """CSV with one row per configuration and the four tuning metric columns, to a stream opened with newline=""."""
     writer = csv.writer(out)
     writer.writerow(
         ["configuration", "budget_kind", "top1_similarity_count", "average_ranking", "average_similarity", "average_time"]

@@ -74,11 +74,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _add_search_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--neighbors", type=int, default=None, help="neighbors drawn per iteration")
-    parser.add_argument("--stagnation", type=int, default=None, help="non-improving iterations before a restart")
-    parser.add_argument("--max-evals", type=int, default=None, help="evaluation-count budget (deterministic)")
-    parser.add_argument("--time-budget", type=float, default=None, help="wall-clock budget in seconds")
+def _add_search_flags(parser: argparse.ArgumentParser, grid: bool = False) -> None:
+    """Engine flags; a grid search (``grid``) takes neighbors, stagnation and budgets from its --grid-* flags."""
+    if not grid:
+        parser.add_argument("--neighbors", type=int, default=None, help="neighbors drawn per iteration")
+        parser.add_argument("--stagnation", type=int, default=None, help="non-improving iterations before a restart")
+        parser.add_argument("--max-evals", type=int, default=None, help="evaluation-count budget (deterministic)")
+        parser.add_argument("--time-budget", type=float, default=None, help="wall-clock budget in seconds")
     parser.add_argument("--wallclock", action="store_true", default=None, help="use the wall-clock budget instead of evaluation counts")
     parser.add_argument("--top-n", type=int, default=None, help="ranked candidate list capacity")
     parser.add_argument("--seed", type=int, default=None, help="random seed")
@@ -142,7 +144,7 @@ def build_parser() -> _Parser:
     p.add_argument("--ranking", choices=["best-similarity", "exact-match"], default="best-similarity", help="average-ranking interpretation")
     p.add_argument("--out", default="-", help="tuning table CSV output (default stdout)")
     p.add_argument("--jobs", type=int, default=1)
-    _add_search_flags(p)
+    _add_search_flags(p, grid=True)
 
     p = sub.add_parser("compare", help="paired comparison of two result files")
     p.add_argument("results_a")
@@ -169,17 +171,36 @@ def build_parser() -> _Parser:
     return parser
 
 
+# config keys whose default is null, and the type each takes when set
+_NULLABLE_CONFIG_TYPES = {"time_budget": float, "endpoint": str}
+
+
+def _check_config_value(key: str, value) -> None:
+    """A config value must have its default's type; an int also counts as a float, a bool as neither."""
+    expected = _NULLABLE_CONFIG_TYPES.get(key, type(DEFAULTS[key]))
+    if value is None and key in _NULLABLE_CONFIG_TYPES:
+        return
+    if type(value) is expected or (expected is float and type(value) is int):
+        return
+    nullable = " or null" if key in _NULLABLE_CONFIG_TYPES else ""
+    raise _UsageError(f"config key {key!r} must be {expected.__name__}{nullable}, got {value!r}")
+
+
 def _load_config(path: str | None) -> dict:
     config = dict(DEFAULTS)
     if path:
         try:
             with open(path, encoding="utf-8") as fh:
                 loaded = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON or bytes that are not UTF-8
             raise _InputError(f"cannot read config {path}: {exc}")
+        if not isinstance(loaded, dict):
+            raise _UsageError("config must be a JSON object")
         unknown = set(loaded) - set(DEFAULTS)
         if unknown:
             raise _UsageError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in loaded.items():
+            _check_config_value(key, value)
         config.update(loaded)
     if config["endpoint"] is None:
         config["endpoint"] = os.environ.get(ENDPOINT_ENV_VAR)
@@ -196,8 +217,13 @@ def _effective_config(args: argparse.Namespace) -> dict:
     return config
 
 
+def _wallclock_run(config: dict) -> bool:
+    """True when the engine runs on a wall-clock budget; evaluation budgets keep outputs byte-reproducible."""
+    return config["wallclock"] or config["time_budget"] is not None
+
+
 def _search_params(config: dict) -> SearchParams:
-    use_time = bool(config["wallclock"]) or config["time_budget"] is not None
+    use_time = _wallclock_run(config)
     if use_time and config["time_budget"] is None:
         raise _UsageError("--wallclock requires --time-budget")
     try:
@@ -238,9 +264,7 @@ def _hybrid(config: dict, on_decision=None) -> HybridResolver:
 
 
 def _build_resolver(engine: str, config: dict) -> Resolver:
-    # evaluation-budget mode keeps outputs byte-reproducible, so no wall clock
-    deterministic = not (bool(config["wallclock"]) or config["time_budget"] is not None)
-    trivial_clock = (lambda: 0.0) if deterministic else None
+    trivial_clock = None if _wallclock_run(config) else (lambda: 0.0)
     if engine == "sbcr":
         return SearchResolver(_search_params(config))
     if engine.startswith("trivial:"):
@@ -259,7 +283,7 @@ def _build_resolver(engine: str, config: dict) -> Resolver:
 
 
 @contextmanager
-def _output(path: str):
+def _output(path: str | Path):
     """The file at ``path``, or stdout for '-'; only a file is closed on exit."""
     if path == "-":
         yield sys.stdout
@@ -269,29 +293,34 @@ def _output(path: str):
         yield fh
 
 
-def _write_jsonl(path: str, objects) -> None:
+def _write_jsonl(path: str | Path, objects) -> None:
     with _output(path) as out:
         for obj in objects:
             out.write(json.dumps(obj, ensure_ascii=False) + "\n")
 
 
-def _read_text(path: str) -> str:
+def _write_json(path: str | Path, obj) -> None:
+    with _output(path) as out:
+        json.dump(obj, out, indent=2)
+        out.write("\n")
+
+
+@contextmanager
+def _input(path: str):
+    """The UTF-8 text file at ``path``, or stdin for '-'; a failed read is an input error."""
     try:
         if path == "-":
-            return sys.stdin.read()
-        return Path(path).read_text(encoding="utf-8")
+            yield sys.stdin
+            return
+        with open(path, encoding="utf-8") as fh:
+            yield fh
     except (OSError, UnicodeDecodeError) as exc:
         raise _InputError(f"cannot read {path}: {exc}")
 
 
 def _load_dataset(path: str) -> list[corpus.ConflictRecord]:
-    try:
-        if path == "-":
-            records, rejects = corpus.ingest_records(sys.stdin)
-        else:
-            records, rejects = corpus.load_records(path)
-    except OSError as exc:
-        raise _InputError(f"cannot read {path}: {exc}")
+    with _input(path) as fh:
+        records, rejects = corpus.ingest_records(fh)
     for report in rejects:
         print(f"warning: {path}:{report.line}: {report.reason}: {report.detail}", file=sys.stderr)
     return records
@@ -299,18 +328,12 @@ def _load_dataset(path: str) -> list[corpus.ConflictRecord]:
 
 def _cmd_ingest(args, config) -> int:
     flags = corpus.FilterFlags(combination=not args.no_combination_filter)
-    try:
-        if args.records == "-":
-            records, rejections = corpus.ingest_records(sys.stdin, flags)
-        else:
-            with open(args.records, encoding="utf-8") as fh:
-                records, rejections = corpus.ingest_records(fh, flags)
-    except OSError as exc:
-        raise _InputError(f"cannot read {args.records}: {exc}")
+    with _input(args.records) as fh:
+        records, rejections = corpus.ingest_records(fh, flags)
     _write_jsonl(args.out, (record.to_json() for record in records))
     rejects_path = args.rejects or (args.out + ".rejects.jsonl" if args.out != "-" else None)
     if rejects_path:
-        corpus.write_rejections(rejects_path, rejections)
+        _write_jsonl(rejects_path, (report.to_json() for report in rejections))
     print(f"accepted {len(records)}, rejected {len(rejections)}", file=sys.stderr)
     return EXIT_OK
 
@@ -331,20 +354,17 @@ def _cmd_split(args, config) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, ids in (("train", split.train_ids), ("valid", split.valid_ids), ("test", split.test_ids)):
-        corpus.write_records(out_dir / f"{name}.jsonl", [by_id[i] for i in ids])
-    with open(out_dir / "split.json", "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "seed": split.seed,
-                "ratios": list(split.ratios),
-                "train_ids": list(split.train_ids),
-                "valid_ids": list(split.valid_ids),
-                "test_ids": list(split.test_ids),
-            },
-            fh,
-            indent=2,
-        )
-        fh.write("\n")
+        _write_jsonl(out_dir / f"{name}.jsonl", (by_id[i].to_json() for i in ids))
+    _write_json(
+        out_dir / "split.json",
+        {
+            "seed": split.seed,
+            "ratios": list(split.ratios),
+            "train_ids": list(split.train_ids),
+            "valid_ids": list(split.valid_ids),
+            "test_ids": list(split.test_ids),
+        },
+    )
     print(
         f"split {len(records)} records into {len(split.train_ids)}/{len(split.valid_ids)}/{len(split.test_ids)}",
         file=sys.stderr,
@@ -353,7 +373,8 @@ def _cmd_split(args, config) -> int:
 
 
 def _cmd_resolve(args, config) -> int:
-    text = _read_text(args.file)
+    with _input(args.file) as fh:
+        text = fh.read()
     try:
         parsed = parsing.parse_conflicted_file(text)
     except parsing.MarkerError as exc:
@@ -430,19 +451,20 @@ def _cmd_compare(args, config) -> int:
     try:
         rows_a = bench_mod.read_result_rows(args.results_a)
         rows_b = bench_mod.read_result_rows(args.results_b)
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:  # ValueError covers bad JSON and non-UTF-8 bytes
         raise _InputError(f"cannot read result rows: {exc}")
     try:
         report = bench_mod.compare_results(rows_a, rows_b, m=args.extremes)
     except ValueError as exc:
         raise _InputError(str(exc))
-    with _output(args.out) as out:
-        bench_mod.dump_comparison_report(report, out)
+    _write_json(args.out, report.to_json())
     if args.csv_dir:
         csv_dir = Path(args.csv_dir)
         csv_dir.mkdir(parents=True, exist_ok=True)
-        bench_mod.write_sim_diff_csv(csv_dir / "sim_diff.csv", report)
-        bench_mod.write_balance_histogram_csv(csv_dir / "balance_histogram.csv", report)
+        with _output(csv_dir / "sim_diff.csv") as out:
+            bench_mod.dump_sim_diff_csv(report, out)
+        with _output(csv_dir / "balance_histogram.csv") as out:
+            bench_mod.dump_balance_histogram_csv(report, out)
     return EXIT_OK
 
 
@@ -459,8 +481,8 @@ def _cmd_route(args, config) -> int:
                 log(record, route(extract_features(record), thresholds))
             return EXIT_OK
         rows = bench_mod.run_benchmark(records, _hybrid(config, on_decision=log))
-    if rows and args.out:
-        bench_mod.write_result_rows(args.out, rows)
+    if args.out:
+        _write_jsonl(args.out, (row.to_json() for row in rows))
     return EXIT_OK
 
 

@@ -206,18 +206,6 @@ def load_records(path: str | Path, filters: FilterFlags = FilterFlags()) -> tupl
         return ingest_records(fh, filters)
 
 
-def write_records(path: str | Path, records: Iterable[ConflictRecord]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record.to_json(), ensure_ascii=False) + "\n")
-
-
-def write_rejections(path: str | Path, rejections: Iterable[RejectionReport]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for report in rejections:
-            fh.write(json.dumps(report.to_json(), ensure_ascii=False) + "\n")
-
-
 def preserves_partial_order(
     resolution: Sequence[str], v1: Sequence[str], v2: Sequence[str]
 ) -> bool:

@@ -58,7 +58,6 @@ class ConflictChunk:
     v2_label: str = ""
     base_label: str | None = None
     raw_lines: list[str] = field(default_factory=list)  # verbatim block incl. markers
-    eol: str = "\n"  # majority line ending inside the block
 
 
 @dataclass
@@ -176,7 +175,6 @@ def parse_conflicted_file(text: str) -> ConflictedFile:
                     v2_label=label,
                     base_label=labels["base"] if had_base else None,
                     raw_lines=chunk_raw,
-                    eol=_majority_eol(chunk_raw),
                 )
             )
             state = "outside"

@@ -110,14 +110,13 @@ class SearchResolver(Resolver):
 
     resolver_id = "sbcr"
 
-    def __init__(self, params: SearchParams, clock: Callable[[], float] | None = None):
-        super().__init__(clock=None)
+    def __init__(self, params: SearchParams):
+        super().__init__()
         self.params = params
-        self._engine_clock = clock
 
     def resolve(self, chunk) -> ResolutionCandidate:
         try:
-            result = rrhc_resolve(chunk, self.params, clock=self._engine_clock)
+            result = rrhc_resolve(chunk, self.params)
         except Exception as exc:
             return _failure(self.resolver_id, 0.0, str(exc))
         return _success(candidate_lines(result.best, chunk), self.resolver_id, result.elapsed)

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 
 import pytest
@@ -336,3 +337,115 @@ def test_parser_lists_every_flag_in_help():
     parser = build_parser()
     help_text = parser.format_help()
     assert "--config" in help_text and "--show-config" in help_text
+
+
+def test_route_out_dash_writes_rows_to_stdout(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    server = StubServer(mode="echo-v1", port=0).start()
+    try:
+        argv = ["route", sample_args(), "--decisions", "decisions.jsonl", "--endpoint", server.url, "--max-evals", "100"]
+        assert main(argv + ["--out", "-"]) == 0
+        stdout = capsys.readouterr().out
+        assert main(argv + ["--out", "rows.jsonl"]) == 0
+    finally:
+        server.stop()
+    assert not (tmp_path / "-").exists()
+
+    def rows(text):  # remote calls are timed by the wall clock, so elapsed differs run to run
+        return [{k: v for k, v in json.loads(l).items() if k != "elapsed"} for l in text.splitlines()]
+
+    assert rows(stdout) == rows((tmp_path / "rows.jsonl").read_text(encoding="utf-8"))
+    assert len(rows(stdout)) == 50
+
+
+def test_route_out_on_empty_dataset_writes_empty_file(tmp_path):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("", encoding="utf-8")
+    out = tmp_path / "rows.jsonl"
+    # no record reaches the resolver, so the endpoint is never contacted
+    assert main(["route", str(empty), "--out", str(out), "--endpoint", "http://127.0.0.1:9"]) == 0
+    assert out.read_bytes() == b""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ingest", "{bad}"],
+        ["split", "{bad}", "--out-dir", "{tmp}"],
+        ["bench", "{bad}", "--engine", "trivial:take-v1"],
+        ["tune", "{bad}"],
+        ["route", "{bad}", "--dry-run"],
+        ["compare", "{bad}", "{bad}"],
+        ["resolve", "{bad}"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_non_utf8_input_is_input_error(tmp_path, capsys, argv):
+    bad = tmp_path / "latin1.jsonl"
+    bad.write_bytes('{"id": "café"}\n'.encode("latin-1"))
+    assert main([a.format(bad=bad, tmp=tmp_path / "out") for a in argv]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+def test_dash_reads_records_from_stdin(monkeypatch, capsys):
+    sample = bundled_sample_path().read_text(encoding="utf-8")
+    assert main(["bench", sample_args(), "--engine", "trivial:take-v1"]) == 0
+    from_file = capsys.readouterr().out
+    monkeypatch.setattr("sys.stdin", io.StringIO(sample))
+    assert main(["bench", "-", "--engine", "trivial:take-v1"]) == 0
+    assert capsys.readouterr().out == from_file
+
+
+@pytest.mark.parametrize("flag", ["--neighbors", "--stagnation", "--max-evals", "--time-budget"])
+def test_tune_rejects_search_flags_it_does_not_read(flag, capsys):
+    assert main(["tune", sample_args(), flag, "3"]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "row",
+    [[1, 2], {"conflict_id": "a", "resolver_id": "r", "sim_line": "zz", "sim_char": 0.5, "elapsed": 0.0, "status": "ok"}],
+    ids=["not-an-object", "non-numeric-score"],
+)
+def test_compare_malformed_row_exit_2(tmp_path, capsys, row):
+    rows = tmp_path / "rows.jsonl"
+    rows.write_text(json.dumps(row) + "\n", encoding="utf-8")
+    assert main(["compare", str(rows), str(rows)]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, config, key",
+    [
+        (["bench", "{sample}", "--engine", "trivial:take-v1"], {"seed": "x"}, "seed"),
+        (["route", "{sample}", "--dry-run"], {"balance_beta": "x"}, "balance_beta"),
+        (["bench", "{sample}", "--engine", "trivial:take-v1"], {"wallclock": "no"}, "wallclock"),
+        (["bench", "{sample}", "--engine", "trivial:take-v1"], {"max_evals": True}, "max_evals"),
+        (["bench", "{sample}", "--engine", "trivial:take-v1"], {"neighbors": 2.5}, "neighbors"),
+        (["bench", "{sample}", "--engine", "trivial:take-v1"], {"time_budget": "5"}, "time_budget"),
+        (["route", "{sample}", "--dry-run"], {"endpoint": 8731}, "endpoint"),
+        (["--show-config"], {"deadline": None}, "deadline"),
+    ],
+)
+def test_config_value_of_wrong_type_is_usage_error(tmp_path, capsys, command, config, key):
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    argv = ["--config", str(path)] + [a.format(sample=sample_args()) for a in command]
+    assert main(argv) == 1
+    assert repr(key) in capsys.readouterr().err
+
+
+def test_config_accepts_null_and_int_where_typed(tmp_path, capsys):
+    path = tmp_path / "conf.json"
+    config = {"time_budget": None, "endpoint": None, "deadline": 5, "balance_beta": 0, "wallclock": False}
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["--config", str(path), "--show-config"]) == 0
+    assert json.loads(capsys.readouterr().out)["deadline"] == 5
+    path.write_text(json.dumps({"time_budget": 0.5, "endpoint": "http://127.0.0.1:9"}), encoding="utf-8")
+    assert main(["--config", str(path), "--show-config"]) == 0
+
+
+def test_config_that_is_not_an_object_is_usage_error(tmp_path):
+    path = tmp_path / "conf.json"
+    path.write_text("5", encoding="utf-8")
+    assert main(["--config", str(path), "--show-config"]) == 1
