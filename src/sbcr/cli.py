@@ -8,6 +8,7 @@ stderr; data goes to files or stdout.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import random
@@ -284,13 +285,29 @@ def _build_resolver(engine: str, config: dict) -> Resolver:
 
 @contextmanager
 def _output(path: str | Path):
-    """The file at ``path``, or stdout for '-'; only a file is closed on exit."""
+    """The file at ``path``, or stdout for '-'; only a file is closed on exit.
+
+    A path that cannot be opened for writing is a usage error.
+    """
     if path == "-":
         yield sys.stdout
         return
-    # newline="": resolved files keep their own line endings and csv writes its own
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    try:
+        # newline="": resolved files keep their own line endings and csv writes its own
+        fh = open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc}")
+    with fh:
         yield fh
+
+
+def _output_dir(path: str) -> Path:
+    """The directory at ``path``, created if missing; one that cannot be created is a usage error."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _UsageError(f"cannot create directory {path}: {exc}")
+    return Path(path)
 
 
 def _write_jsonl(path: str | Path, objects) -> None:
@@ -307,12 +324,14 @@ def _write_json(path: str | Path, obj) -> None:
 
 @contextmanager
 def _input(path: str):
-    """The UTF-8 text file at ``path``, or stdin for '-'; a failed read is an input error."""
+    """The UTF-8 text file at ``path``, or stdin for '-', with line endings kept; a failed read is an input error."""
     try:
         if path == "-":
+            if isinstance(sys.stdin, io.TextIOWrapper):
+                sys.stdin.reconfigure(newline="")
             yield sys.stdin
             return
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8", newline="") as fh:
             yield fh
     except (OSError, UnicodeDecodeError) as exc:
         raise _InputError(f"cannot read {path}: {exc}")
@@ -351,8 +370,7 @@ def _cmd_split(args, config) -> int:
     except ValueError as exc:
         raise _UsageError(str(exc))
     by_id = {r.id: r for r in records}
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(args.out_dir)
     for name, ids in (("train", split.train_ids), ("valid", split.valid_ids), ("test", split.test_ids)):
         _write_jsonl(out_dir / f"{name}.jsonl", (by_id[i].to_json() for i in ids))
     _write_json(
@@ -459,8 +477,7 @@ def _cmd_compare(args, config) -> int:
         raise _InputError(str(exc))
     _write_json(args.out, report.to_json())
     if args.csv_dir:
-        csv_dir = Path(args.csv_dir)
-        csv_dir.mkdir(parents=True, exist_ok=True)
+        csv_dir = _output_dir(args.csv_dir)
         with _output(csv_dir / "sim_diff.csv") as out:
             bench_mod.dump_sim_diff_csv(report, out)
         with _output(csv_dir / "balance_histogram.csv") as out:

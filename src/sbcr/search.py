@@ -81,12 +81,18 @@ class ScoredCandidate(NamedTuple):
 
 @dataclass(frozen=True)
 class SearchResult:
-    best: Candidate
-    best_score: float
     ranked: tuple[ScoredCandidate, ...]
     evaluations: int
     restarts: int
     elapsed: float
+
+    @property
+    def best(self) -> Candidate:
+        return self.ranked[0].candidate
+
+    @property
+    def best_score(self) -> float:
+        return self.ranked[0].score
 
 
 def is_valid_candidate(candidate: Sequence[SourceLineRef], chunk: ChunkLike) -> bool:
@@ -239,39 +245,14 @@ def neighbor(candidate: Candidate, chunk: ChunkLike, rng: random.Random) -> Cand
     return candidate[:p] + (candidate[p + 1], candidate[p]) + candidate[p + 2 :]
 
 
-class _TopN:
-    """Bounded best-scores structure, deduplicated by element sequence.
-
-    Ties rank by discovery order; eviction removes the lowest score,
-    preferring the latest discovery among equals.
-    """
-
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-        self._heap: list[tuple[float, int, Candidate]] = []
-        self._members: set[Candidate] = set()
-        self._counter = 0
-
-    def offer(self, candidate: Candidate, score: float) -> None:
-        if candidate in self._members:
-            return
-        self._counter += 1
-        heappush(self._heap, (score, -self._counter, candidate))
-        self._members.add(candidate)
-        if len(self._heap) > self.capacity:
-            _, _, evicted = heappop(self._heap)
-            self._members.remove(evicted)
-
-    def ranked(self) -> tuple[ScoredCandidate, ...]:
-        ordered = sorted(self._heap, key=lambda item: (-item[0], -item[1]))
-        return tuple(ScoredCandidate(candidate, score) for score, _, candidate in ordered)
-
-
-# Entries the score memo of one search may hold before it is emptied. The
-# memo is a pure cache, so emptying it changes no result. The limit bounds
-# memory under a wall-clock budget; it sits above the CLI's default budget
-# and the benchmark's (2,000 evaluations at most), which never reach it.
+# Entries the score memo of one search may hold beyond the ranked list before
+# it is cut back to the ranked list. Cutting a pure cache changes no result; the
+# limit bounds memory under a wall-clock budget, far above any evaluation budget.
 _MEMO_LIMIT = 1 << 15
+
+
+class _BudgetSpent(Exception):
+    """Raised by a search's scorer when its evaluation budget is used up; ends the search."""
 
 
 def rrhc_resolve(
@@ -285,8 +266,8 @@ def rrhc_resolve(
 
     The first climb starts from the v1+v2 concatenation; after
     ``max_stagnation_iterations`` consecutive non-improving iterations the
-    search restarts from a random candidate. Every evaluated candidate is
-    offered to the ranked top-N list.
+    search restarts from a random candidate. ``ranked`` holds the ``top_n`` best
+    distinct candidates, ties in discovery order, with ``best`` at its head.
 
     ``clock`` supplies wall time. With an evaluation budget it defaults to
     a constant clock so results (elapsed included) are bit-for-bit
@@ -298,75 +279,61 @@ def rrhc_resolve(
         clock = time.monotonic if params.max_execution_time is not None else lambda: 0.0
 
     rng = random.Random(params.seed)
-    top = _TopN(params.top_n)
+    # Min-heap of (score, -discovery, candidate), rooted at the next to evict.
+    # Ranked candidates stay in the memo, so only a memo miss is pushed: a hit
+    # is ranked already, or was evicted for good by top_n candidates ahead of it.
+    heap: list[tuple[float, int, Candidate]] = []
     scores: dict[Candidate, float] = {}
     start = clock()
     evaluations = 0
     restarts = 0
-    best: Candidate | None = None
-    best_score = -1.0
 
-    max_evals = params.max_evaluations
-
-    def evaluate_budgeted(candidate: Candidate) -> float | None:
-        nonlocal evaluations, best, best_score
-        if max_evals is not None and evaluations >= max_evals:
-            return None
+    def evaluate_budgeted(candidate: Candidate) -> float:
+        nonlocal evaluations, scores
+        if evaluations == params.max_evaluations:
+            raise _BudgetSpent
         evaluations += 1
         if check_invariants:
             assert is_valid_candidate(candidate, chunk), "engine produced an invalid candidate"
         score = scores.get(candidate)
         if score is None:
-            score = _mean_parent_similarity(
-                candidate_lines(candidate, chunk), chunk.v1_lines, chunk.v2_lines
-            )
-            if len(scores) >= _MEMO_LIMIT:
-                scores.clear()
+            score = _mean_parent_similarity(candidate_lines(candidate, chunk), chunk.v1_lines, chunk.v2_lines)
+            if len(scores) - len(heap) >= _MEMO_LIMIT:
+                scores = {ranked: s for s, _, ranked in heap}
             scores[candidate] = score
-        top.offer(candidate, score)
-        if score > best_score:
-            best, best_score = candidate, score
+            heappush(heap, (score, -evaluations, candidate))
+            if len(heap) > params.top_n:
+                heappop(heap)
         return score
 
     current = concat_candidate(chunk)
-    current_score = evaluate_budgeted(current)
     stagnation = 0
-    k = params.neighbors_per_iteration
 
-    while current_score is not None:
-        if max_evals is not None and evaluations >= max_evals:
-            break
-        if params.max_execution_time is not None and clock() - start >= params.max_execution_time:
-            break
-        best_neighbor: Candidate | None = None
-        best_neighbor_score = -1.0
-        exhausted = False
-        for _ in range(k):
-            moved = neighbor(current, chunk, rng)
-            score = evaluate_budgeted(moved)
-            if score is None:
-                exhausted = True
-                break
-            if score > best_neighbor_score:
-                best_neighbor, best_neighbor_score = moved, score
-        if exhausted:
-            break
-        if best_neighbor is not None and best_neighbor_score > current_score:
-            current, current_score = best_neighbor, best_neighbor_score
-            stagnation = 0
-        else:
-            stagnation += 1
-        if stagnation >= params.max_stagnation_iterations:
-            restarts += 1
-            stagnation = 0
-            current = random_candidate(chunk, rng)
-            current_score = evaluate_budgeted(current)
+    try:
+        current_score = evaluate_budgeted(current)
+        while params.max_execution_time is None or clock() - start < params.max_execution_time:
+            best_neighbor: Candidate | None = None
+            best_neighbor_score = -1.0
+            for _ in range(params.neighbors_per_iteration):
+                moved = neighbor(current, chunk, rng)
+                score = evaluate_budgeted(moved)
+                if score > best_neighbor_score:
+                    best_neighbor, best_neighbor_score = moved, score
+            if best_neighbor_score > current_score:
+                current, current_score = best_neighbor, best_neighbor_score
+                stagnation = 0
+            else:
+                stagnation += 1
+            if stagnation >= params.max_stagnation_iterations:
+                restarts += 1
+                stagnation = 0
+                current = random_candidate(chunk, rng)
+                current_score = evaluate_budgeted(current)
+    except _BudgetSpent:
+        pass
 
-    assert best is not None
     return SearchResult(
-        best=best,
-        best_score=best_score,
-        ranked=top.ranked(),
+        ranked=tuple(ScoredCandidate(candidate, s) for s, _, candidate in sorted(heap, reverse=True)),
         evaluations=evaluations,
         restarts=restarts,
         elapsed=clock() - start,

@@ -1,9 +1,14 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sbcr
 from sbcr.cli import build_parser, main
 from sbcr.corpus import bundled_sample_path
 from sbcr.stub_server import StubServer
@@ -449,3 +454,53 @@ def test_config_that_is_not_an_object_is_usage_error(tmp_path):
     path = tmp_path / "conf.json"
     path.write_text("5", encoding="utf-8")
     assert main(["--config", str(path), "--show-config"]) == 1
+
+
+CRLF_CONFLICT = b"a\r\n<<<<<<< ours\r\nx\r\n=======\r\ny\r\n>>>>>>> theirs\r\nb\r\n"
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_resolve_keeps_crlf_line_endings(tmp_path, source):
+    path = tmp_path / "crlf.txt"
+    path.write_bytes(CRLF_CONFLICT)
+    if source == "file":
+        out = tmp_path / "resolved.txt"
+        assert main(["resolve", str(path), "--engine", "trivial:take-v1", "--out", str(out)]) == 0
+        resolved = out.read_bytes()
+    else:
+        src = str(Path(sbcr.__file__).resolve().parent.parent)
+        resolved = subprocess.run(
+            [sys.executable, "-m", "sbcr.cli", "resolve", "-", "--engine", "trivial:take-v1"],
+            input=CRLF_CONFLICT, capture_output=True, env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60,
+        ).stdout
+    assert resolved == b"a\r\nx\r\nb\r\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ingest", "{sample}", "--out", "{bad}"],
+        ["ingest", "{sample}", "--out", "{ok}", "--rejects", "{bad}"],
+        ["split", "{sample}", "--out-dir", "{bad}"],
+        ["resolve", "{conflicted}", "--engine", "trivial:take-v1", "--out", "{bad}"],
+        ["bench", "{sample}", "--engine", "trivial:take-v1", "--out", "{bad}"],
+        ["tune", "{sample}", "--sample", "1", "--grid-neighbors", "1", "--grid-budgets", "10",
+         "--grid-stagnation", "1", "--out", "{bad}"],
+        ["compare", "{rows}", "{rows}", "--out", "{bad}"],
+        ["compare", "{rows}", "{rows}", "--out", "{ok}", "--csv-dir", "{bad}"],
+        ["route", "{sample}", "--dry-run", "--decisions", "{bad}"],
+    ],
+    ids=["ingest-out", "ingest-rejects", "split-out-dir", "resolve-out", "bench-out", "tune-out",
+         "compare-out", "compare-csv-dir", "route-decisions"],
+)
+def test_unwritable_output_is_usage_error(tmp_path, capsys, conflicted_file, argv):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, so no path can go through it\n", encoding="utf-8")
+    bad = blocker / "out"
+    rows = tmp_path / "rows.jsonl"
+    assert main(["bench", sample_args(), "--engine", "trivial:take-v1", "--out", str(rows)]) == 0
+    capsys.readouterr()
+    paths = dict(sample=sample_args(), conflicted=conflicted_file, rows=rows, ok=tmp_path / "ok", bad=bad)
+    assert main([a.format(**paths) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert str(bad) in err and "internal error" not in err

@@ -250,6 +250,36 @@ def test_rrhc_ranked_head_is_best(top_n):
         assert result.ranked[0] == (result.best, result.best_score)
 
 
+@pytest.mark.parametrize("memo_limit", [search._MEMO_LIMIT, 4])
+@pytest.mark.parametrize("top_n", [1, 3, 100])
+def test_rrhc_ranked_is_top_n_distinct_scored_in_discovery_order(monkeypatch, top_n, memo_limit):
+    """``ranked`` is the ``top_n`` best distinct candidates scored, ties in discovery order."""
+    monkeypatch.setattr(search, "_MEMO_LIMIT", memo_limit)
+    real_is_valid = search.is_valid_candidate
+    scored = []
+
+    def recording_is_valid(candidate, chunk):
+        scored.append(candidate)
+        return real_is_valid(candidate, chunk)
+
+    monkeypatch.setattr(search, "is_valid_candidate", recording_is_valid)
+    rng = random.Random(40 + top_n)
+    for _ in range(25):
+        chunk = random_chunk(rng, max_side=5, alphabet=("a", "b", "c"))
+        params = eval_params(
+            seed=rng.getrandbits(32),
+            max_evaluations=rng.randint(1, 400),
+            max_stagnation_iterations=rng.randint(1, 6),
+            top_n=top_n,
+        )
+        scored.clear()
+        result = rrhc_resolve(chunk, params, check_invariants=True)
+        distinct = list(dict.fromkeys(scored))  # snapshot: evaluate below also calls is_valid_candidate
+        assert result.evaluations == len(scored)
+        by_score = sorted(((c, evaluate(c, chunk)) for c in distinct), key=lambda entry: -entry[1])
+        assert result.ranked == tuple(by_score[:top_n])
+
+
 def test_rrhc_validity_closure_debug_mode():
     rng = random.Random(21)
     for _ in range(5):
