@@ -13,7 +13,7 @@ import json
 import os
 import random
 import sys
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
 from . import bench as bench_mod
@@ -301,6 +301,17 @@ def _output(path: str | Path):
         yield fh
 
 
+@contextmanager
+def _outputs(*paths: str | Path | None):
+    """``_output`` for every path at once, or None for a None path.
+
+    A command opens all its outputs before its work starts, so an unwritable
+    one fails fast and no other output is written.
+    """
+    with ExitStack() as stack:
+        yield [None if path is None else stack.enter_context(_output(path)) for path in paths]
+
+
 def _output_dir(path: str) -> Path:
     """The directory at ``path``, created if missing; one that cannot be created is a usage error."""
     try:
@@ -310,16 +321,14 @@ def _output_dir(path: str) -> Path:
     return Path(path)
 
 
-def _write_jsonl(path: str | Path, objects) -> None:
-    with _output(path) as out:
-        for obj in objects:
-            out.write(json.dumps(obj, ensure_ascii=False) + "\n")
+def _write_jsonl(out, objects) -> None:
+    for obj in objects:
+        out.write(json.dumps(obj, ensure_ascii=False) + "\n")
 
 
-def _write_json(path: str | Path, obj) -> None:
-    with _output(path) as out:
-        json.dump(obj, out, indent=2)
-        out.write("\n")
+def _write_json(out, obj) -> None:
+    json.dump(obj, out, indent=2)
+    out.write("\n")
 
 
 @contextmanager
@@ -349,10 +358,11 @@ def _cmd_ingest(args, config) -> int:
     flags = corpus.FilterFlags(combination=not args.no_combination_filter)
     with _input(args.records) as fh:
         records, rejections = corpus.ingest_records(fh, flags)
-    _write_jsonl(args.out, (record.to_json() for record in records))
     rejects_path = args.rejects or (args.out + ".rejects.jsonl" if args.out != "-" else None)
-    if rejects_path:
-        _write_jsonl(rejects_path, (report.to_json() for report in rejections))
+    with _outputs(args.out, rejects_path) as (out, rejects_out):
+        _write_jsonl(out, (record.to_json() for record in records))
+        if rejects_out is not None:
+            _write_jsonl(rejects_out, (report.to_json() for report in rejections))
     print(f"accepted {len(records)}, rejected {len(rejections)}", file=sys.stderr)
     return EXIT_OK
 
@@ -371,18 +381,20 @@ def _cmd_split(args, config) -> int:
         raise _UsageError(str(exc))
     by_id = {r.id: r for r in records}
     out_dir = _output_dir(args.out_dir)
-    for name, ids in (("train", split.train_ids), ("valid", split.valid_ids), ("test", split.test_ids)):
-        _write_jsonl(out_dir / f"{name}.jsonl", (by_id[i].to_json() for i in ids))
-    _write_json(
-        out_dir / "split.json",
-        {
-            "seed": split.seed,
-            "ratios": list(split.ratios),
-            "train_ids": list(split.train_ids),
-            "valid_ids": list(split.valid_ids),
-            "test_ids": list(split.test_ids),
-        },
-    )
+    parts = (("train", split.train_ids), ("valid", split.valid_ids), ("test", split.test_ids))
+    with _outputs(*(out_dir / f"{name}.jsonl" for name, _ in parts), out_dir / "split.json") as outs:
+        for out, (_, ids) in zip(outs, parts):
+            _write_jsonl(out, (by_id[i].to_json() for i in ids))
+        _write_json(
+            outs[-1],
+            {
+                "seed": split.seed,
+                "ratios": list(split.ratios),
+                "train_ids": list(split.train_ids),
+                "valid_ids": list(split.valid_ids),
+                "test_ids": list(split.test_ids),
+            },
+        )
     print(
         f"split {len(records)} records into {len(split.train_ids)}/{len(split.valid_ids)}/{len(split.test_ids)}",
         file=sys.stderr,
@@ -398,7 +410,8 @@ def _cmd_resolve(args, config) -> int:
     except parsing.MarkerError as exc:
         raise _InputError(f"{args.file}: {exc}")
     if args.records:
-        _write_jsonl(args.out, parsing.extract_records(parsed, path=args.file if args.file != "-" else ""))
+        with _output(args.out) as out:
+            _write_jsonl(out, parsing.extract_records(parsed, path=args.file if args.file != "-" else ""))
         return EXIT_OK
     resolver = _build_resolver(args.engine, config)
     resolutions = []
@@ -421,8 +434,9 @@ def _cmd_resolve(args, config) -> int:
 def _cmd_bench(args, config) -> int:
     records = _load_dataset(args.records)
     resolver = _build_resolver(args.engine, config)
-    rows = bench_mod.run_benchmark(records, resolver, jobs=args.jobs, trim_trailing=args.trim_trailing_ws)
-    _write_jsonl(args.out, (row.to_json() for row in rows))
+    with _output(args.out) as out:
+        rows = bench_mod.run_benchmark(records, resolver, jobs=args.jobs, trim_trailing=args.trim_trailing_ws)
+        _write_jsonl(out, (row.to_json() for row in rows))
     return EXIT_OK
 
 
@@ -459,8 +473,8 @@ def _cmd_tune(args, config) -> int:
         ]
     except ValueError as exc:
         raise _UsageError(str(exc))
-    rows = bench_mod.tune_grid(sample, grid, config["seed"], ranking=args.ranking, jobs=args.jobs)
     with _output(args.out) as out:
+        rows = bench_mod.tune_grid(sample, grid, config["seed"], ranking=args.ranking, jobs=args.jobs)
         bench_mod.dump_tuning_csv(rows, out)
     return EXIT_OK
 
@@ -475,31 +489,33 @@ def _cmd_compare(args, config) -> int:
         report = bench_mod.compare_results(rows_a, rows_b, m=args.extremes)
     except ValueError as exc:
         raise _InputError(str(exc))
-    _write_json(args.out, report.to_json())
-    if args.csv_dir:
-        csv_dir = _output_dir(args.csv_dir)
-        with _output(csv_dir / "sim_diff.csv") as out:
-            bench_mod.dump_sim_diff_csv(report, out)
-        with _output(csv_dir / "balance_histogram.csv") as out:
-            bench_mod.dump_balance_histogram_csv(report, out)
+    csv_dir = _output_dir(args.csv_dir) if args.csv_dir else None
+    csv_paths = (csv_dir / "sim_diff.csv", csv_dir / "balance_histogram.csv") if csv_dir else (None, None)
+    with _outputs(args.out, *csv_paths) as (out, sim_diff_out, histogram_out):
+        _write_json(out, report.to_json())
+        if csv_dir:
+            bench_mod.dump_sim_diff_csv(report, sim_diff_out)
+            bench_mod.dump_balance_histogram_csv(report, histogram_out)
     return EXIT_OK
 
 
 def _cmd_route(args, config) -> int:
     records = _load_dataset(args.records)
-    with _output(args.decisions) as decisions_out:
 
-        def log(record, decision) -> None:
-            decisions_out.write(json.dumps(_decision_json(record.id, decision)) + "\n")
+    def log(record, decision) -> None:
+        decisions_out.write(json.dumps(_decision_json(record.id, decision)) + "\n")
 
-        if args.dry_run:
-            thresholds = _thresholds(config)
+    if args.dry_run:
+        thresholds = _thresholds(config)
+        with _output(args.decisions) as decisions_out:
             for record in records:
                 log(record, route(extract_features(record), thresholds))
-            return EXIT_OK
-        rows = bench_mod.run_benchmark(records, _hybrid(config, on_decision=log))
-    if args.out:
-        _write_jsonl(args.out, (row.to_json() for row in rows))
+        return EXIT_OK
+    hybrid = _hybrid(config, on_decision=log)
+    with _outputs(args.decisions, args.out) as (decisions_out, rows_out):
+        rows = bench_mod.run_benchmark(records, hybrid)
+        if rows_out is not None:
+            _write_jsonl(rows_out, (row.to_json() for row in rows))
     return EXIT_OK
 
 

@@ -6,6 +6,15 @@ Candidates are scored by the mean of their line-level similarity to each
 parent version, and the search walks the neighborhood induced by three
 operators (add a line, remove a line, swap two adjacent lines from different
 versions).
+
+``SourceLineRef`` tuples exist only at the API edge: the public functions
+take and return them, and ``rrhc_resolve`` returns them in its result. The
+engine itself works on int-coded candidates. Over a chunk with ``n1`` v1
+lines, ref ``r < n1`` is v1 line ``r`` and any other ref is v2 line
+``r - n1``, so the refs ``0 .. n - 1`` list v1 then v2 in the order of
+``concat_candidate``, and one version's lines keep their order exactly when
+their codes increase. Each public operator encodes its input, runs the one
+int core and decodes the result.
 """
 
 from __future__ import annotations
@@ -124,6 +133,19 @@ def concat_candidate(chunk: ChunkLike) -> Candidate:
     )
 
 
+# An int-coded candidate (see the module docstring).
+Coded = tuple[int, ...]
+
+
+def _encode(candidate: Sequence[SourceLineRef], n1: int) -> Coded:
+    return tuple([ref.index if ref.version is Version.V1 else n1 + ref.index for ref in candidate])
+
+
+def _decode(coded: Coded, refs: Candidate) -> Candidate:
+    """``refs`` is the chunk's ``concat_candidate``: the decode table of every code."""
+    return tuple([refs[r] for r in coded])
+
+
 def _mean_parent_similarity(lines: list[str], v1: Sequence[str], v2: Sequence[str]) -> float:
     n = len(lines)
     s1 = 1.0 if n + len(v1) == 0 else 2.0 * lcs_length(lines, v1) / (n + len(v1))
@@ -138,22 +160,15 @@ def evaluate(candidate: Sequence[SourceLineRef], chunk: ChunkLike) -> float:
     return _mean_parent_similarity(candidate_lines(candidate, chunk), chunk.v1_lines, chunk.v2_lines)
 
 
-def random_candidate(chunk: ChunkLike, rng: random.Random) -> Candidate:
-    """Draw a uniformly interleaved candidate over an independent 1/2 line selection.
-
-    Each source line is kept with probability 1/2; the kept lines of the two
-    versions are merged by repeatedly taking the next line from a side with
-    probability proportional to its remaining count, which makes every valid
-    interleaving of the chosen subsets equally likely.
-    """
-    take1 = [SourceLineRef(Version.V1, i) for i in range(len(chunk.v1_lines)) if rng.random() < 0.5]
-    take2 = [SourceLineRef(Version.V2, j) for j in range(len(chunk.v2_lines)) if rng.random() < 0.5]
-    merged: list[SourceLineRef] = []
+def _random_coded(n1: int, n: int, draw: Callable[[], float]) -> Coded:
+    take1 = [r for r in range(n1) if draw() < 0.5]
+    take2 = [r for r in range(n1, n) if draw() < 0.5]
+    merged: list[int] = []
     i = j = 0
     while i < len(take1) and j < len(take2):
         remaining1 = len(take1) - i
         remaining2 = len(take2) - j
-        if rng.random() * (remaining1 + remaining2) < remaining1:
+        if draw() * (remaining1 + remaining2) < remaining1:
             merged.append(take1[i])
             i += 1
         else:
@@ -164,25 +179,36 @@ def random_candidate(chunk: ChunkLike, rng: random.Random) -> Candidate:
     return tuple(merged)
 
 
+def random_candidate(chunk: ChunkLike, rng: random.Random) -> Candidate:
+    """Draw a uniformly interleaved candidate over an independent 1/2 line selection.
+
+    Each source line is kept with probability 1/2; the kept lines of the two
+    versions are merged by repeatedly taking the next line from a side with
+    probability proportional to its remaining count, which makes every valid
+    interleaving of the chosen subsets equally likely.
+    """
+    n1 = len(chunk.v1_lines)
+    return _decode(_random_coded(n1, n1 + len(chunk.v2_lines), rng.random), concat_candidate(chunk))
+
+
+def _coded_window(coded: Coded, r: int, n1: int) -> tuple[int, int]:
+    """``_addition_window`` of the unused code ``r``; a version's codes increase along ``coded``."""
+    lo = 0
+    v1 = r < n1
+    for pos, x in enumerate(coded):
+        if (x < n1) is v1:
+            if x > r:
+                return lo, pos
+            lo = pos + 1
+    return lo, len(coded)
+
+
 def _addition_window(candidate: Candidate, ref: SourceLineRef) -> tuple[int, int]:
     """Inclusive slot range where ref may be inserted without breaking version order."""
-    lo = 0
-    hi = len(candidate)
-    for pos, existing in enumerate(candidate):
-        if existing.version is not ref.version:
-            continue
-        if existing.index < ref.index:
-            lo = pos + 1
-        elif hi == len(candidate):
-            hi = pos
-    return lo, hi
-
-
-def _unused_refs(candidate: Candidate, chunk: ChunkLike) -> list[SourceLineRef]:
-    used = set(candidate)
-    refs = [SourceLineRef(Version.V1, i) for i in range(len(chunk.v1_lines))]
-    refs += [SourceLineRef(Version.V2, j) for j in range(len(chunk.v2_lines))]
-    return [r for r in refs if r not in used]
+    # Any n1 above every v1 index codes the candidate in the same order.
+    n1 = 1 + max([x.index for x in (*candidate, ref) if x.version is Version.V1], default=-1)
+    coded = _encode((*candidate, ref), n1)
+    return _coded_window(coded[:-1], coded[-1], n1)
 
 
 def _below(getrandbits: Callable[[int], int], n: int) -> int:
@@ -202,7 +228,35 @@ def _below(getrandbits: Callable[[int], int], n: int) -> int:
     return r
 
 
-_ADD, _REMOVE, _EXCHANGE = "add", "remove", "exchange"
+def _coded_neighbor(coded: Coded, n1: int, n: int, getrandbits: Callable[[int], int]) -> Coded:
+    size = len(coded)
+    # Applicable operators in the order ADD, REMOVE, EXCHANGE; a full
+    # candidate has no ADD, so its draws shift up by one.
+    count = (size < n) + (size > 0) + (size > 0 and min(coded) < n1 <= max(coded))
+    if not count:
+        return coded
+    op = _below(getrandbits, count) + (size == n)
+    if op == 0:  # ADD the r-th unused code: step r past every used code at or below it
+        r = _below(getrandbits, n - size)
+        for x in sorted(coded):
+            if x > r:
+                break
+            r += 1
+        lo, hi = _coded_window(coded, r, n1)
+        slot = lo + _below(getrandbits, hi - lo + 1)
+        return coded[:slot] + (r,) + coded[slot:]
+    if op == 1:  # REMOVE
+        pos = _below(getrandbits, size)
+        return coded[:pos] + coded[pos + 1 :]
+    slots = []  # EXCHANGE: the adjacent pairs from different versions
+    left = coded[0] < n1
+    for p in range(1, size):
+        right = coded[p] < n1
+        if right is not left:
+            slots.append(p - 1)
+        left = right
+    p = slots[_below(getrandbits, len(slots))]
+    return coded[:p] + (coded[p + 1], coded[p]) + coded[p + 2 :]
 
 
 def neighbor(candidate: Candidate, chunk: ChunkLike, rng: random.Random) -> Candidate:
@@ -219,30 +273,9 @@ def neighbor(candidate: Candidate, chunk: ChunkLike, rng: random.Random) -> Cand
     Returns the input unchanged only when no operator applies, which happens
     exactly when both versions are empty.
     """
-    operators = []
-    if len(candidate) < len(chunk.v1_lines) + len(chunk.v2_lines):
-        operators.append(_ADD)
-    if candidate:
-        operators.append(_REMOVE)
-        first = candidate[0].version
-        if any(ref.version is not first for ref in candidate):
-            operators.append(_EXCHANGE)
-    if not operators:
-        return candidate
-    getrandbits = rng.getrandbits
-    op = operators[_below(getrandbits, len(operators))]
-    if op == _ADD:
-        unused = _unused_refs(candidate, chunk)
-        ref = unused[_below(getrandbits, len(unused))]
-        lo, hi = _addition_window(candidate, ref)
-        slot = lo + _below(getrandbits, hi - lo + 1)
-        return candidate[:slot] + (ref,) + candidate[slot:]
-    if op == _REMOVE:
-        pos = _below(getrandbits, len(candidate))
-        return candidate[:pos] + candidate[pos + 1 :]
-    slots = [p for p in range(len(candidate) - 1) if candidate[p].version is not candidate[p + 1].version]
-    p = slots[_below(getrandbits, len(slots))]
-    return candidate[:p] + (candidate[p + 1], candidate[p]) + candidate[p + 2 :]
+    n1 = len(chunk.v1_lines)
+    moved = _coded_neighbor(_encode(candidate, n1), n1, n1 + len(chunk.v2_lines), rng.getrandbits)
+    return _decode(moved, concat_candidate(chunk))
 
 
 # Entries the score memo of one search may hold beyond the ranked list before
@@ -269,35 +302,46 @@ def rrhc_resolve(
     search restarts from a random candidate. ``ranked`` holds the ``top_n`` best
     distinct candidates, ties in discovery order, with ``best`` at its head.
 
+    The climb, the score memo and the ranked heap hold int-coded candidates
+    (see the module docstring); ``ranked`` is decoded to ``SourceLineRef``
+    tuples once, on return. ``check_invariants`` decodes each scored
+    candidate and asserts ``is_valid_candidate`` on it.
+
     ``clock`` supplies wall time. With an evaluation budget it defaults to
     a constant clock so results (elapsed included) are bit-for-bit
     reproducible; with a time budget it defaults to time.monotonic.
     """
-    if not chunk.v1_lines and not chunk.v2_lines:
+    v1, v2 = chunk.v1_lines, chunk.v2_lines
+    if not v1 and not v2:
         raise ValueError("chunk has no content on either side")
     if clock is None:
         clock = time.monotonic if params.max_execution_time is not None else lambda: 0.0
 
+    n1 = len(v1)
+    n = n1 + len(v2)
+    lines = [*v1, *v2]
+    refs = concat_candidate(chunk)
     rng = random.Random(params.seed)
+    getrandbits = rng.getrandbits
     # Min-heap of (score, -discovery, candidate), rooted at the next to evict.
     # Ranked candidates stay in the memo, so only a memo miss is pushed: a hit
     # is ranked already, or was evicted for good by top_n candidates ahead of it.
-    heap: list[tuple[float, int, Candidate]] = []
-    scores: dict[Candidate, float] = {}
+    heap: list[tuple[float, int, Coded]] = []
+    scores: dict[Coded, float] = {}
     start = clock()
     evaluations = 0
     restarts = 0
 
-    def evaluate_budgeted(candidate: Candidate) -> float:
+    def evaluate_budgeted(candidate: Coded) -> float:
         nonlocal evaluations, scores
         if evaluations == params.max_evaluations:
             raise _BudgetSpent
         evaluations += 1
         if check_invariants:
-            assert is_valid_candidate(candidate, chunk), "engine produced an invalid candidate"
+            assert is_valid_candidate(_decode(candidate, refs), chunk), "engine produced an invalid candidate"
         score = scores.get(candidate)
         if score is None:
-            score = _mean_parent_similarity(candidate_lines(candidate, chunk), chunk.v1_lines, chunk.v2_lines)
+            score = _mean_parent_similarity([lines[r] for r in candidate], v1, v2)
             if len(scores) - len(heap) >= _MEMO_LIMIT:
                 scores = {ranked: s for s, _, ranked in heap}
             scores[candidate] = score
@@ -306,16 +350,16 @@ def rrhc_resolve(
                 heappop(heap)
         return score
 
-    current = concat_candidate(chunk)
+    current = tuple(range(n))  # the v1+v2 concatenation
     stagnation = 0
 
     try:
         current_score = evaluate_budgeted(current)
         while params.max_execution_time is None or clock() - start < params.max_execution_time:
-            best_neighbor: Candidate | None = None
+            best_neighbor: Coded | None = None
             best_neighbor_score = -1.0
             for _ in range(params.neighbors_per_iteration):
-                moved = neighbor(current, chunk, rng)
+                moved = _coded_neighbor(current, n1, n, getrandbits)
                 score = evaluate_budgeted(moved)
                 if score > best_neighbor_score:
                     best_neighbor, best_neighbor_score = moved, score
@@ -327,13 +371,13 @@ def rrhc_resolve(
             if stagnation >= params.max_stagnation_iterations:
                 restarts += 1
                 stagnation = 0
-                current = random_candidate(chunk, rng)
+                current = _random_coded(n1, n, rng.random)
                 current_score = evaluate_budgeted(current)
     except _BudgetSpent:
         pass
 
     return SearchResult(
-        ranked=tuple(ScoredCandidate(candidate, s) for s, _, candidate in sorted(heap, reverse=True)),
+        ranked=tuple(ScoredCandidate(_decode(coded, refs), s) for s, _, coded in sorted(heap, reverse=True)),
         evaluations=evaluations,
         restarts=restarts,
         elapsed=clock() - start,

@@ -504,3 +504,35 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys, conflicted_file, arg
     assert main([a.format(**paths) for a in argv]) == 1
     err = capsys.readouterr().err
     assert str(bad) in err and "internal error" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "{sample}", "--engine", "sbcr", "--out", "{missing}"],
+        ["tune", "{sample}", "--sample", "1", "--grid-neighbors", "1", "--grid-budgets", "10",
+         "--grid-stagnation", "1", "--out", "{missing}"],
+        ["route", "{sample}", "--endpoint", "http://127.0.0.1:9", "--out", "{missing}"],
+        ["route", "{sample}", "--endpoint", "http://127.0.0.1:9", "--decisions", "{missing}"],
+    ],
+    ids=["bench", "tune", "route-out", "route-decisions"],
+)
+def test_unwritable_output_fails_before_any_work(tmp_path, capsys, monkeypatch, argv):
+    from sbcr import bench
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the work ran before every output was open")
+
+    monkeypatch.setattr(bench, "run_benchmark", no_work)
+    monkeypatch.setattr(bench, "tune_grid", no_work)
+    missing = tmp_path / "missing" / "dir" / "x"
+    assert main([a.format(sample=sample_args(), missing=missing) for a in argv]) == 1
+    assert "cannot write" in capsys.readouterr().err
+
+
+def test_ingest_writes_nothing_when_one_output_is_unwritable(tmp_path, capsys):
+    ok = tmp_path / "accepted.jsonl"
+    bad = tmp_path / "missing" / "rejects.jsonl"
+    assert main(["ingest", sample_args(), "--out", str(ok), "--rejects", str(bad)]) == 1
+    assert "cannot write" in capsys.readouterr().err
+    assert ok.read_bytes() == b""  # opened first, so created, but no record was written

@@ -1,4 +1,6 @@
+import itertools
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -334,3 +336,25 @@ def test_rrhc_memo_limit_changes_no_result(monkeypatch):
     monkeypatch.setattr(search, "_MEMO_LIMIT", 4)
     assert [rrhc_resolve(chunk, params) for chunk, params in cases] == default
     assert scored > scored_default  # the emptied memo rescored candidates it had seen
+
+
+def test_rrhc_memory_stays_bounded_under_a_wall_clock_budget(monkeypatch):
+    """A long wall-clock search holds at most the ranked list and _MEMO_LIMIT
+    more memo entries. The objective is a length-only stand-in: the memo and
+    the heap hold candidates, not lines, and tracemalloc would make the real
+    LCS about fifteen times slower."""
+    monkeypatch.setattr(search, "_MEMO_LIMIT", 64)
+    monkeypatch.setattr(search, "lcs_length", lambda a, b: len(a) // 2)
+    rng = random.Random(30)
+    words = [f"line {i}" for i in range(12)]
+    chunk = Chunk([rng.choice(words) for _ in range(30)], [rng.choice(words) for _ in range(30)])
+    params = SearchParams(max_execution_time=4001.0, seed=3)
+    ticks = itertools.count()
+    tracemalloc.start()
+    try:
+        result = rrhc_resolve(chunk, params, clock=lambda: next(ticks))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.evaluations >= 20_000
+    assert peak < 1 << 20, peak  # about 0.5 MB; an uncut memo reaches about 5.5 MB here

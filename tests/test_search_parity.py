@@ -2,20 +2,36 @@
 candidates as the straightforward implementation below, whose exchange tries
 every position pair and re-checks the whole version order after each trial
 swap. The rejection sampler the engine used before is kept as a historical
-reference: its successful swaps have the same distribution as the engine's."""
+reference: its successful swaps have the same distribution as the engine's.
+The engine, which climbs on int-coded candidates, returns the same result as
+a reference loop that climbs on ``SourceLineRef`` tuples through the public
+operators."""
 
+import itertools
 import random
 from collections import Counter
+from heapq import heappop, heappush
 
-from conftest import random_chunk
+from conftest import Chunk, random_chunk
+from hypothesis import given
+from hypothesis import strategies as st
 
+from sbcr import search
 from sbcr.search import (
+    ScoredCandidate,
+    SearchParams,
+    SearchResult,
     SourceLineRef,
     Version,
     _addition_window,
+    _coded_neighbor,
+    _decode,
+    _encode,
     concat_candidate,
+    evaluate,
     neighbor,
     random_candidate,
+    rrhc_resolve,
 )
 
 
@@ -150,3 +166,119 @@ def test_exchange_distribution_matches_rejection_sampler():
         for outcome in ours:
             assert abs(ours[outcome] - theirs[outcome]) / draws <= 0.05, (candidate, outcome)
         compared += 1
+
+
+DEFAULT_MEMO_LIMIT = search._MEMO_LIMIT
+
+
+class _Spent(Exception):
+    pass
+
+
+def reference_rrhc(chunk, params, clock):
+    """The engine's climb as it stood on ``SourceLineRef`` tuples, built on the
+    public ``neighbor``, ``random_candidate`` and ``evaluate``."""
+    rng = random.Random(params.seed)
+    heap = []
+    scores = {}
+    start = clock()
+    evaluations = 0
+    restarts = 0
+
+    def evaluate_budgeted(candidate):
+        nonlocal evaluations, scores
+        if evaluations == params.max_evaluations:
+            raise _Spent
+        evaluations += 1
+        score = scores.get(candidate)
+        if score is None:
+            score = evaluate(candidate, chunk)
+            if len(scores) - len(heap) >= search._MEMO_LIMIT:
+                scores = {ranked: s for s, _, ranked in heap}
+            scores[candidate] = score
+            heappush(heap, (score, -evaluations, candidate))
+            if len(heap) > params.top_n:
+                heappop(heap)
+        return score
+
+    current = concat_candidate(chunk)
+    stagnation = 0
+    try:
+        current_score = evaluate_budgeted(current)
+        while params.max_execution_time is None or clock() - start < params.max_execution_time:
+            best_neighbor, best_neighbor_score = None, -1.0
+            for _ in range(params.neighbors_per_iteration):
+                moved = neighbor(current, chunk, rng)
+                score = evaluate_budgeted(moved)
+                if score > best_neighbor_score:
+                    best_neighbor, best_neighbor_score = moved, score
+            if best_neighbor_score > current_score:
+                current, current_score = best_neighbor, best_neighbor_score
+                stagnation = 0
+            else:
+                stagnation += 1
+            if stagnation >= params.max_stagnation_iterations:
+                restarts += 1
+                stagnation = 0
+                current = random_candidate(chunk, rng)
+                current_score = evaluate_budgeted(current)
+    except _Spent:
+        pass
+    return SearchResult(
+        ranked=tuple(ScoredCandidate(candidate, s) for s, _, candidate in sorted(heap, reverse=True)),
+        evaluations=evaluations,
+        restarts=restarts,
+        elapsed=clock() - start,
+    )
+
+
+def test_rrhc_matches_reference_engine(monkeypatch):
+    """300 seeded chunks under evaluation budgets and fake-clock wall budgets,
+    every ``top_n`` regime, with the score memo at its default size and cut
+    down to 4 entries."""
+    rng = random.Random(77)
+    budgets = Counter()
+    for case in range(300):
+        monkeypatch.setattr(search, "_MEMO_LIMIT", 4 if case % 2 else DEFAULT_MEMO_LIMIT)
+        alphabet = rng.choice([("a", "b"), ("a", "b", "c", "d")])
+        chunk = random_chunk(rng, max_side=rng.choice([3, 6, 12]), alphabet=alphabet)
+        common = dict(
+            neighbors_per_iteration=rng.randint(1, 6),
+            max_stagnation_iterations=rng.randint(1, 8),
+            top_n=rng.choice([1, 3, 100]),
+            seed=rng.getrandbits(64),
+        )
+        if rng.random() < 0.5:
+            params = SearchParams(max_evaluations=rng.randint(1, 400), **common)
+            ours = rrhc_resolve(chunk, params)
+            theirs = reference_rrhc(chunk, params, lambda: 0.0)
+            budgets["evaluations"] += 1
+        else:
+            params = SearchParams(max_execution_time=float(rng.randint(1, 60)), **common)
+            ours = rrhc_resolve(chunk, params, clock=itertools.count().__next__)
+            theirs = reference_rrhc(chunk, params, itertools.count().__next__)
+            budgets["wall"] += 1
+        assert ours == theirs, (case, chunk, params)
+    assert min(budgets.values()) > 100
+
+
+@st.composite
+def chunks_and_candidates(draw):
+    """A chunk over a two-line alphabet and a seeded random candidate of it."""
+    side = st.lists(st.sampled_from(["a", "b"]), max_size=10)
+    chunk = Chunk(draw(side), draw(side))
+    return chunk, random_candidate(chunk, random.Random(draw(st.integers(0, 2**64 - 1))))
+
+
+@given(chunks_and_candidates(), st.integers(0, 2**64 - 1))
+def test_coding_round_trips_and_neighbor_is_the_coded_core(chunk_and_candidate, seed):
+    chunk, candidate = chunk_and_candidate
+    n1 = len(chunk.v1_lines)
+    n = n1 + len(chunk.v2_lines)
+    refs = concat_candidate(chunk)
+    coded = _encode(candidate, n1)
+    assert _decode(coded, refs) == candidate
+    assert all(type(r) is int and 0 <= r < n for r in coded)
+    ours, theirs = random.Random(seed), random.Random(seed)
+    assert neighbor(candidate, chunk, ours) == _decode(_coded_neighbor(coded, n1, n, theirs.getrandbits), refs)
+    assert ours.getstate() == theirs.getstate()
