@@ -12,6 +12,7 @@ import io
 import json
 import os
 import random
+import stat
 import sys
 from contextlib import ExitStack, contextmanager
 from pathlib import Path
@@ -283,22 +284,49 @@ def _build_resolver(engine: str, config: dict) -> Resolver:
     raise _UsageError(f"unknown engine {engine!r}")
 
 
+class _Replacing:
+    """An output file opened without truncation, whose old content is dropped
+    at the first write or, when nothing is written, on a clean exit."""
+
+    def __init__(self, fh):
+        self._fh = fh
+        self._emptied = False
+
+    def write(self, text: str) -> int:
+        self.empty()
+        return self._fh.write(text)
+
+    def empty(self) -> None:
+        if not self._emptied:
+            self._fh.seek(0)
+            self._fh.truncate()
+            self._emptied = True
+
+
 @contextmanager
 def _output(path: str | Path):
     """The file at ``path``, or stdout for '-'; only a file is closed on exit.
 
-    A path that cannot be opened for writing is a usage error.
+    A path that cannot be opened for writing is a usage error. Opening
+    creates the file but keeps its content until the command writes, so a
+    command that fails or is interrupted before then leaves it as it was.
     """
     if path == "-":
         yield sys.stdout
         return
     try:
-        # newline="": resolved files keep their own line endings and csv writes its own
-        fh = open(path, "w", encoding="utf-8", newline="")
+        # "a" creates the file without truncating it; newline="": resolved
+        # files keep their own line endings and csv writes its own
+        fh = open(path, "a", encoding="utf-8", newline="")
     except OSError as exc:
         raise _UsageError(f"cannot write {path}: {exc}")
     with fh:
-        yield fh
+        if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            yield fh  # a pipe or a device: nothing to keep, and no truncating it
+            return
+        out = _Replacing(fh)
+        yield out
+        out.empty()
 
 
 @contextmanager
@@ -489,13 +517,15 @@ def _cmd_compare(args, config) -> int:
         report = bench_mod.compare_results(rows_a, rows_b, m=args.extremes)
     except ValueError as exc:
         raise _InputError(str(exc))
-    csv_dir = _output_dir(args.csv_dir) if args.csv_dir else None
-    csv_paths = (csv_dir / "sim_diff.csv", csv_dir / "balance_histogram.csv") if csv_dir else (None, None)
-    with _outputs(args.out, *csv_paths) as (out, sim_diff_out, histogram_out):
-        _write_json(out, report.to_json())
-        if csv_dir:
-            bench_mod.dump_sim_diff_csv(report, sim_diff_out)
-            bench_mod.dump_balance_histogram_csv(report, histogram_out)
+    paths = [args.out]
+    if args.csv_dir:
+        csv_dir = _output_dir(args.csv_dir)
+        paths += [csv_dir / "sim_diff.csv", csv_dir / "balance_histogram.csv"]
+    with _outputs(*paths) as outs:
+        _write_json(outs[0], report.to_json())
+        if len(outs) == 3:
+            bench_mod.dump_sim_diff_csv(report, outs[1])
+            bench_mod.dump_balance_histogram_csv(report, outs[2])
     return EXIT_OK
 
 

@@ -13,8 +13,10 @@ engine itself works on int-coded candidates. Over a chunk with ``n1`` v1
 lines, ref ``r < n1`` is v1 line ``r`` and any other ref is v2 line
 ``r - n1``, so the refs ``0 .. n - 1`` list v1 then v2 in the order of
 ``concat_candidate``, and one version's lines keep their order exactly when
-their codes increase. Each public operator encodes its input, runs the one
-int core and decodes the result.
+their codes increase. ``neighbor`` and ``random_candidate`` also accept a
+chunk's ``_Coding`` in place of the chunk and then take and return codes:
+that is how the engine calls them, so each operator has one int core and
+the public calls only add the encoding and decoding around it.
 """
 
 from __future__ import annotations
@@ -146,6 +148,19 @@ def _decode(coded: Coded, refs: Candidate) -> Candidate:
     return tuple([refs[r] for r in coded])
 
 
+class _Coding(NamedTuple):
+    """A chunk's int coding: ``n1`` v1 lines, ``n`` lines in all, and the decode table."""
+
+    n1: int
+    n: int
+    refs: Candidate
+
+
+def _coding(chunk: ChunkLike) -> _Coding:
+    refs = concat_candidate(chunk)
+    return _Coding(len(chunk.v1_lines), len(refs), refs)
+
+
 def _mean_parent_similarity(lines: list[str], v1: Sequence[str], v2: Sequence[str]) -> float:
     n = len(lines)
     s1 = 1.0 if n + len(v1) == 0 else 2.0 * lcs_length(lines, v1) / (n + len(v1))
@@ -179,16 +194,19 @@ def _random_coded(n1: int, n: int, draw: Callable[[], float]) -> Coded:
     return tuple(merged)
 
 
-def random_candidate(chunk: ChunkLike, rng: random.Random) -> Candidate:
+def random_candidate(chunk: ChunkLike | _Coding, rng: random.Random) -> Candidate | Coded:
     """Draw a uniformly interleaved candidate over an independent 1/2 line selection.
 
     Each source line is kept with probability 1/2; the kept lines of the two
     versions are merged by repeatedly taking the next line from a side with
     probability proportional to its remaining count, which makes every valid
-    interleaving of the chosen subsets equally likely.
+    interleaving of the chosen subsets equally likely. Given a ``_Coding``,
+    returns an int-coded candidate.
     """
-    n1 = len(chunk.v1_lines)
-    return _decode(_random_coded(n1, n1 + len(chunk.v2_lines), rng.random), concat_candidate(chunk))
+    if type(chunk) is _Coding:
+        return _random_coded(chunk.n1, chunk.n, rng.random)
+    coding = _coding(chunk)
+    return _decode(_random_coded(coding.n1, coding.n, rng.random), coding.refs)
 
 
 def _coded_window(coded: Coded, r: int, n1: int) -> tuple[int, int]:
@@ -259,7 +277,7 @@ def _coded_neighbor(coded: Coded, n1: int, n: int, getrandbits: Callable[[int], 
     return coded[:p] + (coded[p + 1], coded[p]) + coded[p + 2 :]
 
 
-def neighbor(candidate: Candidate, chunk: ChunkLike, rng: random.Random) -> Candidate:
+def neighbor(candidate: Candidate | Coded, chunk: ChunkLike | _Coding, rng: random.Random) -> Candidate | Coded:
     """Apply one uniformly chosen applicable operator; always returns a valid candidate.
 
     ADD inserts a uniformly drawn unused line at a uniform slot that keeps its
@@ -271,11 +289,14 @@ def neighbor(candidate: Candidate, chunk: ChunkLike, rng: random.Random) -> Cand
     applies when the candidate holds lines of both versions.
 
     Returns the input unchanged only when no operator applies, which happens
-    exactly when both versions are empty.
+    exactly when both versions are empty. Given a ``_Coding``, takes and
+    returns int-coded candidates.
     """
-    n1 = len(chunk.v1_lines)
-    moved = _coded_neighbor(_encode(candidate, n1), n1, n1 + len(chunk.v2_lines), rng.getrandbits)
-    return _decode(moved, concat_candidate(chunk))
+    if type(chunk) is _Coding:
+        return _coded_neighbor(candidate, chunk.n1, chunk.n, rng.getrandbits)
+    coding = _coding(chunk)
+    moved = _coded_neighbor(_encode(candidate, coding.n1), coding.n1, coding.n, rng.getrandbits)
+    return _decode(moved, coding.refs)
 
 
 # Entries the score memo of one search may hold beyond the ranked list before
@@ -303,9 +324,10 @@ def rrhc_resolve(
     distinct candidates, ties in discovery order, with ``best`` at its head.
 
     The climb, the score memo and the ranked heap hold int-coded candidates
-    (see the module docstring); ``ranked`` is decoded to ``SourceLineRef``
-    tuples once, on return. ``check_invariants`` decodes each scored
-    candidate and asserts ``is_valid_candidate`` on it.
+    (see the module docstring), drawn through ``neighbor`` and
+    ``random_candidate`` with the chunk's ``_Coding``; ``ranked`` is decoded
+    to ``SourceLineRef`` tuples once, on return. ``check_invariants``
+    decodes each scored candidate and asserts ``is_valid_candidate`` on it.
 
     ``clock`` supplies wall time. With an evaluation budget it defaults to
     a constant clock so results (elapsed included) are bit-for-bit
@@ -317,12 +339,9 @@ def rrhc_resolve(
     if clock is None:
         clock = time.monotonic if params.max_execution_time is not None else lambda: 0.0
 
-    n1 = len(v1)
-    n = n1 + len(v2)
+    coding = _coding(chunk)
     lines = [*v1, *v2]
-    refs = concat_candidate(chunk)
     rng = random.Random(params.seed)
-    getrandbits = rng.getrandbits
     # Min-heap of (score, -discovery, candidate), rooted at the next to evict.
     # Ranked candidates stay in the memo, so only a memo miss is pushed: a hit
     # is ranked already, or was evicted for good by top_n candidates ahead of it.
@@ -338,7 +357,7 @@ def rrhc_resolve(
             raise _BudgetSpent
         evaluations += 1
         if check_invariants:
-            assert is_valid_candidate(_decode(candidate, refs), chunk), "engine produced an invalid candidate"
+            assert is_valid_candidate(_decode(candidate, coding.refs), chunk), "engine produced an invalid candidate"
         score = scores.get(candidate)
         if score is None:
             score = _mean_parent_similarity([lines[r] for r in candidate], v1, v2)
@@ -350,7 +369,7 @@ def rrhc_resolve(
                 heappop(heap)
         return score
 
-    current = tuple(range(n))  # the v1+v2 concatenation
+    current = tuple(range(coding.n))  # the v1+v2 concatenation
     stagnation = 0
 
     try:
@@ -359,7 +378,7 @@ def rrhc_resolve(
             best_neighbor: Coded | None = None
             best_neighbor_score = -1.0
             for _ in range(params.neighbors_per_iteration):
-                moved = _coded_neighbor(current, n1, n, getrandbits)
+                moved = neighbor(current, coding, rng)
                 score = evaluate_budgeted(moved)
                 if score > best_neighbor_score:
                     best_neighbor, best_neighbor_score = moved, score
@@ -371,13 +390,13 @@ def rrhc_resolve(
             if stagnation >= params.max_stagnation_iterations:
                 restarts += 1
                 stagnation = 0
-                current = _random_coded(n1, n, rng.random)
+                current = random_candidate(coding, rng)
                 current_score = evaluate_budgeted(current)
     except _BudgetSpent:
         pass
 
     return SearchResult(
-        ranked=tuple(ScoredCandidate(_decode(coded, refs), s) for s, _, coded in sorted(heap, reverse=True)),
+        ranked=tuple(ScoredCandidate(_decode(coded, coding.refs), s) for s, _, coded in sorted(heap, reverse=True)),
         evaluations=evaluations,
         restarts=restarts,
         elapsed=clock() - start,

@@ -532,7 +532,30 @@ def test_unwritable_output_fails_before_any_work(tmp_path, capsys, monkeypatch, 
 
 def test_ingest_writes_nothing_when_one_output_is_unwritable(tmp_path, capsys):
     ok = tmp_path / "accepted.jsonl"
+    ok.write_bytes(b"earlier output\n")
     bad = tmp_path / "missing" / "rejects.jsonl"
     assert main(["ingest", sample_args(), "--out", str(ok), "--rejects", str(bad)]) == 1
     assert "cannot write" in capsys.readouterr().err
-    assert ok.read_bytes() == b""  # opened first, so created, but no record was written
+    assert ok.read_bytes() == b"earlier output\n"
+
+
+def test_output_is_replaced_only_when_the_work_is_done(tmp_path, capsys, monkeypatch):
+    from sbcr import bench
+
+    out = tmp_path / "rows.jsonl"
+    out.write_bytes(b"earlier rows\n" * 50)
+    argv = ["bench", sample_args(), "--engine", "trivial:take-v1", "--out", str(out)]
+
+    def crash(*args, **kwargs):
+        raise RuntimeError("interrupted")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(bench, "run_benchmark", crash)
+        assert main(argv) == 4
+    assert out.read_bytes() == b"earlier rows\n" * 50
+    assert main(argv) == 0
+    rows = out.read_text(encoding="utf-8").splitlines()
+    assert rows and "earlier rows" not in rows
+    monkeypatch.setattr(bench, "run_benchmark", lambda *args, **kwargs: [])
+    assert main(argv) == 0
+    assert out.read_bytes() == b""  # no rows to write still replaces the file
