@@ -284,32 +284,14 @@ def _build_resolver(engine: str, config: dict) -> Resolver:
     raise _UsageError(f"unknown engine {engine!r}")
 
 
-class _Replacing:
-    """An output file opened without truncation, whose old content is dropped
-    at the first write or, when nothing is written, on a clean exit."""
-
-    def __init__(self, fh):
-        self._fh = fh
-        self._emptied = False
-
-    def write(self, text: str) -> int:
-        self.empty()
-        return self._fh.write(text)
-
-    def empty(self) -> None:
-        if not self._emptied:
-            self._fh.seek(0)
-            self._fh.truncate()
-            self._emptied = True
-
-
 @contextmanager
 def _output(path: str | Path):
-    """The file at ``path``, or stdout for '-'; only a file is closed on exit.
+    """An in-memory buffer for the file at ``path``, or stdout for '-'.
 
-    A path that cannot be opened for writing is a usage error. Opening
-    creates the file but keeps its content until the command writes, so a
-    command that fails or is interrupted before then leaves it as it was.
+    The file is opened before the work, so a path that cannot be opened for
+    writing is a usage error; opening creates it but keeps its content. Only
+    when the command ends cleanly is the file emptied and the buffer written
+    to it, so a command that fails or is interrupted leaves it as it was.
     """
     if path == "-":
         yield sys.stdout
@@ -321,12 +303,11 @@ def _output(path: str | Path):
     except OSError as exc:
         raise _UsageError(f"cannot write {path}: {exc}")
     with fh:
-        if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-            yield fh  # a pipe or a device: nothing to keep, and no truncating it
-            return
-        out = _Replacing(fh)
-        yield out
-        out.empty()
+        buffer = io.StringIO()
+        yield buffer
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # a pipe or a device cannot be truncated
+            fh.truncate(0)
+        fh.write(buffer.getvalue())
 
 
 @contextmanager

@@ -11,6 +11,8 @@ import re
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from .corpus import ConflictRecord, Language
+
 MARKER_V1 = "<" * 7
 MARKER_BASE = "|" * 7
 MARKER_SEP = "=" * 7
@@ -224,12 +226,12 @@ def render_resolved(file: ConflictedFile, resolutions: Sequence[Sequence[str]]) 
 
 
 _EXTENSION_LANGUAGES = {
-    ".java": "Java",
-    ".cs": "CSharp",
-    ".js": "JavaScript",
-    ".jsx": "JavaScript",
-    ".ts": "TypeScript",
-    ".tsx": "TypeScript",
+    ".java": Language.JAVA,
+    ".cs": Language.CSHARP,
+    ".js": Language.JAVASCRIPT,
+    ".jsx": Language.JAVASCRIPT,
+    ".ts": Language.TYPESCRIPT,
+    ".tsx": Language.TYPESCRIPT,
 }
 
 _NULL_COMMIT = "0" * 40
@@ -242,20 +244,18 @@ def extract_records(file: ConflictedFile, path: str = "", project: str = "") -> 
     and the language comes from the file extension when recognizable.
     """
     suffix = "." + path.rsplit(".", 1)[-1] if "." in path else ""
-    language = _EXTENSION_LANGUAGES.get(suffix.lower(), "Other")
-    records = []
-    for k, chunk in enumerate(file.chunks):
-        records.append(
-            {
-                "id": f"{path or 'conflict'}#{k}",
-                "project": project,
-                "commit": _NULL_COMMIT,
-                "path": path,
-                "language": language,
-                "base": list(chunk.base_lines or []),
-                "v1": list(chunk.v1_lines),
-                "v2": list(chunk.v2_lines),
-                "resolution": [],
-            }
-        )
-    return records
+    language = _EXTENSION_LANGUAGES.get(suffix.lower(), Language.OTHER)
+    return [
+        ConflictRecord(
+            id=f"{path or 'conflict'}#{k}",
+            project=project,
+            commit_hash=_NULL_COMMIT,
+            file_path=path,
+            language=language,
+            base_lines=tuple(chunk.base_lines or ()),
+            v1_lines=tuple(chunk.v1_lines),
+            v2_lines=tuple(chunk.v2_lines),
+            resolution_lines=(),
+        ).to_json()
+        for k, chunk in enumerate(file.chunks)
+    ]

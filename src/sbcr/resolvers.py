@@ -152,16 +152,6 @@ class TokenLimits:
     output_limit: int = DEFAULT_OUTPUT_TOKEN_LIMIT
 
 
-def _classify_response(
-    lines: Sequence[str], truncated_flag: bool, output_limit: int
-) -> Status:
-    if not lines:
-        return Status.EMPTY
-    if truncated_flag or estimate_tokens(lines) == output_limit:
-        return Status.TRUNCATED
-    return Status.OK
-
-
 def _post_json(url: str, payload: dict, timeout: float) -> tuple[int, bytes]:
     """POST ``payload`` as JSON and return the status code and body of the reply, error replies included."""
     request = urllib.request.Request(
@@ -209,7 +199,7 @@ class RemoteResolver(Resolver):
         start = self._clock()
         with self._slots:
             try:
-                code, raw = _post_json(f"{self.endpoint}/v1/resolve", payload, self.deadline)
+                code, raw = self._post(payload)
             except (OSError, ValueError, http.client.HTTPException) as exc:
                 return _failure(self.resolver_id, self._clock() - start, f"request failed: {exc}")
         elapsed = self._clock() - start
@@ -228,8 +218,12 @@ class RemoteResolver(Resolver):
                 raise ValueError("lines is not a list of strings")
         except (ValueError, KeyError, TypeError) as exc:
             return _failure(self.resolver_id, elapsed, f"bad response body: {exc}")
-        status = _classify_response(lines, truncated, self.limits.output_limit)
-        return ResolutionCandidate(tuple(lines), self.resolver_id, elapsed, status)
+        if lines and (truncated or estimate_tokens(lines) == self.limits.output_limit):
+            return ResolutionCandidate(tuple(lines), self.resolver_id, elapsed, Status.TRUNCATED)
+        return _success(lines, self.resolver_id, elapsed)
+
+    def _post(self, payload: dict) -> tuple[int, bytes]:
+        return _post_json(f"{self.endpoint}/v1/resolve", payload, self.deadline)
 
 
 # Every stub mode: whether it sleeps before replying, and its (lines, truncated)
@@ -245,21 +239,31 @@ _STUB_TABLE: dict[str, tuple[bool, Callable]] = {
 STUB_MODES = tuple(_STUB_TABLE)
 
 
-def stub_reply(
-    mode: str, v1: Sequence[str], v2: Sequence[str], output_limit: int, slow_delay: float
-) -> tuple[list[str], bool] | None:
-    """Shared stub behavior: the (lines, truncated) reply of a stub in ``mode``, after
-    the mode's delay, or None when the stub answers with a body that is not JSON."""
-    delayed, reply = _STUB_TABLE[mode]
+def stub_response(mode: str, request: bytes, slow_delay: float) -> tuple[int, bytes]:
+    """The (HTTP status, body) a stub in ``mode`` answers to a /v1/resolve request
+    body, after the mode's delay; the HTTP stub and the in-process stub both call it."""
+    try:
+        payload = json.loads(request)
+        v1, v2 = payload["v1"], payload["v2"]
+        output_limit = int(payload.get("output_token_limit", DEFAULT_OUTPUT_TOKEN_LIMIT))
+    except (ValueError, KeyError, TypeError) as exc:
+        return 400, json.dumps({"error": f"bad request: {exc}"}).encode("utf-8")
+    delayed, answer = _STUB_TABLE[mode]
     if delayed:
         time.sleep(slow_delay)
-    return reply(v1, v2, output_limit)
+    reply = answer(v1, v2, output_limit)
+    if reply is None:
+        return 200, b"%% this is not json %%"
+    lines, truncated = reply
+    return 200, json.dumps({"lines": lines, "truncated": truncated}).encode("utf-8")
 
 
-class StubGenerativeResolver(Resolver):
+class StubGenerativeResolver(RemoteResolver):
     """In-process stand-in for a generative resolver, reproducing its failure modes.
 
-    Counts resolve calls so tests can assert a resolver was never consulted.
+    It is the real client with the HTTP round trip replaced by a direct call
+    of the stub server's handler, so replies are parsed and classified once.
+    Counts requests so tests can assert a resolver was never consulted.
     """
 
     def __init__(
@@ -271,22 +275,14 @@ class StubGenerativeResolver(Resolver):
     ):
         if mode not in STUB_MODES:
             raise ValueError(f"unknown stub mode {mode!r}; expected one of {STUB_MODES}")
-        super().__init__(clock)
+        super().__init__("", limits, clock=clock)  # _post never reads the endpoint
         self.mode = mode
-        self.limits = limits
         self.slow_delay = slow_delay
         self.calls = 0
         self._lock = threading.Lock()
         self.resolver_id = f"stub:{mode}"
 
-    def resolve(self, chunk) -> ResolutionCandidate:
+    def _post(self, payload: dict) -> tuple[int, bytes]:
         with self._lock:
             self.calls += 1
-        start = self._clock()
-        reply = stub_reply(self.mode, chunk.v1_lines, chunk.v2_lines, self.limits.output_limit, self.slow_delay)
-        elapsed = self._clock() - start
-        if reply is None:
-            return _failure(self.resolver_id, elapsed, "bad response body: not JSON")
-        lines, truncated = reply
-        status = _classify_response(lines, truncated, self.limits.output_limit)
-        return ResolutionCandidate(tuple(lines), self.resolver_id, elapsed, status)
+        return stub_response(self.mode, json.dumps(payload).encode("utf-8"), self.slow_delay)

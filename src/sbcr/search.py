@@ -210,7 +210,8 @@ def random_candidate(chunk: ChunkLike | _Coding, rng: random.Random) -> Candidat
 
 
 def _coded_window(coded: Coded, r: int, n1: int) -> tuple[int, int]:
-    """``_addition_window`` of the unused code ``r``; a version's codes increase along ``coded``."""
+    """Inclusive slot range where the unused code ``r`` may be inserted without
+    breaking version order; a version's codes increase along ``coded``."""
     lo = 0
     v1 = r < n1
     for pos, x in enumerate(coded):
@@ -219,14 +220,6 @@ def _coded_window(coded: Coded, r: int, n1: int) -> tuple[int, int]:
                 return lo, pos
             lo = pos + 1
     return lo, len(coded)
-
-
-def _addition_window(candidate: Candidate, ref: SourceLineRef) -> tuple[int, int]:
-    """Inclusive slot range where ref may be inserted without breaking version order."""
-    # Any n1 above every v1 index codes the candidate in the same order.
-    n1 = 1 + max([x.index for x in (*candidate, ref) if x.version is Version.V1], default=-1)
-    coded = _encode((*candidate, ref), n1)
-    return _coded_window(coded[:-1], coded[-1], n1)
 
 
 def _below(getrandbits: Callable[[int], int], n: int) -> int:

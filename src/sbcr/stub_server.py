@@ -12,7 +12,7 @@ import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from .resolvers import DEFAULT_OUTPUT_TOKEN_LIMIT, STUB_MODES, stub_reply
+from .resolvers import STUB_MODES, stub_response
 
 
 class _StubHandler(BaseHTTPRequestHandler):
@@ -23,11 +23,11 @@ class _StubHandler(BaseHTTPRequestHandler):
             super().log_message(format, *args)
 
     def _send_json(self, code: int, payload: dict) -> None:
-        self._send(code, json.dumps(payload).encode("utf-8"), "application/json")
+        self._send(code, json.dumps(payload).encode("utf-8"))
 
-    def _send(self, code: int, body: bytes, content_type: str) -> None:
+    def _send(self, code: int, body: bytes) -> None:
         self.send_response(code)
-        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
@@ -46,19 +46,10 @@ class _StubHandler(BaseHTTPRequestHandler):
             self.server.calls += 1
         try:
             length = int(self.headers.get("Content-Length", "0"))
-            payload = json.loads(self.rfile.read(length))
-            v1 = payload["v1"]
-            v2 = payload["v2"]
-            output_limit = int(payload.get("output_token_limit", DEFAULT_OUTPUT_TOKEN_LIMIT))
-        except (ValueError, KeyError, TypeError) as exc:
-            self._send_json(400, {"error": f"bad request: {exc}"})
+        except ValueError:
+            self._send_json(400, {"error": "bad request: Content-Length is not an integer"})
             return
-        reply = stub_reply(self.server.mode, v1, v2, output_limit, self.server.slow_delay)
-        if reply is None:
-            self._send(200, b"%% this is not json %%", "text/plain")
-            return
-        lines, truncated = reply
-        self._send_json(200, {"lines": lines, "truncated": truncated})
+        self._send(*stub_response(self.server.mode, self.rfile.read(length), self.server.slow_delay))
 
 
 class StubServer(ThreadingHTTPServer):

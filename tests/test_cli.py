@@ -559,3 +559,22 @@ def test_output_is_replaced_only_when_the_work_is_done(tmp_path, capsys, monkeyp
     monkeypatch.setattr(bench, "run_benchmark", lambda *args, **kwargs: [])
     assert main(argv) == 0
     assert out.read_bytes() == b""  # no rows to write still replaces the file
+
+
+def test_compare_keeps_every_output_when_a_later_write_fails(tmp_path, capsys, monkeypatch):
+    from sbcr import bench
+
+    rows_a = tmp_path / "a.jsonl"
+    rows_b = tmp_path / "b.jsonl"
+    main(["bench", sample_args(), "--engine", "trivial:take-v1", "--out", str(rows_a)])
+    main(["bench", sample_args(), "--engine", "trivial:concat-v1-v2", "--out", str(rows_b)])
+    report = tmp_path / "report.json"
+    report.write_bytes(b"earlier report\n")
+
+    def crash(*args, **kwargs):
+        raise RuntimeError("disk full")
+
+    monkeypatch.setattr(bench, "dump_sim_diff_csv", crash)
+    argv = ["compare", str(rows_a), str(rows_b), "--out", str(report), "--csv-dir", str(tmp_path / "d")]
+    assert main(argv) == 4
+    assert report.read_bytes() == b"earlier report\n"

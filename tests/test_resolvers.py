@@ -197,6 +197,18 @@ def test_remote_slow_mode_hits_deadline():
         server.stop()
 
 
+@pytest.mark.parametrize("mode", ["echo-v1", "echo-v2", "empty", "truncate", "garbage"])
+def test_in_process_stub_answers_as_the_remote_client_over_http(mode):
+    limits = TokenLimits(output_limit=5)
+    server = StubServer(mode=mode, port=0).start()
+    try:
+        remote = RemoteResolver(server.url, limits=limits).resolve(CHUNK)
+    finally:
+        server.stop()
+    stub = StubGenerativeResolver(mode, limits=limits).resolve(CHUNK)
+    assert (stub.lines, stub.status, stub.detail) == (remote.lines, remote.status, remote.detail)
+
+
 def test_remote_http_error_reply_fails_with_its_error(echo_server):
     candidate = RemoteResolver(echo_server.url + "/nope").resolve(CHUNK)
     assert candidate.status is Status.FAILED

@@ -23,7 +23,6 @@ from sbcr.search import (
     SearchResult,
     SourceLineRef,
     Version,
-    _addition_window,
     _coded_neighbor,
     _decode,
     _encode,
@@ -97,8 +96,8 @@ def reference_neighbor(candidate, chunk, rng):
     op = operators[rng.randrange(len(operators))]
     if op == "add":
         ref = unused[rng.randrange(len(unused))]
-        lo, hi = _addition_window(candidate, ref)
-        slot = rng.randint(lo, hi)
+        legal = [s for s in range(len(candidate) + 1) if reference_order_ok(candidate[:s] + (ref,) + candidate[s:])]
+        slot = rng.randint(legal[0], legal[-1])
         return candidate[:slot] + (ref,) + candidate[slot:]
     if op == "remove":
         pos = rng.randrange(len(candidate))
