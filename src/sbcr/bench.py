@@ -17,7 +17,7 @@ from typing import Iterable, Literal, Sequence, TextIO
 
 from .corpus import ConflictRecord
 from .resolvers import Resolver
-from .router import extract_features
+from .router import balance
 from .search import SearchParams, candidate_lines, rrhc_resolve
 from .similarity import Granularity, similarity
 from .stats import cles, wilcoxon_signed_rank
@@ -89,7 +89,7 @@ def run_benchmark(
             sim_char=similarity(candidate.lines, record.resolution_lines, Granularity.CHAR, trim_trailing=trim_trailing),
             elapsed=candidate.elapsed,
             status=candidate.status.value,
-            balance=extract_features(record).balance,
+            balance=balance(record),
         )
 
     if jobs > 1:

@@ -89,7 +89,7 @@ def _add_search_flags(parser: argparse.ArgumentParser, grid: bool = False) -> No
 
 
 def _add_router_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--input-token-limit", type=float, default=None, help="route to search above this size")
+    parser.add_argument("--input-token-limit", type=int, default=None, help="route to search above this size")
     parser.add_argument("--non-english-tau", type=float, default=None, help="route to search above this non-ASCII fraction")
     parser.add_argument("--balance-beta", type=float, default=None, help="route to search at or below this |balance|")
 
@@ -254,15 +254,13 @@ def _remote_resolver(config: dict) -> RemoteResolver:
         raise _UsageError(f"remote engine needs --endpoint or ${ENDPOINT_ENV_VAR}")
     return RemoteResolver(
         endpoint=config["endpoint"],
-        limits=TokenLimits(int(config["input_token_limit"]), int(config["output_token_limit"])),
+        limits=TokenLimits(config["input_token_limit"], config["output_token_limit"]),
         deadline=config["deadline"],
     )
 
 
-def _hybrid(config: dict, on_decision=None) -> HybridResolver:
-    return HybridResolver(
-        SearchResolver(_search_params(config)), _remote_resolver(config), _thresholds(config), on_decision
-    )
+def _hybrid(config: dict) -> HybridResolver:
+    return HybridResolver(SearchResolver(_search_params(config)), _remote_resolver(config), _thresholds(config))
 
 
 def _build_resolver(engine: str, config: dict) -> Resolver:
@@ -467,21 +465,12 @@ def _cmd_tune(args, config) -> int:
     neighbors = _parse_grid_values(args.grid_neighbors, int)
     stagnation = _parse_grid_values(args.grid_stagnation, int)
     budgets = _parse_grid_values(budgets_text, float if wallclock else int)
-    try:
-        grid = [
-            SearchParams(
-                neighbors_per_iteration=k,
-                max_stagnation_iterations=s,
-                max_execution_time=b if wallclock else None,
-                max_evaluations=None if wallclock else b,
-                top_n=config["top_n"],
-            )
-            for k in neighbors
-            for b in budgets
-            for s in stagnation
-        ]
-    except ValueError as exc:
-        raise _UsageError(str(exc))
+    grid = [
+        _search_params({**config, "neighbors": k, "stagnation": s, "max_evals": b, "time_budget": b if wallclock else None})
+        for k in neighbors
+        for b in budgets
+        for s in stagnation
+    ]
     with _output(args.out) as out:
         rows = bench_mod.tune_grid(sample, grid, config["seed"], ranking=args.ranking, jobs=args.jobs)
         bench_mod.dump_tuning_csv(rows, out)
@@ -512,21 +501,16 @@ def _cmd_compare(args, config) -> int:
 
 def _cmd_route(args, config) -> int:
     records = _load_dataset(args.records)
-
-    def log(record, decision) -> None:
-        decisions_out.write(json.dumps(_decision_json(record.id, decision)) + "\n")
-
-    if args.dry_run:
-        thresholds = _thresholds(config)
-        with _output(args.decisions) as decisions_out:
-            for record in records:
-                log(record, route(extract_features(record), thresholds))
-        return EXIT_OK
-    hybrid = _hybrid(config, on_decision=log)
-    with _outputs(args.decisions, args.out) as (decisions_out, rows_out):
-        rows = bench_mod.run_benchmark(records, hybrid)
-        if rows_out is not None:
-            _write_jsonl(rows_out, (row.to_json() for row in rows))
+    thresholds = _thresholds(config)
+    hybrid = None if args.dry_run else _hybrid(config)  # a missing endpoint fails before any output opens
+    with _outputs(args.decisions, None if args.dry_run else args.out) as (decisions_out, rows_out):
+        for record in records:
+            decision = route(extract_features(record), thresholds)
+            decisions_out.write(json.dumps(_decision_json(record.id, decision)) + "\n")
+        if hybrid is not None:
+            rows = bench_mod.run_benchmark(records, hybrid)
+            if rows_out is not None:
+                _write_jsonl(rows_out, (row.to_json() for row in rows))
     return EXIT_OK
 
 

@@ -180,9 +180,8 @@ class RemoteResolver(Resolver):
         limits: TokenLimits = TokenLimits(),
         deadline: float = 10.0,
         max_inflight: int = 8,
-        clock: Callable[[], float] | None = None,
     ):
-        super().__init__(clock)
+        super().__init__()
         self.endpoint = endpoint.rstrip("/")
         self.limits = limits
         self.deadline = deadline
@@ -271,11 +270,10 @@ class StubGenerativeResolver(RemoteResolver):
         mode: str = "echo-v1",
         limits: TokenLimits = TokenLimits(),
         slow_delay: float = 0.05,
-        clock: Callable[[], float] | None = None,
     ):
         if mode not in STUB_MODES:
             raise ValueError(f"unknown stub mode {mode!r}; expected one of {STUB_MODES}")
-        super().__init__("", limits, clock=clock)  # _post never reads the endpoint
+        super().__init__("", limits)  # _post never reads the endpoint
         self.mode = mode
         self.slow_delay = slow_delay
         self.calls = 0

@@ -8,10 +8,8 @@ is empty, truncated, or failed.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
 
 from .resolvers import (
     DEFAULT_INPUT_TOKEN_LIMIT,
@@ -67,18 +65,22 @@ class RouteThresholds:
     balance_beta: float = 0.2
 
 
+def balance(chunk) -> float:
+    """(n1 - n2) / (n1 + n2) over the chunk's v1 and v2 line counts; 0 when both are empty."""
+    n1, n2 = len(chunk.v1_lines), len(chunk.v2_lines)
+    return 0.0 if n1 + n2 == 0 else (n1 - n2) / (n1 + n2)
+
+
 def extract_features(chunk) -> ConflictFeatures:
     """Deterministic routing features for one chunk (base included in the size proxy)."""
     base = getattr(chunk, "base_lines", None) or []
     all_lines = list(base) + list(chunk.v1_lines) + list(chunk.v2_lines)
-    n1, n2 = len(chunk.v1_lines), len(chunk.v2_lines)
-    balance = 0.0 if n1 + n2 == 0 else (n1 - n2) / (n1 + n2)
     text = "".join(all_lines)
     non_ascii = sum(1 for ch in text if ord(ch) > 127)
     fraction = 0.0 if not text else non_ascii / len(text)
     return ConflictFeatures(
         token_estimate=estimate_tokens(all_lines),
-        balance=balance,
+        balance=balance(chunk),
         non_ascii_fraction=fraction,
     )
 
@@ -99,7 +101,6 @@ def hybrid_resolve(
     search_resolver: Resolver,
     generative_resolver: Resolver,
     thresholds: RouteThresholds = RouteThresholds(),
-    on_decision: Callable[[RouteDecision], None] | None = None,
 ) -> ResolutionCandidate:
     """Route the chunk, resolve it, and fall back to search on generative failure.
 
@@ -109,8 +110,6 @@ def hybrid_resolve(
     the fallback also fails.
     """
     decision = route(extract_features(chunk), thresholds)
-    if on_decision is not None:
-        on_decision(decision)
     if decision.target is RouteTarget.SEARCH:
         return search_resolver.resolve(chunk)
     candidate = generative_resolver.resolve(chunk)
@@ -132,11 +131,7 @@ def hybrid_resolve(
 
 
 class HybridResolver(Resolver):
-    """The router in front of a search and a generative resolver, as one resolver.
-
-    ``on_decision``, when given, is called with each chunk and its routing
-    decision before the chunk is resolved.
-    """
+    """The router in front of a search and a generative resolver, as one resolver."""
 
     resolver_id = "hybrid"
 
@@ -145,14 +140,11 @@ class HybridResolver(Resolver):
         search_resolver: Resolver,
         generative_resolver: Resolver,
         thresholds: RouteThresholds = RouteThresholds(),
-        on_decision: Callable[[object, RouteDecision], None] | None = None,
     ):
         super().__init__()
         self.search_resolver = search_resolver
         self.generative_resolver = generative_resolver
         self.thresholds = thresholds
-        self.on_decision = on_decision
 
     def resolve(self, chunk) -> ResolutionCandidate:
-        log = None if self.on_decision is None else functools.partial(self.on_decision, chunk)
-        return hybrid_resolve(chunk, self.search_resolver, self.generative_resolver, self.thresholds, log)
+        return hybrid_resolve(chunk, self.search_resolver, self.generative_resolver, self.thresholds)

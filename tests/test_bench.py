@@ -52,6 +52,22 @@ def test_run_benchmark_take_v1_perfect_when_resolution_is_v1():
     assert rows[0].status == "ok"
 
 
+def test_run_benchmark_balance_needs_no_routing_features(monkeypatch):
+    import sbcr.router
+
+    def no_tokens(lines):
+        raise AssertionError("a result row needs only the two side lengths")
+
+    monkeypatch.setattr(sbcr.router, "estimate_tokens", no_tokens)
+    records, _ = load_records(bundled_sample_path())
+    rows = run_benchmark(records, TrivialResolver(TrivialStrategy.TAKE_V1, clock=lambda: 0.0))
+    assert len(rows) == 50
+    by_id = {r.id: r for r in records}
+    for row in rows:
+        n1, n2 = len(by_id[row.conflict_id].v1_lines), len(by_id[row.conflict_id].v2_lines)
+        assert row.balance == (n1 - n2) / (n1 + n2)
+
+
 def test_run_benchmark_empty_resolver_scores_zero():
     records = [record(id=f"r{i}") for i in range(3)]
     rows = run_benchmark(records, ConstantResolver([]))

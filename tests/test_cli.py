@@ -333,6 +333,27 @@ def test_route_rows_match_hybrid_bench_rows(tmp_path):
     assert logged == [json.loads(l)["id"] for l in reversed(lines)]
 
 
+def test_route_logs_the_dry_run_decisions_when_resolving(tmp_path):
+    flags = ["--balance-beta", "0.05", "--input-token-limit", "40"]
+    dry, full = tmp_path / "dry.jsonl", tmp_path / "full.jsonl"
+    assert main(["route", sample_args(), "--dry-run", "--decisions", str(dry)] + flags) == 0
+    server = StubServer(mode="echo-v1", port=0).start()
+    try:
+        argv = ["route", sample_args(), "--decisions", str(full), "--endpoint", server.url, "--max-evals", "100"]
+        assert main(argv + flags) == 0
+    finally:
+        server.stop()
+    assert full.read_bytes() == dry.read_bytes()
+    targets = {json.loads(l)["target"] for l in dry.read_text(encoding="utf-8").splitlines()}
+    assert targets == {"search", "generative"}
+
+
+def test_input_token_limit_must_be_an_integer(conflicted_file, capsys):
+    argv = ["resolve", str(conflicted_file), "--engine", "hybrid", "--endpoint", "http://127.0.0.1:9"]
+    assert main(argv + ["--input-token-limit", "inf"]) == 1
+    assert "invalid int value" in capsys.readouterr().err
+
+
 def test_route_without_endpoint_is_usage_error(tmp_path, monkeypatch):
     monkeypatch.delenv("SBCR_REMOTE_URL", raising=False)
     assert main(["route", sample_args()]) == 1

@@ -108,12 +108,12 @@ def test_hybrid_falls_back_on_generative_failure(mode):
 def test_hybrid_never_calls_generative_for_oversized_chunks():
     stub = StubGenerativeResolver("echo-v1")
     oversized = Chunk(["tok " * 301], ["w"])
-    decisions = []
-    candidate = hybrid_resolve(oversized, SEARCH, stub, RouteThresholds(), on_decision=decisions.append)
+    candidate = hybrid_resolve(oversized, SEARCH, stub, RouteThresholds())
     assert stub.calls == 0
     assert candidate.resolver_id == "sbcr"
-    assert decisions[0].rule is RouteRule.TOKEN_LIMIT
-    assert decisions[0].target is RouteTarget.SEARCH
+    decision = route(extract_features(oversized), RouteThresholds())
+    assert decision.rule is RouteRule.TOKEN_LIMIT
+    assert decision.target is RouteTarget.SEARCH
 
 
 def test_hybrid_balanced_chunk_routes_to_search():
