@@ -10,12 +10,13 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Literal, Sequence, TextIO
 
-from .corpus import ConflictRecord
+from .corpus import ConflictRecord, load_json
 from .resolvers import Resolver
 from .router import balance
 from .search import SearchParams, candidate_lines, rrhc_resolve
@@ -54,15 +55,32 @@ class ResultRow:
 
     @staticmethod
     def from_json(obj: dict) -> "ResultRow":
+        """The row ``to_json`` wrote; raises KeyError, TypeError or ValueError on any other object."""
         return ResultRow(
-            conflict_id=obj["conflict_id"],
-            resolver_id=obj["resolver_id"],
-            sim_line=float(obj["sim_line"]),
-            sim_char=float(obj["sim_char"]),
-            elapsed=float(obj["elapsed"]),
-            status=obj["status"],
-            balance=float(obj.get("balance", 0.0)),
+            conflict_id=_text(obj["conflict_id"]),
+            resolver_id=_text(obj["resolver_id"]),
+            sim_line=_finite(obj["sim_line"]),
+            sim_char=_finite(obj["sim_char"]),
+            elapsed=_finite(obj["elapsed"]),
+            status=_text(obj["status"]),
+            balance=_finite(obj.get("balance", 0.0)),
         )
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"{value!r} is not a string")
+    return value
+
+
+def _finite(value) -> float:
+    try:
+        number = float(value)
+    except OverflowError:  # an int too large for a float
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"{value!r} is not a finite number")
+    return number
 
 
 def run_benchmark(
@@ -289,7 +307,7 @@ def read_result_rows(path: str | Path) -> list[ResultRow]:
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             if line.strip():
-                rows.append(ResultRow.from_json(json.loads(line)))
+                rows.append(ResultRow.from_json(load_json(line)))
     return rows
 
 

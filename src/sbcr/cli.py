@@ -193,7 +193,7 @@ def _load_config(path: str | None) -> dict:
     if path:
         try:
             with open(path, encoding="utf-8") as fh:
-                loaded = json.load(fh)
+                loaded = corpus.load_json(fh.read())
         except (OSError, ValueError) as exc:  # ValueError: bad JSON or bytes that are not UTF-8
             raise _InputError(f"cannot read config {path}: {exc}")
         if not isinstance(loaded, dict):
@@ -295,17 +295,16 @@ def _output(path: str | Path):
         yield sys.stdout
         return
     try:
-        # "a" creates the file without truncating it; newline="": resolved
-        # files keep their own line endings and csv writes its own
-        fh = open(path, "a", encoding="utf-8", newline="")
+        fh = open(path, "ab")  # creates the file without truncating it
     except OSError as exc:
         raise _UsageError(f"cannot write {path}: {exc}")
     with fh:
-        buffer = io.StringIO()
+        buffer = io.StringIO()  # keeps line endings as written: resolved files keep their own, csv writes its own
         yield buffer
+        data = buffer.getvalue().encode("utf-8")  # before the truncation, so a failed encoding loses nothing
         if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # a pipe or a device cannot be truncated
             fh.truncate(0)
-        fh.write(buffer.getvalue())
+        fh.write(data)
 
 
 @contextmanager
@@ -344,7 +343,7 @@ def _input(path: str):
     try:
         if path == "-":
             if isinstance(sys.stdin, io.TextIOWrapper):
-                sys.stdin.reconfigure(newline="")
+                sys.stdin.reconfigure(newline="", errors="strict")
             yield sys.stdin
             return
         with open(path, encoding="utf-8", newline="") as fh:
@@ -447,30 +446,34 @@ def _cmd_bench(args, config) -> int:
     return EXIT_OK
 
 
-def _parse_grid_values(text: str, kind) -> list:
+def _parse_grid_values(flag: str, text: str, kind) -> list:
     try:
-        return [kind(x) for x in text.split(",") if x.strip()]
+        values = [kind(x) for x in text.split(",") if x.strip()]
     except ValueError as exc:
-        raise _UsageError(f"bad grid value: {exc}")
+        raise _UsageError(f"bad {flag} value: {exc}")
+    if not values:
+        raise _UsageError(f"{flag} lists no values")
+    return values
 
 
 def _cmd_tune(args, config) -> int:
-    records = _load_dataset(args.records)
-    if not records:
-        raise _InputError("tuning dataset is empty")
-    sample_size = min(args.sample, len(records))
-    sample = random.Random(config["seed"]).sample(records, sample_size)
+    if args.sample < 1:
+        raise _UsageError("--sample must be at least 1")
     wallclock = bool(config["wallclock"])
     budgets_text = args.grid_budgets or ("10,20,40" if wallclock else "500,2000")
-    neighbors = _parse_grid_values(args.grid_neighbors, int)
-    stagnation = _parse_grid_values(args.grid_stagnation, int)
-    budgets = _parse_grid_values(budgets_text, float if wallclock else int)
+    neighbors = _parse_grid_values("--grid-neighbors", args.grid_neighbors, int)
+    stagnation = _parse_grid_values("--grid-stagnation", args.grid_stagnation, int)
+    budgets = _parse_grid_values("--grid-budgets", budgets_text, float if wallclock else int)
     grid = [
         _search_params({**config, "neighbors": k, "stagnation": s, "max_evals": b, "time_budget": b if wallclock else None})
         for k in neighbors
         for b in budgets
         for s in stagnation
     ]
+    records = _load_dataset(args.records)
+    if not records:
+        raise _InputError("tuning dataset is empty")
+    sample = random.Random(config["seed"]).sample(records, min(args.sample, len(records)))
     with _output(args.out) as out:
         rows = bench_mod.tune_grid(sample, grid, config["seed"], ranking=args.ranking, jobs=args.jobs)
         bench_mod.dump_tuning_csv(rows, out)
@@ -526,7 +529,7 @@ def _decision_json(record_id: str, decision) -> dict:
 def _cmd_serve_stub(args, config) -> int:
     try:
         server = StubServer(mode=args.mode, port=args.port, slow_delay=args.delay, verbose=args.verbose)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, OverflowError) as exc:  # OverflowError: a port outside 0-65535
         raise _UsageError(str(exc))
     print(f"stub resolver ({args.mode}) listening on {server.url}", file=sys.stderr)
     try:

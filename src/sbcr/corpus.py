@@ -147,6 +147,22 @@ def _record_from_json(obj: dict) -> ConflictRecord | str:
     )
 
 
+def load_json(text: str):
+    """``json.loads`` for text read from outside the program.
+
+    JSON nested too deep to decode, or holding a string that UTF-8 cannot
+    encode (a lone surrogate, which only a ``\\u`` escape can put in decoded
+    text), raises ValueError like any other bad JSON.
+    """
+    try:
+        obj = json.loads(text)
+    except RecursionError as exc:
+        raise ValueError(f"nested too deep: {exc}") from None
+    if "\\u" in text:
+        json.dumps(obj, ensure_ascii=False).encode("utf-8")  # UnicodeEncodeError is a ValueError
+    return obj
+
+
 def is_combination(resolution: Sequence[str], v1: Sequence[str], v2: Sequence[str]) -> bool:
     """True iff every resolution line occurs in v1 or v2 (multiset containment, exact text)."""
     available = Counter(v1)
@@ -161,7 +177,8 @@ def ingest_records(
 ) -> tuple[list[ConflictRecord], list[RejectionReport]]:
     """Read line-delimited JSON records, validate them, and report rejections.
 
-    A malformed line is reported and skipped without aborting the stream.
+    A malformed line (see ``load_json``) is reported and skipped without
+    aborting the stream.
     Duplicate ids keep the first occurrence. Blank lines are ignored.
     """
     accepted: list[ConflictRecord] = []
@@ -171,8 +188,8 @@ def ingest_records(
         if not raw.strip():
             continue
         try:
-            obj = json.loads(raw)
-        except json.JSONDecodeError as exc:
+            obj = load_json(raw)
+        except ValueError as exc:
             rejections.append(RejectionReport(line_no, None, "malformed", f"invalid JSON: {exc}"))
             continue
         built = _record_from_json(obj)

@@ -1,13 +1,12 @@
 """Uniform resolver interface: search adapter, trivial baselines, remote client, local stub.
 
-Every resolver is total: ``resolve`` returns a ResolutionCandidate for any
-well-formed chunk and maps its own failures to status FAILED instead of
-raising.
+Every resolver is total, and ``Resolver.resolve`` alone makes it so: it is the
+one ``resolve`` here, times the resolver's ``_generate``, classifies the lines
+it returns, and turns anything it raises into a candidate with status FAILED.
 """
 
 from __future__ import annotations
 
-import http.client
 import json
 import re
 import threading
@@ -68,13 +67,8 @@ class ResolutionCandidate:
     detail: str = ""
 
 
-def _success(lines: Sequence[str], resolver_id: str, elapsed: float) -> ResolutionCandidate:
-    status = Status.EMPTY if not lines else Status.OK
-    return ResolutionCandidate(tuple(lines), resolver_id, elapsed, status)
-
-
-def _failure(resolver_id: str, elapsed: float, detail: str) -> ResolutionCandidate:
-    return ResolutionCandidate((), resolver_id, elapsed, Status.FAILED, detail)
+class _Truncated(tuple):
+    """Lines ``_generate`` returns for a reply cut at the output token limit."""
 
 
 class TrivialStrategy(Enum):
@@ -86,7 +80,7 @@ class TrivialStrategy(Enum):
 
 
 class Resolver:
-    """Base resolver; subclasses implement _generate and inherit failure mapping."""
+    """Base resolver; subclasses implement _generate and inherit timing, statuses and failure mapping."""
 
     resolver_id = "resolver"
 
@@ -98,8 +92,9 @@ class Resolver:
         try:
             lines = self._generate(chunk)
         except Exception as exc:  # totality: resolver failures are data, not crashes
-            return _failure(self.resolver_id, self._clock() - start, str(exc))
-        return _success(lines, self.resolver_id, self._clock() - start)
+            return ResolutionCandidate((), self.resolver_id, self._clock() - start, Status.FAILED, str(exc))
+        status = Status.TRUNCATED if isinstance(lines, _Truncated) else Status.OK if lines else Status.EMPTY
+        return ResolutionCandidate(tuple(lines), self.resolver_id, self._clock() - start, status)
 
     def _generate(self, chunk) -> Sequence[str]:
         raise NotImplementedError
@@ -111,15 +106,12 @@ class SearchResolver(Resolver):
     resolver_id = "sbcr"
 
     def __init__(self, params: SearchParams):
-        super().__init__()
+        # a constant clock under an evaluation budget keeps seeded rows byte-reproducible
+        super().__init__(None if params.max_execution_time is not None else lambda: 0.0)
         self.params = params
 
-    def resolve(self, chunk) -> ResolutionCandidate:
-        try:
-            result = rrhc_resolve(chunk, self.params)
-        except Exception as exc:
-            return _failure(self.resolver_id, 0.0, str(exc))
-        return _success(candidate_lines(result.best, chunk), self.resolver_id, result.elapsed)
+    def _generate(self, chunk) -> Sequence[str]:
+        return candidate_lines(rrhc_resolve(chunk, self.params).best, chunk)
 
 
 class TrivialResolver(Resolver):
@@ -187,7 +179,7 @@ class RemoteResolver(Resolver):
         self.deadline = deadline
         self._slots = threading.Semaphore(max_inflight)
 
-    def resolve(self, chunk) -> ResolutionCandidate:
+    def _generate(self, chunk) -> Sequence[str]:
         payload = {
             "base": list(getattr(chunk, "base_lines", None) or []),
             "v1": list(chunk.v1_lines),
@@ -195,31 +187,29 @@ class RemoteResolver(Resolver):
             "input_token_limit": self.limits.input_limit,
             "output_token_limit": self.limits.output_limit,
         }
-        start = self._clock()
         with self._slots:
             try:
                 code, raw = self._post(payload)
-            except (OSError, ValueError, http.client.HTTPException) as exc:
-                return _failure(self.resolver_id, self._clock() - start, f"request failed: {exc}")
-        elapsed = self._clock() - start
+            except Exception as exc:
+                raise RuntimeError(f"request failed: {exc}") from exc
         if code != 200:
             try:
-                body = json.loads(raw)
-            except ValueError:
-                body = None
-            detail = body.get("error", "") if isinstance(body, dict) else ""
-            return _failure(self.resolver_id, elapsed, f"HTTP {code}: {detail or 'remote error'}")
+                error = json.loads(raw).get("error", "")
+            except Exception:  # a body that is not a JSON object
+                error = ""
+            raise RuntimeError(f"HTTP {code}: {error or 'remote error'}")
         try:
             body = json.loads(raw)
             lines = body["lines"]
             truncated = bool(body.get("truncated", False))
             if not isinstance(lines, list) or any(not isinstance(x, str) for x in lines):
                 raise ValueError("lines is not a list of strings")
-        except (ValueError, KeyError, TypeError) as exc:
-            return _failure(self.resolver_id, elapsed, f"bad response body: {exc}")
+            "".join(lines).encode("utf-8")  # a lone surrogate escape yields lines no file can hold
+        except Exception as exc:
+            raise ValueError(f"bad response body: {exc}") from exc
         if lines and (truncated or estimate_tokens(lines) == self.limits.output_limit):
-            return ResolutionCandidate(tuple(lines), self.resolver_id, elapsed, Status.TRUNCATED)
-        return _success(lines, self.resolver_id, elapsed)
+            return _Truncated(lines)
+        return lines
 
     def _post(self, payload: dict) -> tuple[int, bytes]:
         return _post_json(f"{self.endpoint}/v1/resolve", payload, self.deadline)
@@ -245,7 +235,7 @@ def stub_response(mode: str, request: bytes, slow_delay: float) -> tuple[int, by
         payload = json.loads(request)
         v1, v2 = payload["v1"], payload["v2"]
         output_limit = int(payload.get("output_token_limit", DEFAULT_OUTPUT_TOKEN_LIMIT))
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         return 400, json.dumps({"error": f"bad request: {exc}"}).encode("utf-8")
     delayed, answer = _STUB_TABLE[mode]
     if delayed:

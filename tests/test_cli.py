@@ -599,3 +599,82 @@ def test_compare_keeps_every_output_when_a_later_write_fails(tmp_path, capsys, m
     argv = ["compare", str(rows_a), str(rows_b), "--out", str(report), "--csv-dir", str(tmp_path / "d")]
     assert main(argv) == 4
     assert report.read_bytes() == b"earlier report\n"
+
+
+DEEP_JSON = "[" * 100_000
+
+
+def test_ingest_rejects_deep_and_unencodable_lines(tmp_path, capsys):
+    data = tmp_path / "records.jsonl"
+    good = bundled_sample_path().read_text(encoding="utf-8").splitlines()[0]
+    lone = json.dumps({**json.loads(good), "id": "lone", "v1": ["\ud800"], "resolution": ["\ud800"]})
+    data.write_text("\n".join([DEEP_JSON, lone, good]) + "\n", encoding="utf-8")
+    out, rejects = tmp_path / "ok.jsonl", tmp_path / "rejects.jsonl"
+    assert main(["ingest", str(data), "--out", str(out), "--rejects", str(rejects)]) == 0
+    assert out.read_text(encoding="utf-8") == json.dumps(json.loads(good), ensure_ascii=False) + "\n"
+    reports = [json.loads(line) for line in rejects.read_text(encoding="utf-8").splitlines()]
+    assert [(r["line"], r["reason"]) for r in reports] == [(1, "malformed"), (2, "malformed")]
+
+
+def test_compare_and_config_reject_json_nested_too_deep(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP_JSON + "\n", encoding="utf-8")
+    assert main(["compare", str(deep), str(deep)]) == 2
+    assert main(["--config", str(deep), "--show-config"]) == 2
+    assert "internal error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("balance", "Infinity"), ("sim_char", "NaN"), ("elapsed", "1" + "0" * 400), ("conflict_id", "[1]"),
+     ("conflict_id", "7"), ("conflict_id", '"\\ud800"'), ("status", "null")],
+)
+def test_compare_rejects_rows_it_cannot_report(tmp_path, capsys, field, value):
+    row = {"conflict_id": "a", "resolver_id": "r", "sim_line": 0.5, "sim_char": 0.5, "elapsed": 0.0,
+           "status": "ok", "balance": 0.0}
+    line = json.dumps(row).replace(f'"{field}": {json.dumps(row[field])}', f'"{field}": {value}')
+    assert value in line
+    rows = tmp_path / "rows.jsonl"
+    rows.write_text(line + "\n", encoding="utf-8")
+    out = tmp_path / "report.json"
+    out.write_bytes(b"earlier report\n")
+    argv = ["compare", str(rows), str(rows), "--out", str(out), "--csv-dir", str(tmp_path / "csv")]
+    assert main(argv) == 2
+    assert "input error" in capsys.readouterr().err
+    assert out.read_bytes() == b"earlier report\n"
+
+
+def test_output_that_cannot_be_encoded_keeps_the_old_file(tmp_path):
+    from sbcr.cli import _output
+
+    path = tmp_path / "out.txt"
+    path.write_bytes(b"earlier\n")
+    with pytest.raises(UnicodeEncodeError):
+        with _output(path) as out:
+            out.write("lone \ud800\n")
+    assert path.read_bytes() == b"earlier\n"
+
+
+def test_non_utf8_stdin_is_input_error(monkeypatch, capsys):
+    raw = bundled_sample_path().read_bytes().replace(b'"id": "', b'"id": "\xff', 1)
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", errors="surrogateescape"))
+    assert main(["ingest", "-"]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--sample", "0"], ["--sample", "-1"], ["--grid-neighbors", ","], ["--grid-budgets", ","],
+     ["--grid-stagnation", ", ,"]],
+    ids=lambda flags: " ".join(flags),
+)
+def test_tune_usage_errors_exit_1_before_reading(tmp_path, capsys, flags):
+    assert main(["tune", str(tmp_path / "missing.jsonl"), *flags]) == 1
+    assert main(["tune", sample_args(), *flags]) == 1
+    assert "sbcr: error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("port", ["99999", "-1"])
+def test_serve_stub_port_out_of_range_is_usage_error(capsys, port):
+    assert main(["serve-stub", "--port", port]) == 1
+    assert "sbcr: error:" in capsys.readouterr().err

@@ -212,3 +212,22 @@ def test_bundled_sample_matches_its_generator(tmp_path, monkeypatch):
     monkeypatch.setattr(module, "OUT", tmp_path / "sample_conflicts.jsonl")
     assert module.main() == 0
     assert module.OUT.read_bytes() == bundled_sample_path().read_bytes()
+
+
+def test_ingest_rejects_json_nested_too_deep():
+    records, rejects = ingest_records(["[" * 100_000, make_json()])
+    assert [r.id for r in records] == ["r1"]
+    assert [(r.line, r.reason) for r in rejects] == [(1, "malformed")]
+    assert "too deep" in rejects[0].detail
+
+
+def test_ingest_rejects_strings_utf8_cannot_encode():
+    lone = make_json(id="lone", v1=["\ud800"], resolution=["\ud800"])
+    assert "\\ud800" in lone  # json.dumps escapes it, as a hand-written record would
+    pair = make_json(id="pair", v1=["\U0001f600"], resolution=["\U0001f600"])
+    records, rejects = ingest_records([lone, pair])
+    assert [r.id for r in records] == ["pair"]
+    assert [(r.line, r.id, r.reason) for r in rejects] == [(1, None, "malformed")]
+    assert "surrogates not allowed" in rejects[0].detail
+    for record in records:
+        json.dumps(record.to_json(), ensure_ascii=False).encode("utf-8")

@@ -1,3 +1,5 @@
+import http.client
+import json
 import os
 import subprocess
 import sys
@@ -6,6 +8,8 @@ from pathlib import Path
 
 import pytest
 from conftest import Chunk
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from sbcr.resolvers import (
     RemoteResolver,
@@ -16,8 +20,10 @@ from sbcr.resolvers import (
     TrivialResolver,
     TrivialStrategy,
     estimate_tokens,
+    stub_response,
     truncate_to_tokens,
 )
+from sbcr.router import FALLBACK_RESOLVER_ID, RouteThresholds, hybrid_resolve
 from sbcr.search import SearchParams
 from sbcr.stub_server import StubServer
 
@@ -244,3 +250,116 @@ def test_remote_error_reply_with_non_object_json_fails_cleanly(monkeypatch, body
     candidate = RemoteResolver("http://127.0.0.1:9").resolve(CHUNK)
     assert candidate.status is Status.FAILED
     assert candidate.detail == "HTTP 500: remote error"
+
+
+DEEP_JSON = b"[" * 100_000
+
+# a lopsided chunk, which the router sends to the generative side
+LOPSIDED = Chunk(["int a = 1;", "int b = 2;", "int c = 3;"], ["int a = 0;"])
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+_REPLY_OBJECTS = st.fixed_dictionaries(
+    {}, optional={"lines": st.lists(st.text(max_size=12), max_size=4) | _JSON_VALUES, "truncated": _JSON_VALUES,
+                  "error": _JSON_VALUES}
+)
+_BODIES = st.one_of(
+    st.binary(max_size=64),
+    st.sampled_from([DEEP_JSON, b"{\"lines\": " + DEEP_JSON, b"", b"null", b"[1, 2]", b"%% not json %%",
+                     b'{"lines": ["\\ud800"]}']),
+    _JSON_VALUES.map(lambda v: json.dumps(v).encode("utf-8")),
+    _REPLY_OBJECTS.map(lambda v: json.dumps(v).encode("utf-8")),
+)
+_STATUSES = st.sampled_from([200, 200, 400, 404, 500, 503]) | st.integers(-1, 999)
+_EXCEPTIONS = st.builds(
+    lambda kind, message: kind(message),
+    st.sampled_from([OSError, TimeoutError, ValueError, KeyError, TypeError, RuntimeError, RecursionError,
+                     AttributeError, MemoryError, http.client.HTTPException]),
+    st.text(max_size=12),
+)
+
+
+@given(st.one_of(st.tuples(_STATUSES, _BODIES), _EXCEPTIONS))
+@example((200, DEEP_JSON))
+@example((500, DEEP_JSON))
+@example(RecursionError("maximum recursion depth exceeded"))
+def test_remote_resolver_is_total_and_hybrid_falls_back(reply):
+    """Whatever ``_post`` answers or raises, the client returns a candidate, and
+    the hybrid falls back to search unless that candidate is OK."""
+
+    def post(payload):
+        if isinstance(reply, Exception):
+            raise reply
+        return reply
+
+    remote = RemoteResolver("http://127.0.0.1:9")
+    remote._post = post
+    candidate = remote.resolve(LOPSIDED)
+    assert candidate.resolver_id == "remote"
+    assert candidate.status is not Status.FAILED or candidate.lines == ()
+    "".join(candidate.lines).encode("utf-8")  # whatever it returns can be written out
+    hybrid = hybrid_resolve(LOPSIDED, SearchResolver(SearchParams(max_evaluations=20)), remote, RouteThresholds())
+    expected = "remote" if candidate.status is Status.OK else FALLBACK_RESOLVER_ID
+    assert hybrid.resolver_id == expected
+
+
+def test_remote_failure_details_name_their_stage():
+    def resolve_with(reply):
+        def post(payload):
+            if isinstance(reply, Exception):
+                raise reply
+            return reply
+
+        remote = RemoteResolver("http://127.0.0.1:9")
+        remote._post = post
+        return remote.resolve(CHUNK)
+
+    assert resolve_with(OSError("refused")).detail == "request failed: refused"
+    assert resolve_with((503, b'{"error": "busy"}')).detail == "HTTP 503: busy"
+    assert resolve_with((503, DEEP_JSON)).detail == "HTTP 503: remote error"
+    assert resolve_with((200, b'{"truncated": true}')).detail == "bad response body: 'lines'"
+    lone = resolve_with((200, b'{"lines": ["\\ud800"]}'))
+    assert lone.status is Status.FAILED and lone.detail.startswith("bad response body: 'utf-8' codec can't encode")
+    deep = resolve_with((200, DEEP_JSON))
+    assert deep.status is Status.FAILED and deep.detail.startswith("bad response body: maximum recursion depth")
+
+
+def test_remote_truncation_travels_with_each_reply_across_threads():
+    """Threads sharing one client each see the status of their own reply."""
+    replies = {"cut": {"lines": ["x"], "truncated": True}, "whole": {"lines": ["y"], "truncated": False}}
+    remote = RemoteResolver("http://127.0.0.1:9")
+    remote._post = lambda payload: (200, json.dumps(replies[payload["v1"][0]]).encode("utf-8"))
+    wrong = []
+
+    def call(key, expected):
+        for _ in range(200):
+            if remote.resolve(Chunk([key], [])).status is not expected:
+                wrong.append(key)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=call, args=pair) for pair in [("cut", Status.TRUNCATED), ("whole", Status.OK)] * 4]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+
+
+def test_search_resolver_elapsed_follows_its_budget():
+    assert SearchResolver(SearchParams(max_evaluations=50)).resolve(CHUNK).elapsed == 0.0
+    timed = SearchResolver(SearchParams(max_execution_time=0.05, max_evaluations=None)).resolve(CHUNK)
+    assert timed.status is Status.OK and timed.elapsed >= 0.05
+
+
+def test_stub_answers_json_nested_too_deep_with_bad_request():
+    code, body = stub_response("echo-v1", DEEP_JSON, 0.0)
+    assert code == 400
+    assert json.loads(body)["error"].startswith("bad request: ")
