@@ -8,6 +8,7 @@ it returns, and turns anything it raises into a candidate with status FAILED.
 from __future__ import annotations
 
 import json
+import math
 import re
 import threading
 import time
@@ -230,11 +231,18 @@ STUB_MODES = tuple(_STUB_TABLE)
 
 def stub_response(mode: str, request: bytes, slow_delay: float) -> tuple[int, bytes]:
     """The (HTTP status, body) a stub in ``mode`` answers to a /v1/resolve request
-    body, after the mode's delay; the HTTP stub and the in-process stub both call it."""
+    body, after the mode's delay; the HTTP stub and the in-process stub both call it.
+    A request whose ``v1`` or ``v2`` is not a list of strings, or whose output
+    token limit is not a finite, non-negative integer value, is answered 400."""
     try:
         payload = json.loads(request)
         v1, v2 = payload["v1"], payload["v2"]
-        output_limit = int(payload.get("output_token_limit", DEFAULT_OUTPUT_TOKEN_LIMIT))
+        if not all(type(side) is list and all(type(x) is str for x in side) for side in (v1, v2)):
+            raise ValueError("v1 and v2 must be lists of strings")
+        output_limit = payload.get("output_token_limit", DEFAULT_OUTPUT_TOKEN_LIMIT)
+        if type(output_limit) not in (int, float) or not 0 <= output_limit < math.inf or output_limit % 1:
+            raise ValueError("output_token_limit must be a non-negative integer")
+        output_limit = int(output_limit)
     except (ValueError, KeyError, TypeError, RecursionError) as exc:
         return 400, json.dumps({"error": f"bad request: {exc}"}).encode("utf-8")
     delayed, answer = _STUB_TABLE[mode]

@@ -17,6 +17,16 @@ their codes increase. ``neighbor`` and ``random_candidate`` also accept a
 chunk's ``_Coding`` in place of the chunk and then take and return codes:
 that is how the engine calls them, so each operator has one int core and
 the public calls only add the encoding and decoding around it.
+
+The objective compares codes, not text. Per chunk, each parent version gets
+a ``_Parent`` table whose ``masks[r]`` sets bit ``i`` when parent line ``i``
+equals chunk line ``r``; a candidate's LCS with that parent is then Hyyrö's
+bit-parallel loop over its codes (Allison & Dix 1986; Hyyrö 2004), which
+hashes no string and builds no dict. ``evaluate`` and ``rrhc_resolve`` share
+that scorer. It keeps the name ``lcs_length`` because it is a seam: the
+benchmark's tracer wraps ``search.lcs_length`` to count objective calls and
+tests swap stand-ins in through it, so it is called through the module
+global exactly twice per scored candidate, candidate codes first.
 """
 
 from __future__ import annotations
@@ -27,8 +37,6 @@ from dataclasses import dataclass
 from enum import IntEnum
 from heapq import heappush, heappop
 from typing import Callable, NamedTuple, Protocol, Sequence
-
-from .similarity import lcs_length
 
 
 class Version(IntEnum):
@@ -161,10 +169,50 @@ def _coding(chunk: ChunkLike) -> _Coding:
     return _Coding(len(chunk.v1_lines), len(refs), refs)
 
 
-def _mean_parent_similarity(lines: list[str], v1: Sequence[str], v2: Sequence[str]) -> float:
-    n = len(lines)
-    s1 = 1.0 if n + len(v1) == 0 else 2.0 * lcs_length(lines, v1) / (n + len(v1))
-    s2 = 1.0 if n + len(v2) == 0 else 2.0 * lcs_length(lines, v2) / (n + len(v2))
+class _Parent(NamedTuple):
+    """One parent version's match table over a chunk's codes: ``masks[r]`` has
+    bit ``i`` set when parent line ``i`` equals chunk line ``r``."""
+
+    masks: tuple[int, ...]
+    size: int
+
+
+def _parents(chunk: ChunkLike) -> tuple[_Parent, _Parent]:
+    """The v1 and v2 match tables of a chunk, built once per chunk."""
+    lines = [*chunk.v1_lines, *chunk.v2_lines]
+
+    def table(parent: Sequence[str]) -> _Parent:
+        positions: dict[str, int] = {}
+        for i, line in enumerate(parent):
+            positions[line] = positions.get(line, 0) | 1 << i
+        return _Parent(tuple([positions.get(line, 0) for line in lines]), len(parent))
+
+    return table(chunk.v1_lines), table(chunk.v2_lines)
+
+
+def lcs_length(coded: Coded, parent: _Parent) -> int:
+    """LCS length of an int-coded candidate's lines and one parent version.
+
+    The engine's objective over match masks (see the module docstring), not
+    ``sbcr.lcs_length``, the text and char LCS the benchmark metric uses.
+    The zero bits of ``v`` count the LCS.
+    """
+    masks, size = parent
+    full = (1 << size) - 1
+    v = full
+    for r in coded:
+        m = masks[r]
+        if m:
+            u = v & m
+            v = ((v + u) | (v - u)) & full
+    return size - v.bit_count()
+
+
+def _score(coded: Coded, p1: _Parent, p2: _Parent) -> float:
+    """Mean of the candidate's LCS ratio to each parent; 1.0 for an empty pair."""
+    k = len(coded)
+    s1 = 1.0 if k + p1.size == 0 else 2.0 * lcs_length(coded, p1) / (k + p1.size)
+    s2 = 1.0 if k + p2.size == 0 else 2.0 * lcs_length(coded, p2) / (k + p2.size)
     return (s1 + s2) / 2.0
 
 
@@ -172,7 +220,7 @@ def evaluate(candidate: Sequence[SourceLineRef], chunk: ChunkLike) -> float:
     """Score a candidate: mean of its line-level similarity to each parent version."""
     if not is_valid_candidate(candidate, chunk):
         raise ValueError("invalid candidate for this chunk")
-    return _mean_parent_similarity(candidate_lines(candidate, chunk), chunk.v1_lines, chunk.v2_lines)
+    return _score(_encode(candidate, len(chunk.v1_lines)), *_parents(chunk))
 
 
 def _random_coded(n1: int, n: int, draw: Callable[[], float]) -> Coded:
@@ -318,7 +366,8 @@ def rrhc_resolve(
 
     The climb, the score memo and the ranked heap hold int-coded candidates
     (see the module docstring), drawn through ``neighbor`` and
-    ``random_candidate`` with the chunk's ``_Coding``; ``ranked`` is decoded
+    ``random_candidate`` with the chunk's ``_Coding`` and scored against the
+    chunk's two ``_Parent`` tables, built once here; ``ranked`` is decoded
     to ``SourceLineRef`` tuples once, on return. ``check_invariants``
     decodes each scored candidate and asserts ``is_valid_candidate`` on it.
 
@@ -326,14 +375,13 @@ def rrhc_resolve(
     a constant clock so results (elapsed included) are bit-for-bit
     reproducible; with a time budget it defaults to time.monotonic.
     """
-    v1, v2 = chunk.v1_lines, chunk.v2_lines
-    if not v1 and not v2:
+    if not chunk.v1_lines and not chunk.v2_lines:
         raise ValueError("chunk has no content on either side")
     if clock is None:
         clock = time.monotonic if params.max_execution_time is not None else lambda: 0.0
 
     coding = _coding(chunk)
-    lines = [*v1, *v2]
+    p1, p2 = _parents(chunk)
     rng = random.Random(params.seed)
     # Min-heap of (score, -discovery, candidate), rooted at the next to evict.
     # Ranked candidates stay in the memo, so only a memo miss is pushed: a hit
@@ -353,7 +401,7 @@ def rrhc_resolve(
             assert is_valid_candidate(_decode(candidate, coding.refs), chunk), "engine produced an invalid candidate"
         score = scores.get(candidate)
         if score is None:
-            score = _mean_parent_similarity([lines[r] for r in candidate], v1, v2)
+            score = _score(candidate, p1, p2)
             if len(scores) - len(heap) >= _MEMO_LIMIT:
                 scores = {ranked: s for s, _, ranked in heap}
             scores[candidate] = score

@@ -81,8 +81,11 @@ def wilcoxon_signed_rank(diffs: Sequence[float]) -> float:
     Zero differences are discarded; if none remain the p-value is 1.0.
     The null distribution is enumerated exactly up to 25 effective pairs,
     beyond that a tie-corrected normal approximation with continuity
-    correction is used.
+    correction is used. A NaN or infinite difference has no rank, so it
+    raises ``ValueError``.
     """
+    if not all(math.isfinite(d) for d in diffs):
+        raise ValueError("wilcoxon_signed_rank needs finite differences")
     ranks, nonzero = _signed_ranks(diffs)
     n = len(nonzero)
     if n == 0:

@@ -22,6 +22,7 @@ from sbcr.resolvers import (
     estimate_tokens,
     stub_response,
     truncate_to_tokens,
+    _post_json,
 )
 from sbcr.router import FALLBACK_RESOLVER_ID, RouteThresholds, hybrid_resolve
 from sbcr.search import SearchParams
@@ -361,5 +362,42 @@ def test_search_resolver_elapsed_follows_its_budget():
 
 def test_stub_answers_json_nested_too_deep_with_bad_request():
     code, body = stub_response("echo-v1", DEEP_JSON, 0.0)
+    assert code == 400
+    assert json.loads(body)["error"].startswith("bad request: ")
+
+
+@pytest.mark.parametrize(
+    "request_body",
+    [
+        {"v1": 5, "v2": []},
+        {"v1": [1], "v2": []},
+        {"v1": "ab", "v2": []},
+        {"v1": ["a"], "v2": None},
+        {"v1": ["a"], "v2": [], "output_token_limit": 1e400},
+        {"v1": ["a"], "v2": [], "output_token_limit": -1},
+        {"v1": ["a"], "v2": [], "output_token_limit": 2.5},
+        {"v1": ["a"], "v2": [], "output_token_limit": "3"},
+        {"v1": ["a"], "v2": [], "output_token_limit": True},
+    ],
+)
+@pytest.mark.parametrize("mode", ["echo-v1", "truncate"])
+def test_stub_answers_malformed_sides_and_limits_with_bad_request(mode, request_body):
+    code, body = stub_response(mode, json.dumps(request_body).encode("utf-8"), 0.0)
+    assert code == 400
+    assert json.loads(body)["error"].startswith("bad request: ")
+
+
+def test_stub_accepts_an_integral_float_limit():
+    request = {"v1": ["a b c"], "v2": [], "output_token_limit": 2.0}
+    code, body = stub_response("truncate", json.dumps(request).encode("utf-8"), 0.0)
+    assert (code, json.loads(body)) == (200, {"lines": ["a b"], "truncated": True})
+
+
+def test_stub_server_answers_a_malformed_side_with_400_not_a_reset():
+    server = StubServer(mode="echo-v1", port=0).start()
+    try:
+        code, body = _post_json(f"{server.url}/v1/resolve", {"v1": 5, "v2": []}, 5.0)
+    finally:
+        server.stop()
     assert code == 400
     assert json.loads(body)["error"].startswith("bad request: ")

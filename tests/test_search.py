@@ -4,7 +4,7 @@ import tracemalloc
 from collections import Counter
 
 import pytest
-from conftest import Chunk, brute_force_optimum, random_chunk
+from conftest import Chunk, brute_force_optimum, lcs_row_dp, random_chunk
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -358,3 +358,35 @@ def test_rrhc_memory_stays_bounded_under_a_wall_clock_budget(monkeypatch):
         tracemalloc.stop()
     assert result.evaluations >= 20_000
     assert peak < 1 << 20, peak  # about 0.5 MB; an uncut memo reaches about 5.5 MB here
+
+
+@st.composite
+def objective_cases(draw):
+    """A chunk over 1-4 distinct lines, each side empty or up to 70 lines so the
+    parent masks cross the 30- and 64-bit widths, and a valid candidate of it:
+    the empty one, the concatenation or a seeded random one."""
+    line = st.sampled_from(["a;", "b;", "}", ""][: draw(st.integers(1, 4))])
+    side = st.integers(0, 70).flatmap(lambda n: st.lists(line, min_size=n, max_size=n))
+    chunk = Chunk(draw(side), draw(side))
+    kind = draw(st.sampled_from(["empty", "concat", "random"]))
+    if kind == "empty":
+        return chunk, ()
+    if kind == "concat":
+        return chunk, concat_candidate(chunk)
+    return chunk, random_candidate(chunk, random.Random(draw(st.integers(0, 2**64 - 1))))
+
+
+@given(objective_cases())
+def test_masked_objective_equals_row_dp(case):
+    """The engine's objective, an LCS over per-chunk match masks, against the
+    row DP on the candidate's text."""
+    chunk, candidate = case
+    lines = candidate_lines(candidate, chunk)
+    coded = search._encode(candidate, len(chunk.v1_lines))
+    ratios = []
+    for parent, table in zip((chunk.v1_lines, chunk.v2_lines), search._parents(chunk)):
+        common = lcs_row_dp(lines, parent)
+        assert search.lcs_length(coded, table) == common
+        total = len(lines) + len(parent)
+        ratios.append(1.0 if total == 0 else 2.0 * common / total)
+    assert evaluate(candidate, chunk) == (ratios[0] + ratios[1]) / 2.0

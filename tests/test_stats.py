@@ -1,6 +1,10 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -139,3 +143,35 @@ def test_wilcoxon_p_in_unit_interval_fuzz():
         diffs = [rng.choice([-2, -1, 0, 1, 2]) * rng.random() for _ in range(n)]
         p = wilcoxon_signed_rank(diffs)
         assert 0.0 < p <= 1.0
+
+
+def test_non_finite_difference_raises_instead_of_hanging():
+    """A NaN difference once made the tie loop spin forever, so the calls run in
+    a child process whose timeout fails the test instead of stalling the suite."""
+    import sbcr
+
+    code = """
+import math
+from sbcr.bench import ResultRow, compare_results
+from sbcr.stats import wilcoxon_signed_rank
+
+def raises(call, *args):
+    try:
+        call(*args)
+    except ValueError:
+        return
+    raise AssertionError(f"no ValueError from {call.__name__}{args}")
+
+for bad in (math.nan, math.inf, -math.inf):
+    raises(wilcoxon_signed_rank, [bad, 0.5])
+    raises(wilcoxon_signed_rank, [0.5, 0.25, bad])
+
+
+def row(cid, resolver, score):
+    return ResultRow(cid, resolver, 0.5, score, 0.0, "ok")
+
+
+raises(compare_results, [row("a", "x", 0.5), row("b", "x", math.nan)], [row("a", "y", 0.5), row("b", "y", 0.25)])
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(sbcr.__file__).resolve().parent.parent)}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=30)
