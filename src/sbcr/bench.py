@@ -207,6 +207,8 @@ def tune_grid(
 
 
 BALANCE_BUCKETS = 20  # 0.1-wide buckets over [-1, 1]
+_BUCKET_LOW_EDGES = tuple(round(-1.0 + 0.1 * i, 1) for i in range(BALANCE_BUCKETS))
+_OUTCOMES = ("a_wins", "b_wins", "ties")  # the balance histogram's classes, in report order
 
 
 def _balance_bucket(balance: float) -> int:
@@ -241,7 +243,7 @@ class ComparisonReport:
             "cles_a_over_b": self.cles_a_over_b,
             "sim_diff": [{"conflict_id": cid, "diff": diff} for cid, diff in self.sim_diff],
             "balance_histogram": {
-                "bucket_low_edges": [round(-1.0 + 0.1 * i, 1) for i in range(BALANCE_BUCKETS)],
+                "bucket_low_edges": list(_BUCKET_LOW_EDGES),
                 **{key: list(values) for key, values in self.balance_histogram.items()},
             },
             "extremes_a": list(self.extremes_a),
@@ -253,6 +255,8 @@ def compare_results(
     rows_a: Sequence[ResultRow], rows_b: Sequence[ResultRow], m: int = 10
 ) -> ComparisonReport:
     """Pair two result sets by conflict id and compute the full comparison analysis."""
+    if m < 0:
+        raise ValueError("m must be >= 0")
     by_id_a = {row.conflict_id: row for row in rows_a}
     by_id_b = {row.conflict_id: row for row in rows_b}
     if len(by_id_a) != len(rows_a) or len(by_id_b) != len(rows_b):
@@ -263,15 +267,7 @@ def compare_results(
 
     ids = sorted(by_id_a)
     diffs = [(cid, by_id_a[cid].sim_char - by_id_b[cid].sim_char) for cid in ids]
-    wins_a = sum(1 for _, d in diffs if d > TIE_TOLERANCE)
-    wins_b = sum(1 for _, d in diffs if d < -TIE_TOLERANCE)
-    ties = len(diffs) - wins_a - wins_b
-
-    histogram = {
-        "a_wins": [0] * BALANCE_BUCKETS,
-        "b_wins": [0] * BALANCE_BUCKETS,
-        "ties": [0] * BALANCE_BUCKETS,
-    }
+    histogram = {outcome: [0] * BALANCE_BUCKETS for outcome in _OUTCOMES}
     for cid, d in diffs:
         outcome = "a_wins" if d > TIE_TOLERANCE else "b_wins" if d < -TIE_TOLERANCE else "ties"
         histogram[outcome][_balance_bucket(by_id_a[cid].balance)] += 1
@@ -282,9 +278,9 @@ def compare_results(
         resolver_a=rows_a[0].resolver_id if rows_a else "",
         resolver_b=rows_b[0].resolver_id if rows_b else "",
         n=len(diffs),
-        wins_a=wins_a,
-        wins_b=wins_b,
-        ties=ties,
+        wins_a=sum(histogram["a_wins"]),
+        wins_b=sum(histogram["b_wins"]),
+        ties=sum(histogram["ties"]),
         wilcoxon_p=wilcoxon_signed_rank([d for _, d in diffs]),
         cles_a_over_b=cles(
             [by_id_a[cid].sim_char for cid in ids], [by_id_b[cid].sim_char for cid in ids]
@@ -322,16 +318,9 @@ def dump_sim_diff_csv(report: ComparisonReport, out: TextIO) -> None:
 def dump_balance_histogram_csv(report: ComparisonReport, out: TextIO) -> None:
     """CSV of wins and ties per balance bucket, to a stream opened with newline=""."""
     writer = csv.writer(out)
-    writer.writerow(["bucket_low_edge", "a_wins", "b_wins", "ties"])
-    for i in range(BALANCE_BUCKETS):
-        writer.writerow(
-            [
-                round(-1.0 + 0.1 * i, 1),
-                report.balance_histogram["a_wins"][i],
-                report.balance_histogram["b_wins"][i],
-                report.balance_histogram["ties"][i],
-            ]
-        )
+    writer.writerow(["bucket_low_edge", *_OUTCOMES])
+    for i, edge in enumerate(_BUCKET_LOW_EDGES):
+        writer.writerow([edge, *(report.balance_histogram[outcome][i] for outcome in _OUTCOMES)])
 
 
 def dump_tuning_csv(rows: Sequence[TuningRow], out: TextIO) -> None:

@@ -252,11 +252,14 @@ def _thresholds(config: dict) -> RouteThresholds:
 def _remote_resolver(config: dict) -> RemoteResolver:
     if not config["endpoint"]:
         raise _UsageError(f"remote engine needs --endpoint or ${ENDPOINT_ENV_VAR}")
-    return RemoteResolver(
-        endpoint=config["endpoint"],
-        limits=TokenLimits(config["input_token_limit"], config["output_token_limit"]),
-        deadline=config["deadline"],
-    )
+    try:
+        return RemoteResolver(
+            endpoint=config["endpoint"],
+            limits=TokenLimits(config["input_token_limit"], config["output_token_limit"]),
+            deadline=config["deadline"],
+        )
+    except ValueError as exc:
+        raise _UsageError(str(exc))
 
 
 def _hybrid(config: dict) -> HybridResolver:
@@ -391,16 +394,8 @@ def _cmd_split(args, config) -> int:
     with _outputs(*(out_dir / f"{name}.jsonl" for name, _ in parts), out_dir / "split.json") as outs:
         for out, (_, ids) in zip(outs, parts):
             _write_jsonl(out, (by_id[i].to_json() for i in ids))
-        _write_json(
-            outs[-1],
-            {
-                "seed": split.seed,
-                "ratios": list(split.ratios),
-                "train_ids": list(split.train_ids),
-                "valid_ids": list(split.valid_ids),
-                "test_ids": list(split.test_ids),
-            },
-        )
+        id_lists = {f"{name}_ids": list(ids) for name, ids in parts}
+        _write_json(outs[-1], {"seed": split.seed, "ratios": list(split.ratios), **id_lists})
     print(
         f"split {len(records)} records into {len(split.train_ids)}/{len(split.valid_ids)}/{len(split.test_ids)}",
         file=sys.stderr,
@@ -481,6 +476,8 @@ def _cmd_tune(args, config) -> int:
 
 
 def _cmd_compare(args, config) -> int:
+    if args.extremes < 0:
+        raise _UsageError("--extremes must be >= 0")
     try:
         rows_a = bench_mod.read_result_rows(args.results_a)
         rows_b = bench_mod.read_result_rows(args.results_b)

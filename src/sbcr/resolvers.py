@@ -162,7 +162,8 @@ class RemoteResolver(Resolver):
     """HTTP client for an external generative resolver speaking the /v1/resolve protocol.
 
     Requests are idempotent (a pure POST of the chunk content), bounded by a
-    deadline, and capped to ``max_inflight`` concurrent calls.
+    deadline, and capped to ``max_inflight`` concurrent calls. A deadline
+    outside (0, ``threading.TIMEOUT_MAX``] fails every request, so it is refused.
     """
 
     resolver_id = "remote"
@@ -174,6 +175,8 @@ class RemoteResolver(Resolver):
         deadline: float = 10.0,
         max_inflight: int = 8,
     ):
+        if not 0 < deadline <= threading.TIMEOUT_MAX:
+            raise ValueError(f"deadline must be in (0, {threading.TIMEOUT_MAX}] seconds, got {deadline}")
         super().__init__()
         self.endpoint = endpoint.rstrip("/")
         self.limits = limits
@@ -229,6 +232,14 @@ _STUB_TABLE: dict[str, tuple[bool, Callable]] = {
 STUB_MODES = tuple(_STUB_TABLE)
 
 
+def check_stub(mode: str, slow_delay: float) -> None:
+    """Raise ``ValueError`` for an unknown mode, or a delay ``time.sleep`` refuses or no client can wait out."""
+    if mode not in STUB_MODES:
+        raise ValueError(f"unknown stub mode {mode!r}; expected one of {STUB_MODES}")
+    if not 0 <= slow_delay <= threading.TIMEOUT_MAX:
+        raise ValueError(f"slow-mode delay must be in [0, {threading.TIMEOUT_MAX}] seconds, got {slow_delay}")
+
+
 def stub_response(mode: str, request: bytes, slow_delay: float) -> tuple[int, bytes]:
     """The (HTTP status, body) a stub in ``mode`` answers to a /v1/resolve request
     body, after the mode's delay; the HTTP stub and the in-process stub both call it.
@@ -269,8 +280,7 @@ class StubGenerativeResolver(RemoteResolver):
         limits: TokenLimits = TokenLimits(),
         slow_delay: float = 0.05,
     ):
-        if mode not in STUB_MODES:
-            raise ValueError(f"unknown stub mode {mode!r}; expected one of {STUB_MODES}")
+        check_stub(mode, slow_delay)
         super().__init__("", limits)  # _post never reads the endpoint
         self.mode = mode
         self.slow_delay = slow_delay

@@ -31,11 +31,13 @@ global exactly twice per scored candidate, candidate codes first.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass
 from enum import IntEnum
-from heapq import heappush, heappop
+from heapq import nlargest
+from operator import itemgetter
 from typing import Callable, NamedTuple, Protocol, Sequence
 
 
@@ -87,8 +89,8 @@ class SearchParams:
         has_evals = self.max_evaluations is not None
         if has_time == has_evals:
             raise ValueError("exactly one of max_execution_time / max_evaluations must be set")
-        if has_time and self.max_execution_time <= 0:
-            raise ValueError("max_execution_time must be positive")
+        if has_time and not 0 < self.max_execution_time < math.inf:
+            raise ValueError("max_execution_time must be finite and positive")
         if has_evals and self.max_evaluations < 1:
             raise ValueError("max_evaluations must be >= 1")
 
@@ -341,7 +343,7 @@ def neighbor(candidate: Candidate | Coded, chunk: ChunkLike | _Coding, rng: rand
 
 
 # Entries the score memo of one search may hold beyond the ranked list before
-# it is cut back to the ranked list. Cutting a pure cache changes no result; the
+# it is cut back to the ranked list. Cutting the rest changes no result; the
 # limit bounds memory under a wall-clock budget, far above any evaluation budget.
 _MEMO_LIMIT = 1 << 15
 
@@ -364,12 +366,12 @@ def rrhc_resolve(
     search restarts from a random candidate. ``ranked`` holds the ``top_n`` best
     distinct candidates, ties in discovery order, with ``best`` at its head.
 
-    The climb, the score memo and the ranked heap hold int-coded candidates
-    (see the module docstring), drawn through ``neighbor`` and
-    ``random_candidate`` with the chunk's ``_Coding`` and scored against the
-    chunk's two ``_Parent`` tables, built once here; ``ranked`` is decoded
-    to ``SourceLineRef`` tuples once, on return. ``check_invariants``
-    decodes each scored candidate and asserts ``is_valid_candidate`` on it.
+    The climb and the score memo hold int-coded candidates (see the module
+    docstring), drawn through ``neighbor`` and ``random_candidate`` with the
+    chunk's ``_Coding`` and scored against its two ``_Parent`` tables, built
+    once here. ``ranked`` is the memo's top ``top_n``, decoded to
+    ``SourceLineRef`` tuples once, on return. ``check_invariants`` decodes
+    each scored candidate and asserts ``is_valid_candidate`` on it.
 
     ``clock`` supplies wall time. With an evaluation budget it defaults to
     a constant clock so results (elapsed included) are bit-for-bit
@@ -383,10 +385,8 @@ def rrhc_resolve(
     coding = _coding(chunk)
     p1, p2 = _parents(chunk)
     rng = random.Random(params.seed)
-    # Min-heap of (score, -discovery, candidate), rooted at the next to evict.
-    # Ranked candidates stay in the memo, so only a memo miss is pushed: a hit
-    # is ranked already, or was evicted for good by top_n candidates ahead of it.
-    heap: list[tuple[float, int, Coded]] = []
+    # Score memo in discovery order: nlargest keeps input order among equal
+    # scores, so ties rank in discovery order, also across memo cuts.
     scores: dict[Coded, float] = {}
     start = clock()
     evaluations = 0
@@ -402,12 +402,9 @@ def rrhc_resolve(
         score = scores.get(candidate)
         if score is None:
             score = _score(candidate, p1, p2)
-            if len(scores) - len(heap) >= _MEMO_LIMIT:
-                scores = {ranked: s for s, _, ranked in heap}
+            if len(scores) >= params.top_n + _MEMO_LIMIT:
+                scores = dict(nlargest(params.top_n, scores.items(), key=itemgetter(1)))
             scores[candidate] = score
-            heappush(heap, (score, -evaluations, candidate))
-            if len(heap) > params.top_n:
-                heappop(heap)
         return score
 
     current = tuple(range(coding.n))  # the v1+v2 concatenation
@@ -436,8 +433,9 @@ def rrhc_resolve(
     except _BudgetSpent:
         pass
 
+    ranked = nlargest(params.top_n, scores.items(), key=itemgetter(1))
     return SearchResult(
-        ranked=tuple(ScoredCandidate(_decode(coded, coding.refs), s) for s, _, coded in sorted(heap, reverse=True)),
+        ranked=tuple(ScoredCandidate(_decode(coded, coding.refs), s) for coded, s in ranked),
         evaluations=evaluations,
         restarts=restarts,
         elapsed=clock() - start,

@@ -12,7 +12,7 @@ import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from .resolvers import STUB_MODES, stub_response
+from .resolvers import check_stub, stub_response
 
 
 class _StubHandler(BaseHTTPRequestHandler):
@@ -58,8 +58,7 @@ class StubServer(ThreadingHTTPServer):
     daemon_threads = True  # a sleeping slow-mode handler must not block shutdown
 
     def __init__(self, mode: str = "echo-v1", port: int = 0, slow_delay: float = 2.0, verbose: bool = False):
-        if mode not in STUB_MODES:
-            raise ValueError(f"unknown stub mode {mode!r}; expected one of {STUB_MODES}")
+        check_stub(mode, slow_delay)  # before the socket is bound, so a bad argument leaks none
         super().__init__(("127.0.0.1", port), _StubHandler)
         self.mode = mode
         self.slow_delay = slow_delay

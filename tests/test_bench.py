@@ -233,3 +233,11 @@ def test_comparison_report_json_shape():
     assert doc["n"] == 2
     assert len(doc["balance_histogram"]["bucket_low_edges"]) == 20
     assert {"resolver_a", "resolver_b", "wilcoxon_p", "cles_a_over_b", "sim_diff"} <= set(doc)
+
+
+def test_compare_rejects_a_negative_extremes_count():
+    """A negative count would slice off the last ids instead of keeping the first."""
+    rows_a, rows_b = rows_from([0.5, 0.9, 1.0], [0.6, 0.9, 0.8])
+    assert compare_results(rows_a, rows_b, m=0).extremes_a == ()
+    with pytest.raises(ValueError):
+        compare_results(rows_a, rows_b, m=-1)

@@ -678,3 +678,38 @@ def test_tune_usage_errors_exit_1_before_reading(tmp_path, capsys, flags):
 def test_serve_stub_port_out_of_range_is_usage_error(capsys, port):
     assert main(["serve-stub", "--port", port]) == 1
     assert "sbcr: error:" in capsys.readouterr().err
+
+
+def test_nan_time_budget_is_usage_error(conflicted_file, tmp_path, capsys):
+    """A NaN budget used to run a one-evaluation search. An infinite one never
+    returned, so it is checked on ``SearchParams``, not through the CLI."""
+    config = tmp_path / "config.json"
+    config.write_text('{"time_budget": NaN}', encoding="utf-8")
+    assert main(["resolve", str(conflicted_file), "--time-budget", "nan"]) == 1
+    assert main(["--config", str(config), "resolve", str(conflicted_file)]) == 1
+    assert main(["tune", sample_args(), "--wallclock", "--grid-budgets", "nan"]) == 1
+    assert "max_execution_time must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "engine, deadline",
+    [("remote", "-1"), ("remote", "0"), ("remote", "nan"), ("remote", "9.3e9"), ("hybrid", "-1")],
+)
+def test_deadline_that_fails_every_request_is_usage_error(tmp_path, capsys, engine, deadline):
+    out = tmp_path / "rows.jsonl"
+    out.write_text("old\n", encoding="utf-8")
+    argv = ["bench", sample_args(), "--engine", engine, "--endpoint", "http://127.0.0.1:9", "--deadline", deadline]
+    assert main([*argv, "--out", str(out)]) == 1
+    assert out.read_text(encoding="utf-8") == "old\n"
+    assert "sbcr: error: deadline" in capsys.readouterr().err
+
+
+def test_compare_negative_extremes_is_usage_error_before_reading(tmp_path, capsys):
+    rows = tmp_path / "rows.jsonl"
+    assert main(["bench", sample_args(), "--engine", "trivial:take-v1", "--out", str(rows)]) == 0
+    report = tmp_path / "report.json"
+    report.write_text("old\n", encoding="utf-8")
+    assert main(["compare", str(rows), str(rows), "--extremes", "-1", "--out", str(report)]) == 1
+    assert report.read_text(encoding="utf-8") == "old\n"
+    assert main(["compare", str(tmp_path / "missing.jsonl"), str(rows), "--extremes", "-1"]) == 1
+    assert "--extremes" in capsys.readouterr().err

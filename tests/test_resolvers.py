@@ -1,5 +1,6 @@
 import http.client
 import json
+import math
 import os
 import subprocess
 import sys
@@ -401,3 +402,22 @@ def test_stub_server_answers_a_malformed_side_with_400_not_a_reset():
         server.stop()
     assert code == 400
     assert json.loads(body)["error"].startswith("bad request: ")
+
+
+@pytest.mark.parametrize("deadline", [-1.0, 0.0, math.nan, math.inf, 9.3e9])
+def test_remote_resolver_refuses_a_deadline_that_fails_every_request(deadline):
+    with pytest.raises(ValueError, match="deadline"):
+        RemoteResolver("http://127.0.0.1:9", deadline=deadline)
+
+
+def test_remote_resolver_takes_the_longest_deadline_a_socket_accepts(echo_server):
+    candidate = RemoteResolver(echo_server.url, deadline=threading.TIMEOUT_MAX).resolve(CHUNK)
+    assert candidate.status is Status.OK
+
+
+@pytest.mark.parametrize("delay", [-1.0, math.nan, math.inf, 9.3e9])
+def test_stubs_refuse_a_delay_that_sleep_rejects(delay):
+    with pytest.raises(ValueError, match="delay"):
+        StubGenerativeResolver("slow", slow_delay=delay)
+    with pytest.raises(ValueError, match="delay"):
+        StubServer(mode="slow", port=0, slow_delay=delay)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import tracemalloc
 from collections import Counter
@@ -198,6 +199,13 @@ def test_rrhc_rejects_empty_chunk_and_bad_params():
         SearchParams()  # no budget at all
 
 
+@pytest.mark.parametrize("seconds", [math.inf, math.nan])
+def test_search_params_reject_a_non_finite_time_budget(seconds):
+    """An infinite budget never ends a search, and a NaN one ends it after one evaluation."""
+    with pytest.raises(ValueError, match="finite"):
+        SearchParams(max_execution_time=seconds)
+
+
 def test_rrhc_deterministic_bit_for_bit():
     rng = random.Random(6)
     for _ in range(10):
@@ -252,7 +260,7 @@ def test_rrhc_ranked_head_is_best(top_n):
         assert result.ranked[0] == (result.best, result.best_score)
 
 
-@pytest.mark.parametrize("memo_limit", [search._MEMO_LIMIT, 4])
+@pytest.mark.parametrize("memo_limit", [search._MEMO_LIMIT, 4, 2, 1])
 @pytest.mark.parametrize("top_n", [1, 3, 100])
 def test_rrhc_ranked_is_top_n_distinct_scored_in_discovery_order(monkeypatch, top_n, memo_limit):
     """``ranked`` is the ``top_n`` best distinct candidates scored, ties in discovery order."""

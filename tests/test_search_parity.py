@@ -234,11 +234,11 @@ def reference_rrhc(chunk, params, clock):
 def test_rrhc_matches_reference_engine(monkeypatch):
     """300 seeded chunks under evaluation budgets and fake-clock wall budgets,
     every ``top_n`` regime, with the score memo at its default size and cut
-    down to 4 entries."""
+    down to 4, 2 and 1 entries; 1 cuts at almost every miss."""
     rng = random.Random(77)
     budgets = Counter()
     for case in range(300):
-        monkeypatch.setattr(search, "_MEMO_LIMIT", 4 if case % 2 else DEFAULT_MEMO_LIMIT)
+        monkeypatch.setattr(search, "_MEMO_LIMIT", (DEFAULT_MEMO_LIMIT, 4, 2, 1)[case % 4])
         alphabet = rng.choice([("a", "b"), ("a", "b", "c", "d")])
         chunk = random_chunk(rng, max_side=rng.choice([3, 6, 12]), alphabet=alphabet)
         common = dict(
