@@ -298,10 +298,11 @@ def split_dataset(
     """Deterministically shuffle ids and cut them into train/valid/test partitions.
 
     Cut points are floor(n * r_train) and floor(n * (r_train + r_valid));
-    the remainder goes to test. Ratios must sum to 1 within 1e-9.
+    the remainder goes to test. Ratios must be finite, non-negative and sum
+    to 1 within 1e-9.
     """
-    if len(ratios) != 3 or any(r < 0 for r in ratios):
-        raise ValueError("ratios must be three non-negative numbers")
+    if len(ratios) != 3 or not all(0 <= r < math.inf for r in ratios):
+        raise ValueError(f"ratios must be three finite non-negative numbers, got {tuple(ratios)}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError(f"ratios must sum to 1, got {sum(ratios)}")
     shuffled = list(ids)

@@ -163,7 +163,8 @@ class RemoteResolver(Resolver):
 
     Requests are idempotent (a pure POST of the chunk content), bounded by a
     deadline, and capped to ``max_inflight`` concurrent calls. A deadline
-    outside (0, ``threading.TIMEOUT_MAX``] fails every request, so it is refused.
+    outside (0, ``threading.TIMEOUT_MAX``] fails every request and a
+    ``max_inflight`` below 1 blocks every request, so both are refused.
     """
 
     resolver_id = "remote"
@@ -177,6 +178,8 @@ class RemoteResolver(Resolver):
     ):
         if not 0 < deadline <= threading.TIMEOUT_MAX:
             raise ValueError(f"deadline must be in (0, {threading.TIMEOUT_MAX}] seconds, got {deadline}")
+        if max_inflight < 1:
+            raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
         super().__init__()
         self.endpoint = endpoint.rstrip("/")
         self.limits = limits

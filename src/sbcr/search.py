@@ -13,10 +13,13 @@ engine itself works on int-coded candidates. Over a chunk with ``n1`` v1
 lines, ref ``r < n1`` is v1 line ``r`` and any other ref is v2 line
 ``r - n1``, so the refs ``0 .. n - 1`` list v1 then v2 in the order of
 ``concat_candidate``, and one version's lines keep their order exactly when
-their codes increase. ``neighbor`` and ``random_candidate`` also accept a
-chunk's ``_Coding`` in place of the chunk and then take and return codes:
-that is how the engine calls them, so each operator has one int core and
-the public calls only add the encoding and decoding around it.
+their codes increase. The engine calls ``random_candidate`` with the
+chunk's ``_Coding`` and ``neighbor`` with a ``_Moves`` table in place of
+the chunk, and both then return codes: each operator has one int core, and
+the public calls only add the encoding and decoding around it. A ``_Moves``
+table holds what every draw from one climb position needs (its unused codes
+and exchange slots), so the engine builds it once per position, not once
+per draw.
 
 The objective compares codes, not text. Per chunk, each parent version gets
 a ``_Parent`` table whose ``masks[r]`` sets bit ``i`` when parent line ``i``
@@ -289,38 +292,54 @@ def _below(getrandbits: Callable[[int], int], n: int) -> int:
     return r
 
 
-def _coded_neighbor(coded: Coded, n1: int, n: int, getrandbits: Callable[[int], int]) -> Coded:
+class _Moves(NamedTuple):
+    """One climb position's move table, built once and drawn from until the
+    climb moves: ``count`` applicable operators, ``shift`` when the candidate
+    is full (so has no ADD), its ``unused`` codes in increasing order and its
+    exchange ``slots``, the positions ``p`` where ``coded[p]`` and
+    ``coded[p + 1]`` come from different versions."""
+
+    coded: Coded
+    n1: int
+    count: int
+    shift: bool
+    unused: tuple[int, ...]
+    slots: tuple[int, ...]
+
+
+def _moves(coded: Coded, n1: int, n: int) -> _Moves:
     size = len(coded)
-    # Applicable operators in the order ADD, REMOVE, EXCHANGE; a full
-    # candidate has no ADD, so its draws shift up by one.
-    count = (size < n) + (size > 0) + (size > 0 and min(coded) < n1 <= max(coded))
+    used = set(coded)
+    unused = tuple([r for r in range(n) if r not in used])
+    slots = tuple([p for p in range(size - 1) if (coded[p] < n1) is not (coded[p + 1] < n1)])
+    # Applicable operators in the order ADD, REMOVE, EXCHANGE; a full candidate
+    # has no ADD, so its draws shift up by one. EXCHANGE applies when both
+    # versions are present, which is exactly when a slot exists.
+    return _Moves(coded, n1, (size < n) + (size > 0) + bool(slots), size == n, unused, slots)
+
+
+def _draw(moves: _Moves, getrandbits: Callable[[int], int]) -> Coded:
+    coded, n1, count, shift, unused, slots = moves
     if not count:
         return coded
-    op = _below(getrandbits, count) + (size == n)
-    if op == 0:  # ADD the r-th unused code: step r past every used code at or below it
-        r = _below(getrandbits, n - size)
-        for x in sorted(coded):
-            if x > r:
-                break
-            r += 1
+    op = _below(getrandbits, count) + shift
+    if op == 0:  # ADD
+        r = unused[_below(getrandbits, len(unused))]
         lo, hi = _coded_window(coded, r, n1)
         slot = lo + _below(getrandbits, hi - lo + 1)
         return coded[:slot] + (r,) + coded[slot:]
     if op == 1:  # REMOVE
-        pos = _below(getrandbits, size)
+        pos = _below(getrandbits, len(coded))
         return coded[:pos] + coded[pos + 1 :]
-    slots = []  # EXCHANGE: the adjacent pairs from different versions
-    left = coded[0] < n1
-    for p in range(1, size):
-        right = coded[p] < n1
-        if right is not left:
-            slots.append(p - 1)
-        left = right
-    p = slots[_below(getrandbits, len(slots))]
+    p = slots[_below(getrandbits, len(slots))]  # EXCHANGE
     return coded[:p] + (coded[p + 1], coded[p]) + coded[p + 2 :]
 
 
-def neighbor(candidate: Candidate | Coded, chunk: ChunkLike | _Coding, rng: random.Random) -> Candidate | Coded:
+def _coded_neighbor(coded: Coded, n1: int, n: int, getrandbits: Callable[[int], int]) -> Coded:
+    return _draw(_moves(coded, n1, n), getrandbits)
+
+
+def neighbor(candidate: Candidate | Coded, chunk: ChunkLike | _Moves, rng: random.Random) -> Candidate | Coded:
     """Apply one uniformly chosen applicable operator; always returns a valid candidate.
 
     ADD inserts a uniformly drawn unused line at a uniform slot that keeps its
@@ -332,11 +351,11 @@ def neighbor(candidate: Candidate | Coded, chunk: ChunkLike | _Coding, rng: rand
     applies when the candidate holds lines of both versions.
 
     Returns the input unchanged only when no operator applies, which happens
-    exactly when both versions are empty. Given a ``_Coding``, takes and
-    returns int-coded candidates.
+    exactly when both versions are empty. Given the ``_Moves`` table of the
+    int-coded ``candidate``, draws from that table and returns codes.
     """
-    if type(chunk) is _Coding:
-        return _coded_neighbor(candidate, chunk.n1, chunk.n, rng.getrandbits)
+    if type(chunk) is _Moves:
+        return _draw(chunk, rng.getrandbits)
     coding = _coding(chunk)
     moved = _coded_neighbor(_encode(candidate, coding.n1), coding.n1, coding.n, rng.getrandbits)
     return _decode(moved, coding.refs)
@@ -367,11 +386,13 @@ def rrhc_resolve(
     distinct candidates, ties in discovery order, with ``best`` at its head.
 
     The climb and the score memo hold int-coded candidates (see the module
-    docstring), drawn through ``neighbor`` and ``random_candidate`` with the
-    chunk's ``_Coding`` and scored against its two ``_Parent`` tables, built
-    once here. ``ranked`` is the memo's top ``top_n``, decoded to
-    ``SourceLineRef`` tuples once, on return. ``check_invariants`` decodes
-    each scored candidate and asserts ``is_valid_candidate`` on it.
+    docstring), scored against the chunk's two ``_Parent`` tables, built once
+    here. Restarts come from ``random_candidate`` given the chunk's
+    ``_Coding``; neighbours come from ``neighbor`` given the ``_Moves`` table
+    of the current position, rebuilt only when the climb moves or restarts.
+    ``ranked`` is the memo's top ``top_n``, decoded to ``SourceLineRef``
+    tuples once, on return. ``check_invariants`` decodes each scored
+    candidate and asserts ``is_valid_candidate`` on it.
 
     ``clock`` supplies wall time. With an evaluation budget it defaults to
     a constant clock so results (elapsed included) are bit-for-bit
@@ -408,6 +429,7 @@ def rrhc_resolve(
         return score
 
     current = tuple(range(coding.n))  # the v1+v2 concatenation
+    moves = _moves(current, coding.n1, coding.n)
     stagnation = 0
 
     try:
@@ -416,12 +438,13 @@ def rrhc_resolve(
             best_neighbor: Coded | None = None
             best_neighbor_score = -1.0
             for _ in range(params.neighbors_per_iteration):
-                moved = neighbor(current, coding, rng)
+                moved = neighbor(current, moves, rng)
                 score = evaluate_budgeted(moved)
                 if score > best_neighbor_score:
                     best_neighbor, best_neighbor_score = moved, score
             if best_neighbor_score > current_score:
                 current, current_score = best_neighbor, best_neighbor_score
+                moves = _moves(current, coding.n1, coding.n)
                 stagnation = 0
             else:
                 stagnation += 1
@@ -429,6 +452,7 @@ def rrhc_resolve(
                 restarts += 1
                 stagnation = 0
                 current = random_candidate(coding, rng)
+                moves = _moves(current, coding.n1, coding.n)
                 current_score = evaluate_budgeted(current)
     except _BudgetSpent:
         pass

@@ -497,6 +497,14 @@ def test_resolve_keeps_crlf_line_endings(tmp_path, source):
     assert resolved == b"a\r\nx\r\nb\r\n"
 
 
+@pytest.mark.parametrize("ratios", ["0.5,0.5,nan", "nan,0.5,0.5", "0.5,inf,-inf"])
+def test_split_refuses_non_finite_ratios_and_writes_nothing(tmp_path, capsys, ratios):
+    out = tmp_path / "out"
+    assert main(["split", sample_args(), "--ratios", ratios, "--out-dir", str(out)]) == 1
+    assert "ratios" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

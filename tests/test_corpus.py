@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import math
 import random
 from pathlib import Path
 
@@ -201,6 +202,14 @@ def test_split_rejects_bad_ratios():
         split_dataset(["a"], 0, (0.5, 0.5, 0.5))
     with pytest.raises(ValueError):
         split_dataset(["a"], 0, (-0.1, 0.6, 0.5))
+
+
+@pytest.mark.parametrize(
+    "ratios", [(0.5, 0.5, math.nan), (math.nan, 0.5, 0.5), (0.5, math.inf, 0.5), (1.0, math.inf, -math.inf)]
+)
+def test_split_rejects_non_finite_ratios(ratios):
+    with pytest.raises(ValueError, match="ratios"):
+        split_dataset(["a", "b"], 0, ratios)
 
 
 def test_bundled_sample_matches_its_generator(tmp_path, monkeypatch):

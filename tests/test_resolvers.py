@@ -410,6 +410,12 @@ def test_remote_resolver_refuses_a_deadline_that_fails_every_request(deadline):
         RemoteResolver("http://127.0.0.1:9", deadline=deadline)
 
 
+@pytest.mark.parametrize("max_inflight", [0, -1])
+def test_remote_resolver_refuses_a_cap_that_admits_no_request(max_inflight):
+    with pytest.raises(ValueError, match="max_inflight"):
+        RemoteResolver("http://127.0.0.1:9", max_inflight=max_inflight)
+
+
 def test_remote_resolver_takes_the_longest_deadline_a_socket_accepts(echo_server):
     candidate = RemoteResolver(echo_server.url, deadline=threading.TIMEOUT_MAX).resolve(CHUNK)
     assert candidate.status is Status.OK

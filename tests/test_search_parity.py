@@ -26,6 +26,7 @@ from sbcr.search import (
     _coded_neighbor,
     _decode,
     _encode,
+    _moves,
     concat_candidate,
     evaluate,
     neighbor,
@@ -280,4 +281,25 @@ def test_coding_round_trips_and_neighbor_is_the_coded_core(chunk_and_candidate, 
     assert all(type(r) is int and 0 <= r < n for r in coded)
     ours, theirs = random.Random(seed), random.Random(seed)
     assert neighbor(candidate, chunk, ours) == _decode(_coded_neighbor(coded, n1, n, theirs.getrandbits), refs)
+    assert ours.getstate() == theirs.getstate()
+
+
+@given(chunks_and_candidates(), st.integers(0, 2**64 - 1), st.integers(1, 8))
+def test_a_reused_move_table_draws_what_fresh_neighbor_calls_draw(chunk_and_candidate, seed, k):
+    """The engine builds one ``_Moves`` table per climb position and draws every
+    neighbour of that position from it; the table keeps no state between draws."""
+    chunk, candidate = chunk_and_candidate
+    n1 = len(chunk.v1_lines)
+    n = n1 + len(chunk.v2_lines)
+    coded = _encode(candidate, n1)
+    moves = _moves(coded, n1, n)
+    assert moves.unused == tuple(sorted(set(range(n)) - set(coded)))
+    cross = [p for p in range(len(candidate) - 1) if candidate[p].version is not candidate[p + 1].version]
+    assert moves.slots == tuple(cross)
+    both_versions = len({ref.version for ref in candidate}) == 2
+    assert moves.count == (len(coded) < n) + (len(coded) > 0) + both_versions
+    refs = concat_candidate(chunk)
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for _ in range(k):
+        assert _decode(neighbor(coded, moves, ours), refs) == neighbor(candidate, chunk, theirs)
     assert ours.getstate() == theirs.getstate()
