@@ -45,7 +45,6 @@ DEFAULTS = {
     "stagnation": 10,
     "max_evals": 2000,
     "time_budget": None,
-    "wallclock": False,
     "top_n": 100,
     "seed": 0,
     "endpoint": None,
@@ -83,7 +82,6 @@ def _add_search_flags(parser: argparse.ArgumentParser, grid: bool = False) -> No
         parser.add_argument("--stagnation", type=int, default=None, help="non-improving iterations before a restart")
         parser.add_argument("--max-evals", type=int, default=None, help="evaluation-count budget (deterministic)")
         parser.add_argument("--time-budget", type=float, default=None, help="wall-clock budget in seconds")
-    parser.add_argument("--wallclock", action="store_true", default=None, help="use the wall-clock budget instead of evaluation counts")
     parser.add_argument("--top-n", type=int, default=None, help="ranked candidate list capacity")
     parser.add_argument("--seed", type=int, default=None, help="random seed")
 
@@ -142,6 +140,7 @@ def build_parser() -> _Parser:
     p.add_argument("--sample", type=int, default=100, help="sample size drawn with --seed")
     p.add_argument("--grid-neighbors", default="1,5,9", help="comma-separated neighbor counts")
     p.add_argument("--grid-budgets", default=None, help="comma-separated budgets (evaluations, or seconds with --wallclock)")
+    p.add_argument("--wallclock", action="store_true", help="read --grid-budgets as wall-clock seconds")
     p.add_argument("--grid-stagnation", default="5,10,20", help="comma-separated stagnation limits")
     p.add_argument("--ranking", choices=["best-similarity", "exact-match"], default="best-similarity", help="average-ranking interpretation")
     p.add_argument("--out", default="-", help="tuning table CSV output (default stdout)")
@@ -155,11 +154,10 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default="-", help="report JSON output (default stdout)")
     p.add_argument("--csv-dir", default=None, help="also write sim_diff.csv and balance_histogram.csv here")
 
-    p = sub.add_parser("route", help="route records between engines (decisions only with --dry-run)")
+    p = sub.add_parser("route", help="route records between engines (and resolve them with --out)")
     p.add_argument("records", help="line-delimited JSON records")
-    p.add_argument("--dry-run", action="store_true", help="log decisions without resolving")
     p.add_argument("--decisions", default="-", help="decision log output (default stdout)")
-    p.add_argument("--out", default=None, help="result rows output when resolving")
+    p.add_argument("--out", default=None, help="resolve through the hybrid and write its result rows here")
     _add_search_flags(p)
     _add_remote_flags(p)
     _add_router_flags(p)
@@ -189,51 +187,47 @@ def _check_config_value(key: str, value) -> None:
 
 
 def _load_config(path: str | None) -> dict:
+    if not path:
+        return {}
+    try:
+        with open(path, encoding="utf-8") as fh:
+            loaded = corpus.load_json(fh.read())
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bytes that are not UTF-8
+        raise _InputError(f"cannot read config {path}: {exc}")
+    if not isinstance(loaded, dict):
+        raise _UsageError("config must be a JSON object")
+    unknown = set(loaded) - set(DEFAULTS)
+    if unknown:
+        raise _UsageError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in loaded.items():
+        _check_config_value(key, value)
+    return loaded
+
+
+def _effective_config(args: argparse.Namespace) -> dict:
+    """Built-in defaults, overridden by the config file, overridden by explicit flags. A layer that
+    sets max_evals or time_budget clears the other from the layers below; one that sets both is an error."""
+    flags = {key: getattr(args, key) for key in DEFAULTS if getattr(args, key, None) is not None}
     config = dict(DEFAULTS)
-    if path:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                loaded = corpus.load_json(fh.read())
-        except (OSError, ValueError) as exc:  # ValueError: bad JSON or bytes that are not UTF-8
-            raise _InputError(f"cannot read config {path}: {exc}")
-        if not isinstance(loaded, dict):
-            raise _UsageError("config must be a JSON object")
-        unknown = set(loaded) - set(DEFAULTS)
-        if unknown:
-            raise _UsageError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in loaded.items():
-            _check_config_value(key, value)
-        config.update(loaded)
+    for source, layer in (("the config file", _load_config(args.config)), ("the flags", flags)):
+        budgets = [key for key in ("max_evals", "time_budget") if layer.get(key) is not None]
+        if len(budgets) == 2:
+            raise _UsageError(f"{source} set both max_evals and time_budget; a run takes one budget")
+        if budgets:
+            config.update(max_evals=None, time_budget=None)
+        config.update(layer)
     if config["endpoint"] is None:
         config["endpoint"] = os.environ.get(ENDPOINT_ENV_VAR)
     return config
 
 
-def _effective_config(args: argparse.Namespace) -> dict:
-    """Built-in defaults, overridden by the config file, overridden by explicit flags."""
-    config = _load_config(args.config)
-    for key in DEFAULTS:
-        value = getattr(args, key, None)
-        if value is not None:
-            config[key] = value
-    return config
-
-
-def _wallclock_run(config: dict) -> bool:
-    """True when the engine runs on a wall-clock budget; evaluation budgets keep outputs byte-reproducible."""
-    return config["wallclock"] or config["time_budget"] is not None
-
-
 def _search_params(config: dict) -> SearchParams:
-    use_time = _wallclock_run(config)
-    if use_time and config["time_budget"] is None:
-        raise _UsageError("--wallclock requires --time-budget")
     try:
         return SearchParams(
             neighbors_per_iteration=config["neighbors"],
             max_stagnation_iterations=config["stagnation"],
-            max_execution_time=float(config["time_budget"]) if use_time else None,
-            max_evaluations=None if use_time else int(config["max_evals"]),
+            max_execution_time=config["time_budget"],
+            max_evaluations=config["max_evals"],
             top_n=config["top_n"],
             seed=config["seed"],
         )
@@ -242,11 +236,10 @@ def _search_params(config: dict) -> SearchParams:
 
 
 def _thresholds(config: dict) -> RouteThresholds:
-    return RouteThresholds(
-        input_token_limit=config["input_token_limit"],
-        non_english_tau=config["non_english_tau"],
-        balance_beta=config["balance_beta"],
-    )
+    try:
+        return RouteThresholds(**{key: config[key] for key in ("input_token_limit", "non_english_tau", "balance_beta")})
+    except ValueError as exc:
+        raise _UsageError(str(exc))
 
 
 def _remote_resolver(config: dict) -> RemoteResolver:
@@ -267,7 +260,7 @@ def _hybrid(config: dict) -> HybridResolver:
 
 
 def _build_resolver(engine: str, config: dict) -> Resolver:
-    trivial_clock = None if _wallclock_run(config) else (lambda: 0.0)
+    trivial_clock = None if config["time_budget"] is not None else (lambda: 0.0)
     if engine == "sbcr":
         return SearchResolver(_search_params(config))
     if engine.startswith("trivial:"):
@@ -433,6 +426,8 @@ def _cmd_resolve(args, config) -> int:
 
 
 def _cmd_bench(args, config) -> int:
+    if args.jobs < 1:
+        raise _UsageError("--jobs must be at least 1")
     records = _load_dataset(args.records)
     resolver = _build_resolver(args.engine, config)
     with _output(args.out) as out:
@@ -454,13 +449,15 @@ def _parse_grid_values(flag: str, text: str, kind) -> list:
 def _cmd_tune(args, config) -> int:
     if args.sample < 1:
         raise _UsageError("--sample must be at least 1")
-    wallclock = bool(config["wallclock"])
-    budgets_text = args.grid_budgets or ("10,20,40" if wallclock else "500,2000")
+    if args.jobs < 1:
+        raise _UsageError("--jobs must be at least 1")
+    budgets_text = args.grid_budgets or ("10,20,40" if args.wallclock else "500,2000")
     neighbors = _parse_grid_values("--grid-neighbors", args.grid_neighbors, int)
     stagnation = _parse_grid_values("--grid-stagnation", args.grid_stagnation, int)
-    budgets = _parse_grid_values("--grid-budgets", budgets_text, float if wallclock else int)
+    budgets = _parse_grid_values("--grid-budgets", budgets_text, float if args.wallclock else int)
+    budget_key = "time_budget" if args.wallclock else "max_evals"
     grid = [
-        _search_params({**config, "neighbors": k, "stagnation": s, "max_evals": b, "time_budget": b if wallclock else None})
+        _search_params({**config, "neighbors": k, "stagnation": s, "max_evals": None, "time_budget": None, budget_key: b})
         for k in neighbors
         for b in budgets
         for s in stagnation
@@ -500,27 +497,17 @@ def _cmd_compare(args, config) -> int:
 
 
 def _cmd_route(args, config) -> int:
-    records = _load_dataset(args.records)
     thresholds = _thresholds(config)
-    hybrid = None if args.dry_run else _hybrid(config)  # a missing endpoint fails before any output opens
-    with _outputs(args.decisions, None if args.dry_run else args.out) as (decisions_out, rows_out):
+    hybrid = None if args.out is None else _hybrid(config)  # a missing endpoint fails before any output opens
+    records = _load_dataset(args.records)
+    with _outputs(args.decisions, args.out) as (decisions_out, rows_out):
         for record in records:
             decision = route(extract_features(record), thresholds)
-            decisions_out.write(json.dumps(_decision_json(record.id, decision)) + "\n")
+            logged = {"id": record.id, "rule": decision.rule.value, "target": decision.target.value}
+            decisions_out.write(json.dumps({**logged, "features": decision.features.to_json()}) + "\n")
         if hybrid is not None:
-            rows = bench_mod.run_benchmark(records, hybrid)
-            if rows_out is not None:
-                _write_jsonl(rows_out, (row.to_json() for row in rows))
+            _write_jsonl(rows_out, (row.to_json() for row in bench_mod.run_benchmark(records, hybrid)))
     return EXIT_OK
-
-
-def _decision_json(record_id: str, decision) -> dict:
-    return {
-        "id": record_id,
-        "rule": decision.rule.value,
-        "target": decision.target.value,
-        "features": decision.features.to_json(),
-    }
 
 
 def _cmd_serve_stub(args, config) -> int:

@@ -8,6 +8,7 @@ is empty, truncated, or failed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -58,11 +59,17 @@ class RouteDecision:
 @dataclass(frozen=True)
 class RouteThresholds:
     """Routing knobs. Degenerate values disable rules: an infinite token limit
-    disables the size rule, tau=1 the language rule, beta=-1 the balance rule."""
+    disables the size rule, tau=1 the language rule, beta=-1 the balance rule.
+    NaN is refused: it compares false with everything, so it would turn a rule on or off silently."""
 
     input_token_limit: float = DEFAULT_INPUT_TOKEN_LIMIT
     non_english_tau: float = 0.05
     balance_beta: float = 0.2
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if math.isnan(value):
+                raise ValueError(f"{name} must be a number, not NaN")
 
 
 def balance(chunk) -> float:

@@ -283,7 +283,7 @@ def test_compare_stdout_matches_out_file(tmp_path, capsys):
 
 def test_route_dry_run_decision_log(tmp_path):
     decisions = tmp_path / "decisions.jsonl"
-    assert main(["route", sample_args(), "--dry-run", "--decisions", str(decisions)]) == 0
+    assert main(["route", sample_args(), "--decisions", str(decisions)]) == 0
     logged = [json.loads(l) for l in decisions.read_text(encoding="utf-8").splitlines()]
     assert len(logged) == 50
     assert all({"id", "rule", "target", "features"} <= set(d) for d in logged)
@@ -336,10 +336,11 @@ def test_route_rows_match_hybrid_bench_rows(tmp_path):
 def test_route_logs_the_dry_run_decisions_when_resolving(tmp_path):
     flags = ["--balance-beta", "0.05", "--input-token-limit", "40"]
     dry, full = tmp_path / "dry.jsonl", tmp_path / "full.jsonl"
-    assert main(["route", sample_args(), "--dry-run", "--decisions", str(dry)] + flags) == 0
+    assert main(["route", sample_args(), "--decisions", str(dry)] + flags) == 0
     server = StubServer(mode="echo-v1", port=0).start()
     try:
-        argv = ["route", sample_args(), "--decisions", str(full), "--endpoint", server.url, "--max-evals", "100"]
+        argv = ["route", sample_args(), "--decisions", str(full), "--out", str(tmp_path / "rows.jsonl"),
+                "--endpoint", server.url, "--max-evals", "100"]
         assert main(argv + flags) == 0
     finally:
         server.stop()
@@ -356,7 +357,7 @@ def test_input_token_limit_must_be_an_integer(conflicted_file, capsys):
 
 def test_route_without_endpoint_is_usage_error(tmp_path, monkeypatch):
     monkeypatch.delenv("SBCR_REMOTE_URL", raising=False)
-    assert main(["route", sample_args()]) == 1
+    assert main(["route", sample_args(), "--out", str(tmp_path / "rows.jsonl")]) == 1
 
 
 def test_parser_lists_every_flag_in_help():
@@ -400,7 +401,7 @@ def test_route_out_on_empty_dataset_writes_empty_file(tmp_path):
         ["split", "{bad}", "--out-dir", "{tmp}"],
         ["bench", "{bad}", "--engine", "trivial:take-v1"],
         ["tune", "{bad}"],
-        ["route", "{bad}", "--dry-run"],
+        ["route", "{bad}"],
         ["compare", "{bad}", "{bad}"],
         ["resolve", "{bad}"],
     ],
@@ -444,12 +445,12 @@ def test_compare_malformed_row_exit_2(tmp_path, capsys, row):
     "command, config, key",
     [
         (["bench", "{sample}", "--engine", "trivial:take-v1"], {"seed": "x"}, "seed"),
-        (["route", "{sample}", "--dry-run"], {"balance_beta": "x"}, "balance_beta"),
+        (["route", "{sample}"], {"balance_beta": "x"}, "balance_beta"),
         (["bench", "{sample}", "--engine", "trivial:take-v1"], {"wallclock": "no"}, "wallclock"),
         (["bench", "{sample}", "--engine", "trivial:take-v1"], {"max_evals": True}, "max_evals"),
         (["bench", "{sample}", "--engine", "trivial:take-v1"], {"neighbors": 2.5}, "neighbors"),
         (["bench", "{sample}", "--engine", "trivial:take-v1"], {"time_budget": "5"}, "time_budget"),
-        (["route", "{sample}", "--dry-run"], {"endpoint": 8731}, "endpoint"),
+        (["route", "{sample}"], {"endpoint": 8731}, "endpoint"),
         (["--show-config"], {"deadline": None}, "deadline"),
     ],
 )
@@ -463,7 +464,7 @@ def test_config_value_of_wrong_type_is_usage_error(tmp_path, capsys, command, co
 
 def test_config_accepts_null_and_int_where_typed(tmp_path, capsys):
     path = tmp_path / "conf.json"
-    config = {"time_budget": None, "endpoint": None, "deadline": 5, "balance_beta": 0, "wallclock": False}
+    config = {"time_budget": None, "endpoint": None, "deadline": 5, "balance_beta": 0}
     path.write_text(json.dumps(config), encoding="utf-8")
     assert main(["--config", str(path), "--show-config"]) == 0
     assert json.loads(capsys.readouterr().out)["deadline"] == 5
@@ -517,7 +518,7 @@ def test_split_refuses_non_finite_ratios_and_writes_nothing(tmp_path, capsys, ra
          "--grid-stagnation", "1", "--out", "{bad}"],
         ["compare", "{rows}", "{rows}", "--out", "{bad}"],
         ["compare", "{rows}", "{rows}", "--out", "{ok}", "--csv-dir", "{bad}"],
-        ["route", "{sample}", "--dry-run", "--decisions", "{bad}"],
+        ["route", "{sample}", "--decisions", "{bad}"],
     ],
     ids=["ingest-out", "ingest-rejects", "split-out-dir", "resolve-out", "bench-out", "tune-out",
          "compare-out", "compare-csv-dir", "route-decisions"],
@@ -721,3 +722,89 @@ def test_compare_negative_extremes_is_usage_error_before_reading(tmp_path, capsy
     assert report.read_text(encoding="utf-8") == "old\n"
     assert main(["compare", str(tmp_path / "missing.jsonl"), str(rows), "--extremes", "-1"]) == 1
     assert "--extremes" in capsys.readouterr().err
+
+
+def test_a_budget_flag_clears_the_other_budget_from_the_config(tmp_path, capsys):
+    """A config time budget used to win over an explicit --max-evals, turning a
+    reproducible run into a wall-clock one."""
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({"time_budget": 0.05}), encoding="utf-8")
+    with_config, without = tmp_path / "with.jsonl", tmp_path / "without.jsonl"
+    argv = ["bench", sample_args(), "--engine", "sbcr", "--max-evals", "100"]
+    assert main(["--config", str(config), *argv, "--out", str(with_config)]) == 0
+    assert main([*argv, "--out", str(without)]) == 0
+    assert with_config.read_bytes() == without.read_bytes()
+    capsys.readouterr()
+    assert main(["--config", str(config), "--show-config", *argv]) == 0
+    effective = json.loads(capsys.readouterr().out)
+    assert (effective["max_evals"], effective["time_budget"]) == (100, None)
+    config.write_text(json.dumps({"max_evals": 100}), encoding="utf-8")
+    assert main(["--config", str(config), "--show-config", *argv[:-2], "--time-budget", "3"]) == 0
+    effective = json.loads(capsys.readouterr().out)
+    assert (effective["max_evals"], effective["time_budget"]) == (None, 3.0)
+
+
+@pytest.mark.parametrize("engine", ["sbcr", "trivial:take-v1"])
+def test_two_budgets_in_one_layer_is_usage_error(tmp_path, capsys, engine):
+    out = tmp_path / "rows.jsonl"
+    out.write_text("old\n", encoding="utf-8")
+    argv = ["bench", sample_args(), "--engine", engine, "--out", str(out)]
+    assert main([*argv, "--max-evals", "50", "--time-budget", "0.01"]) == 1
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({"max_evals": 50, "time_budget": 0.01}), encoding="utf-8")
+    assert main(["--config", str(config), *argv]) == 1
+    assert main(["--config", str(config), *argv, "--max-evals", "50"]) == 1  # each layer is checked on its own
+    assert capsys.readouterr().err.count("one budget") == 3
+    assert out.read_text(encoding="utf-8") == "old\n"
+
+
+def test_wallclock_is_not_a_config_key(tmp_path, capsys):
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({"wallclock": True}), encoding="utf-8")
+    assert main(["--config", str(config), "--show-config"]) == 1
+    assert "unknown config keys: ['wallclock']" in capsys.readouterr().err
+    for command in ("resolve", "bench", "route"):
+        assert main([command, sample_args(), "--wallclock", "--time-budget", "1"]) == 1
+
+
+def test_route_without_out_resolves_nothing(tmp_path, monkeypatch):
+    """Without --out, route used to resolve every record through the hybrid and
+    throw the rows away; now it only writes the decisions."""
+    server = StubServer(mode="echo-v1", port=0).start()
+    try:
+        only, full = tmp_path / "only.jsonl", tmp_path / "full.jsonl"
+        monkeypatch.setenv("SBCR_REMOTE_URL", server.url)
+        assert main(["route", sample_args(), "--decisions", str(only), "--max-evals", "100"]) == 0
+        assert server.calls == 0
+        monkeypatch.delenv("SBCR_REMOTE_URL")
+        assert main(["route", sample_args(), "--decisions", str(only), "--max-evals", "100"]) == 0
+        argv = ["route", sample_args(), "--decisions", str(full), "--max-evals", "100"]
+        assert main([*argv, "--out", str(tmp_path / "rows.jsonl"), "--endpoint", server.url]) == 0
+        assert server.calls > 0
+    finally:
+        server.stop()
+    assert only.read_bytes() == full.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [["bench", "--jobs", "0"], ["tune", "--jobs", "-3"]], ids=lambda argv: argv[0])
+def test_jobs_below_one_is_usage_error_before_reading(tmp_path, capsys, argv):
+    command, *flags = argv
+    assert main([command, str(tmp_path / "missing.jsonl"), *flags]) == 1
+    assert main([command, sample_args(), *flags, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.count("--jobs must be at least 1") == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag, key", [("--balance-beta", "balance_beta"), ("--non-english-tau", "non_english_tau")])
+def test_nan_routing_threshold_is_usage_error(tmp_path, capsys, flag, key):
+    decisions = tmp_path / "decisions.jsonl"
+    assert main(["route", sample_args(), flag, "nan", "--decisions", str(decisions)]) == 1
+    config = tmp_path / "conf.json"
+    config.write_text(f'{{"{key}": NaN}}', encoding="utf-8")
+    assert main(["--config", str(config), "route", sample_args(), "--decisions", str(decisions)]) == 1
+    assert capsys.readouterr().err.count(f"{key} must be a number") == 2
+    assert not decisions.exists()
+    # the documented ways to switch a rule off stay legal
+    off = ["--input-token-limit", str(2**63), "--non-english-tau", "1", "--balance-beta", "-1"]
+    assert main(["route", sample_args(), *off, "--decisions", str(decisions)]) == 0
+    assert {json.loads(line)["rule"] for line in decisions.read_text(encoding="utf-8").splitlines()} == {"default"}

@@ -33,7 +33,7 @@ RECORD_COMMANDS = (
     ["bench", "{a}", "--engine", "sbcr", "--max-evals", "20", "--out", "{out}/rows.jsonl"],
     ["tune", "{a}", "--sample", "3", "--grid-neighbors", "2", "--grid-budgets", "20", "--grid-stagnation", "3",
      "--out", "{out}/tune.csv"],
-    ["route", "{a}", "--dry-run", "--decisions", "{out}/decisions.jsonl"],
+    ["route", "{a}", "--decisions", "{out}/decisions.jsonl"],
 )
 RESOLVE_COMMANDS = (
     ["resolve", "{a}", "--engine", "trivial:take-v1", "--out", "{out}/resolved.txt"],

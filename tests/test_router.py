@@ -80,6 +80,14 @@ def test_threshold_algebra_disables_rules():
     assert route(features(tokens=10**9, balance=0.9), off_size).rule is RouteRule.DEFAULT
 
 
+@pytest.mark.parametrize("name", ["input_token_limit", "non_english_tau", "balance_beta"])
+def test_nan_threshold_is_refused(name):
+    """Every comparison with NaN is false: a NaN beta sent balanced chunks to the
+    generative side, and a NaN tau or token limit switched its rule off."""
+    with pytest.raises(ValueError, match=name):
+        RouteThresholds(**{name: float("nan")})
+
+
 SEARCH = SearchResolver(SearchParams(max_evaluations=300, seed=0))
 
 # |v1|=1 vs |v2|=3 lines -> balance -0.5, ASCII, small: routes to the generative side
