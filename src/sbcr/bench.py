@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Literal, Sequence, TextIO
+from typing import Literal, Sequence, TextIO
 
 from .corpus import ConflictRecord, load_json
 from .resolvers import Resolver
@@ -290,12 +289,6 @@ def compare_results(
         extremes_a=tuple(cid for cid, _ in a_tail[:m]),
         extremes_b=tuple(cid for cid, _ in b_tail[:m]),
     )
-
-
-def write_result_rows(path: str | Path, rows: Iterable[ResultRow]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row.to_json(), ensure_ascii=False) + "\n")
 
 
 def read_result_rows(path: str | Path) -> list[ResultRow]:

@@ -33,6 +33,7 @@ from .search import SearchParams
 from .stub_server import StubServer
 
 ENDPOINT_ENV_VAR = "SBCR_REMOTE_URL"
+JOBS_HELP = "records run at once on threads; only remote requests overlap, as the engine holds the interpreter lock"
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -129,7 +130,7 @@ def build_parser() -> _Parser:
     p.add_argument("records", help="line-delimited JSON records with ground truth")
     p.add_argument("--engine", default="sbcr", help="sbcr | trivial:<strategy> | remote | hybrid")
     p.add_argument("--out", default="-", help="result rows output (default stdout)")
-    p.add_argument("--jobs", type=int, default=1, help="record-level parallelism")
+    p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     p.add_argument("--trim-trailing-ws", action="store_true", help="trim trailing whitespace before scoring")
     _add_search_flags(p)
     _add_remote_flags(p)
@@ -144,7 +145,7 @@ def build_parser() -> _Parser:
     p.add_argument("--grid-stagnation", default="5,10,20", help="comma-separated stagnation limits")
     p.add_argument("--ranking", choices=["best-similarity", "exact-match"], default="best-similarity", help="average-ranking interpretation")
     p.add_argument("--out", default="-", help="tuning table CSV output (default stdout)")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     _add_search_flags(p, grid=True)
 
     p = sub.add_parser("compare", help="paired comparison of two result files")
@@ -154,12 +155,9 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default="-", help="report JSON output (default stdout)")
     p.add_argument("--csv-dir", default=None, help="also write sim_diff.csv and balance_histogram.csv here")
 
-    p = sub.add_parser("route", help="route records between engines (and resolve them with --out)")
+    p = sub.add_parser("route", help="log the router's decision for each record")
     p.add_argument("records", help="line-delimited JSON records")
     p.add_argument("--decisions", default="-", help="decision log output (default stdout)")
-    p.add_argument("--out", default=None, help="resolve through the hybrid and write its result rows here")
-    _add_search_flags(p)
-    _add_remote_flags(p)
     _add_router_flags(p)
 
     p = sub.add_parser("serve-stub", help="run the stub generative resolver")
@@ -255,10 +253,6 @@ def _remote_resolver(config: dict) -> RemoteResolver:
         raise _UsageError(str(exc))
 
 
-def _hybrid(config: dict) -> HybridResolver:
-    return HybridResolver(SearchResolver(_search_params(config)), _remote_resolver(config), _thresholds(config))
-
-
 def _build_resolver(engine: str, config: dict) -> Resolver:
     trivial_clock = None if config["time_budget"] is not None else (lambda: 0.0)
     if engine == "sbcr":
@@ -274,7 +268,7 @@ def _build_resolver(engine: str, config: dict) -> Resolver:
     if engine == "remote":
         return _remote_resolver(config)
     if engine == "hybrid":
-        return _hybrid(config)
+        return HybridResolver(SearchResolver(_search_params(config)), _remote_resolver(config), _thresholds(config))
     raise _UsageError(f"unknown engine {engine!r}")
 
 
@@ -498,15 +492,12 @@ def _cmd_compare(args, config) -> int:
 
 def _cmd_route(args, config) -> int:
     thresholds = _thresholds(config)
-    hybrid = None if args.out is None else _hybrid(config)  # a missing endpoint fails before any output opens
     records = _load_dataset(args.records)
-    with _outputs(args.decisions, args.out) as (decisions_out, rows_out):
+    with _output(args.decisions) as out:
         for record in records:
             decision = route(extract_features(record), thresholds)
             logged = {"id": record.id, "rule": decision.rule.value, "target": decision.target.value}
-            decisions_out.write(json.dumps({**logged, "features": decision.features.to_json()}) + "\n")
-        if hybrid is not None:
-            _write_jsonl(rows_out, (row.to_json() for row in bench_mod.run_benchmark(records, hybrid)))
+            out.write(json.dumps({**logged, "features": decision.features.to_json()}) + "\n")
     return EXIT_OK
 
 

@@ -161,30 +161,21 @@ def _post_json(url: str, payload: dict, timeout: float) -> tuple[int, bytes]:
 class RemoteResolver(Resolver):
     """HTTP client for an external generative resolver speaking the /v1/resolve protocol.
 
-    Requests are idempotent (a pure POST of the chunk content), bounded by a
-    deadline, and capped to ``max_inflight`` concurrent calls. A deadline
-    outside (0, ``threading.TIMEOUT_MAX``] fails every request and a
-    ``max_inflight`` below 1 blocks every request, so both are refused.
+    Requests are idempotent (a pure POST of the chunk content) and bounded by
+    a deadline. A deadline outside (0, ``threading.TIMEOUT_MAX``] fails every
+    request, so it is refused. The caller's ``jobs`` bounds how many requests
+    run at once.
     """
 
     resolver_id = "remote"
 
-    def __init__(
-        self,
-        endpoint: str,
-        limits: TokenLimits = TokenLimits(),
-        deadline: float = 10.0,
-        max_inflight: int = 8,
-    ):
+    def __init__(self, endpoint: str, limits: TokenLimits = TokenLimits(), deadline: float = 10.0):
         if not 0 < deadline <= threading.TIMEOUT_MAX:
             raise ValueError(f"deadline must be in (0, {threading.TIMEOUT_MAX}] seconds, got {deadline}")
-        if max_inflight < 1:
-            raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
         super().__init__()
         self.endpoint = endpoint.rstrip("/")
         self.limits = limits
         self.deadline = deadline
-        self._slots = threading.Semaphore(max_inflight)
 
     def _generate(self, chunk) -> Sequence[str]:
         payload = {
@@ -194,11 +185,10 @@ class RemoteResolver(Resolver):
             "input_token_limit": self.limits.input_limit,
             "output_token_limit": self.limits.output_limit,
         }
-        with self._slots:
-            try:
-                code, raw = self._post(payload)
-            except Exception as exc:
-                raise RuntimeError(f"request failed: {exc}") from exc
+        try:
+            code, raw = self._post(payload)
+        except Exception as exc:
+            raise RuntimeError(f"request failed: {exc}") from exc
         if code != 200:
             try:
                 error = json.loads(raw).get("error", "")

@@ -26,11 +26,14 @@ class _StubHandler(BaseHTTPRequestHandler):
         self._send(code, json.dumps(payload).encode("utf-8"))
 
     def _send(self, code: int, body: bytes) -> None:
-        self.send_response(code)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        try:
+            self.send_response(code)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+        except (BrokenPipeError, ConnectionResetError) as exc:  # the client gave up, at its deadline say
+            self.log_message("client hung up before the reply: %s", exc)
 
     def do_GET(self):
         if self.path == "/stats":
@@ -47,7 +50,9 @@ class _StubHandler(BaseHTTPRequestHandler):
         try:
             length = int(self.headers.get("Content-Length", "0"))
         except ValueError:
-            self._send_json(400, {"error": "bad request: Content-Length is not an integer"})
+            length = -1
+        if length < 0:  # read(-1) would wait for the client to close
+            self._send_json(400, {"error": "bad request: Content-Length is not a non-negative integer"})
             return
         self._send(*stub_response(self.server.mode, self.rfile.read(length), self.server.slow_delay))
 

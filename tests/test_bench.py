@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -10,7 +11,6 @@ from sbcr.bench import (
     read_result_rows,
     run_benchmark,
     tune_grid,
-    write_result_rows,
 )
 from sbcr.corpus import ConflictRecord, Language, load_records, bundled_sample_path
 from sbcr.resolvers import Resolver, SearchResolver, TrivialResolver, TrivialStrategy
@@ -94,7 +94,7 @@ def test_run_benchmark_carries_balance():
 def test_result_rows_round_trip(tmp_path):
     rows = run_benchmark([record()], ConstantResolver(["a", "c", "b"]))
     path = tmp_path / "rows.jsonl"
-    write_result_rows(path, rows)
+    path.write_text("".join(json.dumps(row.to_json()) + "\n" for row in rows), encoding="utf-8")
     assert read_result_rows(path) == rows
 
 

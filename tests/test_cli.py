@@ -290,63 +290,17 @@ def test_route_dry_run_decision_log(tmp_path):
     assert all(d["target"] in ("search", "generative") for d in logged)
 
 
-def test_route_resolves_with_stub_endpoint(tmp_path):
-    server = StubServer(mode="echo-v1", port=0).start()
-    try:
-        decisions = tmp_path / "decisions.jsonl"
-        rows_path = tmp_path / "routed.jsonl"
-        code = main(
-            [
-                "route", sample_args(), "--decisions", str(decisions), "--out", str(rows_path),
-                "--endpoint", server.url, "--max-evals", "150",
-            ]
-        )
-        assert code == 0
-        rows = [json.loads(l) for l in rows_path.read_text(encoding="utf-8").splitlines()]
-        assert len(rows) == 50
-        ids = {r["resolver_id"] for r in rows}
-        assert ids <= {"sbcr", "stub:echo-v1", "remote", "generative→search-fallback"}
-    finally:
-        server.stop()
-
-
-def test_route_rows_match_hybrid_bench_rows(tmp_path):
-    # records in reverse id order: decisions follow the input, rows are id-ordered like bench
+def test_route_decisions_follow_input_order(tmp_path):
+    # records in reverse id order: the decision log keeps the input's order
     lines = bundled_sample_path().read_text(encoding="utf-8").splitlines()
     records = tmp_path / "reversed.jsonl"
     records.write_text("\n".join(reversed(lines)) + "\n", encoding="utf-8")
-    server = StubServer(mode="echo-v1", port=0).start()
-    try:
-        flags = ["--endpoint", server.url, "--max-evals", "100", "--seed", "3"]
-        decisions, routed, benched = tmp_path / "decisions.jsonl", tmp_path / "routed.jsonl", tmp_path / "bench.jsonl"
-        assert main(["route", str(records), "--decisions", str(decisions), "--out", str(routed)] + flags) == 0
-        assert main(["bench", str(records), "--engine", "hybrid", "--out", str(benched)] + flags) == 0
-    finally:
-        server.stop()
-
-    def rows(path):  # remote calls are timed by the wall clock, so elapsed differs run to run
-        return [{k: v for k, v in json.loads(l).items() if k != "elapsed"} for l in path.read_text(encoding="utf-8").splitlines()]
-
-    assert rows(routed) == rows(benched)
-    assert [r["conflict_id"] for r in rows(routed)] == sorted(json.loads(l)["id"] for l in lines)
-    logged = [json.loads(l)["id"] for l in decisions.read_text(encoding="utf-8").splitlines()]
-    assert logged == [json.loads(l)["id"] for l in reversed(lines)]
-
-
-def test_route_logs_the_dry_run_decisions_when_resolving(tmp_path):
+    decisions = tmp_path / "decisions.jsonl"
     flags = ["--balance-beta", "0.05", "--input-token-limit", "40"]
-    dry, full = tmp_path / "dry.jsonl", tmp_path / "full.jsonl"
-    assert main(["route", sample_args(), "--decisions", str(dry)] + flags) == 0
-    server = StubServer(mode="echo-v1", port=0).start()
-    try:
-        argv = ["route", sample_args(), "--decisions", str(full), "--out", str(tmp_path / "rows.jsonl"),
-                "--endpoint", server.url, "--max-evals", "100"]
-        assert main(argv + flags) == 0
-    finally:
-        server.stop()
-    assert full.read_bytes() == dry.read_bytes()
-    targets = {json.loads(l)["target"] for l in dry.read_text(encoding="utf-8").splitlines()}
-    assert targets == {"search", "generative"}
+    assert main(["route", str(records), "--decisions", str(decisions)] + flags) == 0
+    logged = [json.loads(l) for l in decisions.read_text(encoding="utf-8").splitlines()]
+    assert [d["id"] for d in logged] == [json.loads(l)["id"] for l in reversed(lines)]
+    assert {d["target"] for d in logged} == {"search", "generative"}
 
 
 def test_input_token_limit_must_be_an_integer(conflicted_file, capsys):
@@ -355,43 +309,17 @@ def test_input_token_limit_must_be_an_integer(conflicted_file, capsys):
     assert "invalid int value" in capsys.readouterr().err
 
 
-def test_route_without_endpoint_is_usage_error(tmp_path, monkeypatch):
+def test_route_needs_no_endpoint(tmp_path, monkeypatch):
     monkeypatch.delenv("SBCR_REMOTE_URL", raising=False)
-    assert main(["route", sample_args(), "--out", str(tmp_path / "rows.jsonl")]) == 1
+    decisions = tmp_path / "decisions.jsonl"
+    assert main(["route", sample_args(), "--decisions", str(decisions)]) == 0
+    assert len(decisions.read_text(encoding="utf-8").splitlines()) == 50
 
 
 def test_parser_lists_every_flag_in_help():
     parser = build_parser()
     help_text = parser.format_help()
     assert "--config" in help_text and "--show-config" in help_text
-
-
-def test_route_out_dash_writes_rows_to_stdout(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    server = StubServer(mode="echo-v1", port=0).start()
-    try:
-        argv = ["route", sample_args(), "--decisions", "decisions.jsonl", "--endpoint", server.url, "--max-evals", "100"]
-        assert main(argv + ["--out", "-"]) == 0
-        stdout = capsys.readouterr().out
-        assert main(argv + ["--out", "rows.jsonl"]) == 0
-    finally:
-        server.stop()
-    assert not (tmp_path / "-").exists()
-
-    def rows(text):  # remote calls are timed by the wall clock, so elapsed differs run to run
-        return [{k: v for k, v in json.loads(l).items() if k != "elapsed"} for l in text.splitlines()]
-
-    assert rows(stdout) == rows((tmp_path / "rows.jsonl").read_text(encoding="utf-8"))
-    assert len(rows(stdout)) == 50
-
-
-def test_route_out_on_empty_dataset_writes_empty_file(tmp_path):
-    empty = tmp_path / "empty.jsonl"
-    empty.write_text("", encoding="utf-8")
-    out = tmp_path / "rows.jsonl"
-    # no record reaches the resolver, so the endpoint is never contacted
-    assert main(["route", str(empty), "--out", str(out), "--endpoint", "http://127.0.0.1:9"]) == 0
-    assert out.read_bytes() == b""
 
 
 @pytest.mark.parametrize(
@@ -423,9 +351,15 @@ def test_dash_reads_records_from_stdin(monkeypatch, capsys):
     assert capsys.readouterr().out == from_file
 
 
-@pytest.mark.parametrize("flag", ["--neighbors", "--stagnation", "--max-evals", "--time-budget"])
-def test_tune_rejects_search_flags_it_does_not_read(flag, capsys):
-    assert main(["tune", sample_args(), flag, "3"]) == 1
+@pytest.mark.parametrize(
+    "command, flag",
+    [("tune", "--neighbors"), ("tune", "--stagnation"), ("tune", "--max-evals"), ("tune", "--time-budget"),
+     ("route", "--out"), ("route", "--max-evals"), ("route", "--endpoint")],
+    ids=["--neighbors", "--stagnation", "--max-evals", "--time-budget", "route--out", "route--max-evals", "route--endpoint"],
+)
+def test_tune_rejects_search_flags_it_does_not_read(tmp_path, capsys, command, flag):
+    # a missing dataset would exit 2, so exit 1 shows the flag was refused before any read
+    assert main([command, str(tmp_path / "missing.jsonl"), flag, "3"]) == 1
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
@@ -542,10 +476,9 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys, conflicted_file, arg
         ["bench", "{sample}", "--engine", "sbcr", "--out", "{missing}"],
         ["tune", "{sample}", "--sample", "1", "--grid-neighbors", "1", "--grid-budgets", "10",
          "--grid-stagnation", "1", "--out", "{missing}"],
-        ["route", "{sample}", "--endpoint", "http://127.0.0.1:9", "--out", "{missing}"],
-        ["route", "{sample}", "--endpoint", "http://127.0.0.1:9", "--decisions", "{missing}"],
+        ["route", "{sample}", "--decisions", "{missing}"],
     ],
-    ids=["bench", "tune", "route-out", "route-decisions"],
+    ids=["bench", "tune", "route-decisions"],
 )
 def test_unwritable_output_fails_before_any_work(tmp_path, capsys, monkeypatch, argv):
     from sbcr import bench
@@ -555,6 +488,7 @@ def test_unwritable_output_fails_before_any_work(tmp_path, capsys, monkeypatch, 
 
     monkeypatch.setattr(bench, "run_benchmark", no_work)
     monkeypatch.setattr(bench, "tune_grid", no_work)
+    monkeypatch.setattr("sbcr.cli.extract_features", no_work)
     missing = tmp_path / "missing" / "dir" / "x"
     assert main([a.format(sample=sample_args(), missing=missing) for a in argv]) == 1
     assert "cannot write" in capsys.readouterr().err
@@ -763,27 +697,31 @@ def test_wallclock_is_not_a_config_key(tmp_path, capsys):
     config.write_text(json.dumps({"wallclock": True}), encoding="utf-8")
     assert main(["--config", str(config), "--show-config"]) == 1
     assert "unknown config keys: ['wallclock']" in capsys.readouterr().err
-    for command in ("resolve", "bench", "route"):
-        assert main([command, sample_args(), "--wallclock", "--time-budget", "1"]) == 1
+    for command, budget in (("resolve", ["--time-budget", "1"]), ("bench", ["--time-budget", "1"]), ("route", [])):
+        assert main([command, sample_args(), "--wallclock", *budget]) == 1
 
 
-def test_route_without_out_resolves_nothing(tmp_path, monkeypatch):
-    """Without --out, route used to resolve every record through the hybrid and
-    throw the rows away; now it only writes the decisions."""
+def test_hybrid_bench_rows_do_not_depend_on_jobs(tmp_path):
+    """--jobs is the one bound on how many remote requests run at once."""
+    lines = bundled_sample_path().read_text(encoding="utf-8").splitlines()
+    records = tmp_path / "reversed.jsonl"
+    records.write_text("\n".join(reversed(lines)) + "\n", encoding="utf-8")
     server = StubServer(mode="echo-v1", port=0).start()
     try:
-        only, full = tmp_path / "only.jsonl", tmp_path / "full.jsonl"
-        monkeypatch.setenv("SBCR_REMOTE_URL", server.url)
-        assert main(["route", sample_args(), "--decisions", str(only), "--max-evals", "100"]) == 0
-        assert server.calls == 0
-        monkeypatch.delenv("SBCR_REMOTE_URL")
-        assert main(["route", sample_args(), "--decisions", str(only), "--max-evals", "100"]) == 0
-        argv = ["route", sample_args(), "--decisions", str(full), "--max-evals", "100"]
-        assert main([*argv, "--out", str(tmp_path / "rows.jsonl"), "--endpoint", server.url]) == 0
-        assert server.calls > 0
+        argv = ["bench", str(records), "--engine", "hybrid", "--endpoint", server.url, "--max-evals", "100"]
+        serial, parallel = tmp_path / "serial.jsonl", tmp_path / "parallel.jsonl"
+        assert main([*argv, "--jobs", "1", "--out", str(serial)]) == 0
+        assert main([*argv, "--jobs", "4", "--out", str(parallel)]) == 0
     finally:
         server.stop()
-    assert only.read_bytes() == full.read_bytes()
+
+    def rows(path):  # remote calls are timed by the wall clock, so elapsed differs run to run
+        return [{k: v for k, v in json.loads(l).items() if k != "elapsed"} for l in path.read_text(encoding="utf-8").splitlines()]
+
+    assert rows(parallel) == rows(serial)
+    assert [r["conflict_id"] for r in rows(serial)] == sorted(json.loads(l)["id"] for l in lines)
+    assert {r["resolver_id"] for r in rows(serial)} >= {"sbcr", "remote"}
+    assert server.calls > 0
 
 
 @pytest.mark.parametrize("argv", [["bench", "--jobs", "0"], ["tune", "--jobs", "-3"]], ids=lambda argv: argv[0])

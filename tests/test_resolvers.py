@@ -2,9 +2,11 @@ import http.client
 import json
 import math
 import os
+import socket
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -148,7 +150,7 @@ def test_remote_resolver_idempotent(echo_server):
 
 
 def test_remote_resolver_concurrent_calls(echo_server):
-    resolver = RemoteResolver(echo_server.url, max_inflight=2)
+    resolver = RemoteResolver(echo_server.url)
     results = []
     lock = threading.Lock()
 
@@ -410,12 +412,6 @@ def test_remote_resolver_refuses_a_deadline_that_fails_every_request(deadline):
         RemoteResolver("http://127.0.0.1:9", deadline=deadline)
 
 
-@pytest.mark.parametrize("max_inflight", [0, -1])
-def test_remote_resolver_refuses_a_cap_that_admits_no_request(max_inflight):
-    with pytest.raises(ValueError, match="max_inflight"):
-        RemoteResolver("http://127.0.0.1:9", max_inflight=max_inflight)
-
-
 def test_remote_resolver_takes_the_longest_deadline_a_socket_accepts(echo_server):
     candidate = RemoteResolver(echo_server.url, deadline=threading.TIMEOUT_MAX).resolve(CHUNK)
     assert candidate.status is Status.OK
@@ -427,3 +423,61 @@ def test_stubs_refuse_a_delay_that_sleep_rejects(delay):
         StubGenerativeResolver("slow", slow_delay=delay)
     with pytest.raises(ValueError, match="delay"):
         StubServer(mode="slow", port=0, slow_delay=delay)
+
+
+def test_concurrent_requests_each_end_at_the_deadline():
+    """A cap of 8 in-flight requests used to hold the ninth to twelfth back
+    until a slot freed, so they failed at twice the deadline."""
+    server = StubServer(mode="slow", port=0, slow_delay=1.0).start()
+    resolver = RemoteResolver(server.url, deadline=0.5)
+    finished = []
+
+    def call():
+        start = time.monotonic()
+        candidate = resolver.resolve(CHUNK)
+        finished.append((candidate.status, time.monotonic() - start))
+
+    threads = [threading.Thread(target=call) for _ in range(12)]
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        server.stop()
+    assert len(finished) == 12
+    assert {status for status, _ in finished} == {Status.FAILED}
+    assert max(seconds for _, seconds in finished) < 0.8
+
+
+def test_stub_server_answers_a_negative_content_length_with_400(echo_server):
+    """read(-1) used to wait for the client to close, so no reply came."""
+    with socket.create_connection(echo_server.server_address, timeout=2) as sock:
+        sock.sendall(b"POST /v1/resolve HTTP/1.1\r\nHost: stub\r\nContent-Length: -1\r\n\r\n{}")
+        with sock.makefile("rb") as reply:
+            status_line = reply.readline()
+    assert status_line.split()[1] == b"400"
+
+
+@pytest.mark.parametrize("verbose", [False, True])
+def test_stub_server_logs_a_client_hang_up_only_when_verbose(capsys, verbose):
+    """A client that gave up at its deadline used to make the stub print a
+    BrokenPipeError traceback when the slow reply came."""
+    server = StubServer(mode="slow", port=0, slow_delay=0.3, verbose=verbose)
+    handled = threading.Event()
+    shutdown_request = server.shutdown_request
+
+    def shutdown_and_signal(request):  # called once the handler has returned or its error was printed
+        shutdown_request(request)
+        handled.set()
+
+    server.shutdown_request = shutdown_and_signal
+    server.start()
+    try:
+        assert RemoteResolver(server.url, deadline=0.05).resolve(CHUNK).status is Status.FAILED
+        assert handled.wait(5)
+    finally:
+        server.stop()
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "Exception occurred" not in err
+    assert ("client hung up before the reply" in err) is verbose
