@@ -42,15 +42,7 @@ class ResultRow:
     balance: float = 0.0
 
     def to_json(self) -> dict:
-        return {
-            "conflict_id": self.conflict_id,
-            "resolver_id": self.resolver_id,
-            "sim_line": self.sim_line,
-            "sim_char": self.sim_char,
-            "elapsed": self.elapsed,
-            "status": self.status,
-            "balance": self.balance,
-        }
+        return dataclasses.asdict(self)
 
     @staticmethod
     def from_json(obj: dict) -> "ResultRow":
@@ -73,6 +65,8 @@ def _text(value) -> str:
 
 
 def _finite(value) -> float:
+    if type(value) not in (int, float):  # a JSON number; not a string float() would parse, nor a bool
+        raise TypeError(f"{value!r} is not a number")
     try:
         number = float(value)
     except OverflowError:  # an int too large for a float
@@ -250,6 +244,11 @@ class ComparisonReport:
         }
 
 
+def _set_name(rows: Sequence[ResultRow]) -> str:
+    """A result set's distinct resolver ids, sorted and joined with '+': a hybrid set names every path its rows took."""
+    return "+".join(sorted({row.resolver_id for row in rows}))
+
+
 def compare_results(
     rows_a: Sequence[ResultRow], rows_b: Sequence[ResultRow], m: int = 10
 ) -> ComparisonReport:
@@ -274,8 +273,8 @@ def compare_results(
     a_tail = sorted(diffs, key=lambda item: (-item[1], item[0]))
     b_tail = sorted(diffs, key=lambda item: (item[1], item[0]))
     return ComparisonReport(
-        resolver_a=rows_a[0].resolver_id if rows_a else "",
-        resolver_b=rows_b[0].resolver_id if rows_b else "",
+        resolver_a=_set_name(rows_a),
+        resolver_b=_set_name(rows_b),
         n=len(diffs),
         wins_a=sum(histogram["a_wins"]),
         wins_b=sum(histogram["b_wins"]),

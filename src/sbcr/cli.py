@@ -20,6 +20,8 @@ from pathlib import Path
 from . import bench as bench_mod
 from . import corpus, parsing
 from .resolvers import (
+    DEFAULT_DEADLINE,
+    STUB_MODES,
     RemoteResolver,
     Resolver,
     SearchResolver,
@@ -34,6 +36,7 @@ from .stub_server import StubServer
 
 ENDPOINT_ENV_VAR = "SBCR_REMOTE_URL"
 JOBS_HELP = "records run at once on threads; only remote requests overlap, as the engine holds the interpreter lock"
+ENGINE_HELP = "sbcr | trivial:<strategy> | remote | hybrid"
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -41,20 +44,24 @@ EXIT_INPUT = 2
 EXIT_REMOTE = 3
 EXIT_INTERNAL = 4
 
-DEFAULTS = {
-    "neighbors": 5,
-    "stagnation": 10,
-    "max_evals": 2000,
-    "time_budget": None,
-    "top_n": 100,
-    "seed": 0,
-    "endpoint": None,
-    "deadline": 10.0,
-    "input_token_limit": 300,
-    "output_token_limit": 100,
-    "non_english_tau": 0.05,
-    "balance_beta": 0.2,
+# Every config key: (default, type, help). A key is nullable exactly when its default is None, and its
+# flag is "--" plus the key with dashes. The library's classes own every default but max_evals.
+SETTINGS = {
+    "neighbors": (SearchParams.neighbors_per_iteration, int, "neighbors drawn per iteration"),
+    "stagnation": (SearchParams.max_stagnation_iterations, int, "non-improving iterations before a restart"),
+    "max_evals": (2000, int, "evaluation-count budget (deterministic)"),
+    "time_budget": (SearchParams.max_execution_time, float, "wall-clock budget in seconds"),
+    "top_n": (SearchParams.top_n, int, "ranked candidate list capacity"),
+    "seed": (SearchParams.seed, int, "random seed"),
+    "endpoint": (None, str, f"remote resolver URL (or ${ENDPOINT_ENV_VAR})"),
+    "deadline": (DEFAULT_DEADLINE, float, "remote request deadline in seconds"),
+    "output_token_limit": (TokenLimits.output_limit, int, "remote output token limit"),
+    "input_token_limit": (TokenLimits.input_limit, int, "route to search above this size"),
+    "non_english_tau": (RouteThresholds.non_english_tau, float, "route to search above this non-ASCII fraction"),
+    "balance_beta": (RouteThresholds.balance_beta, float, "route to search at or below this |balance|"),
 }
+DEFAULTS = {key: default for key, (default, _, _) in SETTINGS.items()}
+_ROUTER_KEYS = ("input_token_limit", "non_english_tau", "balance_beta")
 
 
 class _UsageError(Exception):
@@ -76,27 +83,11 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _add_search_flags(parser: argparse.ArgumentParser, grid: bool = False) -> None:
-    """Engine flags; a grid search (``grid``) takes neighbors, stagnation and budgets from its --grid-* flags."""
-    if not grid:
-        parser.add_argument("--neighbors", type=int, default=None, help="neighbors drawn per iteration")
-        parser.add_argument("--stagnation", type=int, default=None, help="non-improving iterations before a restart")
-        parser.add_argument("--max-evals", type=int, default=None, help="evaluation-count budget (deterministic)")
-        parser.add_argument("--time-budget", type=float, default=None, help="wall-clock budget in seconds")
-    parser.add_argument("--top-n", type=int, default=None, help="ranked candidate list capacity")
-    parser.add_argument("--seed", type=int, default=None, help="random seed")
-
-
-def _add_router_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--input-token-limit", type=int, default=None, help="route to search above this size")
-    parser.add_argument("--non-english-tau", type=float, default=None, help="route to search above this non-ASCII fraction")
-    parser.add_argument("--balance-beta", type=float, default=None, help="route to search at or below this |balance|")
-
-
-def _add_remote_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--endpoint", default=None, help=f"remote resolver URL (or ${ENDPOINT_ENV_VAR})")
-    parser.add_argument("--deadline", type=float, default=None, help="remote request deadline in seconds")
-    parser.add_argument("--output-token-limit", type=int, default=None, help="remote output token limit")
+def _add_flags(parser: argparse.ArgumentParser, keys) -> None:
+    """A flag for each settings key; one left unset is None, so the layers below it show through."""
+    for key in keys:
+        _, kind, help_text = SETTINGS[key]
+        parser.add_argument("--" + key.replace("_", "-"), type=kind, default=None, help=help_text)
 
 
 def build_parser() -> _Parser:
@@ -113,28 +104,24 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("split", help="deterministically split records into train/valid/test")
     p.add_argument("records", help="line-delimited JSON records")
-    p.add_argument("--seed", type=int, default=None)
+    _add_flags(p, ["seed"])
     p.add_argument("--ratios", default="0.8,0.1,0.1", help="train,valid,test ratios summing to 1")
     p.add_argument("--out-dir", default=".", help="directory for train/valid/test.jsonl and split.json")
 
     p = sub.add_parser("resolve", help="resolve a conflicted file (or extract its chunks)")
     p.add_argument("file", help="conflicted text file")
-    p.add_argument("--engine", default="sbcr", help="sbcr | trivial:<strategy> | remote | hybrid")
+    p.add_argument("--engine", default="sbcr", help=ENGINE_HELP)
     p.add_argument("--out", default="-", help="resolved file output (default stdout)")
     p.add_argument("--records", action="store_true", help="emit chunk records instead of resolving")
-    _add_search_flags(p)
-    _add_remote_flags(p)
-    _add_router_flags(p)
+    _add_flags(p, SETTINGS)
 
     p = sub.add_parser("bench", help="run a resolver over a dataset and write result rows")
     p.add_argument("records", help="line-delimited JSON records with ground truth")
-    p.add_argument("--engine", default="sbcr", help="sbcr | trivial:<strategy> | remote | hybrid")
+    p.add_argument("--engine", default="sbcr", help=ENGINE_HELP)
     p.add_argument("--out", default="-", help="result rows output (default stdout)")
     p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     p.add_argument("--trim-trailing-ws", action="store_true", help="trim trailing whitespace before scoring")
-    _add_search_flags(p)
-    _add_remote_flags(p)
-    _add_router_flags(p)
+    _add_flags(p, SETTINGS)
 
     p = sub.add_parser("tune", help="grid-search engine parameters on a sample")
     p.add_argument("records", help="line-delimited JSON records with ground truth")
@@ -146,7 +133,7 @@ def build_parser() -> _Parser:
     p.add_argument("--ranking", choices=["best-similarity", "exact-match"], default="best-similarity", help="average-ranking interpretation")
     p.add_argument("--out", default="-", help="tuning table CSV output (default stdout)")
     p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
-    _add_search_flags(p, grid=True)
+    _add_flags(p, ["top_n", "seed"])  # neighbors, stagnation and the budget come from the --grid-* flags
 
     p = sub.add_parser("compare", help="paired comparison of two result files")
     p.add_argument("results_a")
@@ -158,10 +145,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("route", help="log the router's decision for each record")
     p.add_argument("records", help="line-delimited JSON records")
     p.add_argument("--decisions", default="-", help="decision log output (default stdout)")
-    _add_router_flags(p)
+    _add_flags(p, _ROUTER_KEYS)
 
     p = sub.add_parser("serve-stub", help="run the stub generative resolver")
-    p.add_argument("--mode", default="echo-v1", help="echo-v1 | echo-v2 | empty | truncate | slow | garbage")
+    p.add_argument("--mode", default="echo-v1", help=" | ".join(STUB_MODES))
     p.add_argument("--port", type=int, default=8731)
     p.add_argument("--delay", type=float, default=2.0, help="sleep for slow mode, seconds")
     p.add_argument("--verbose", action="store_true")
@@ -169,18 +156,13 @@ def build_parser() -> _Parser:
     return parser
 
 
-# config keys whose default is null, and the type each takes when set
-_NULLABLE_CONFIG_TYPES = {"time_budget": float, "endpoint": str}
-
-
 def _check_config_value(key: str, value) -> None:
-    """A config value must have its default's type; an int also counts as a float, a bool as neither."""
-    expected = _NULLABLE_CONFIG_TYPES.get(key, type(DEFAULTS[key]))
-    if value is None and key in _NULLABLE_CONFIG_TYPES:
+    """A config value must have its setting's type, or be null where the default is; an int also counts
+    as a float, a bool as neither."""
+    default, expected, _ = SETTINGS[key]
+    if (value is None and default is None) or type(value) is expected or (expected is float and type(value) is int):
         return
-    if type(value) is expected or (expected is float and type(value) is int):
-        return
-    nullable = " or null" if key in _NULLABLE_CONFIG_TYPES else ""
+    nullable = " or null" if default is None else ""
     raise _UsageError(f"config key {key!r} must be {expected.__name__}{nullable}, got {value!r}")
 
 
@@ -235,7 +217,7 @@ def _search_params(config: dict) -> SearchParams:
 
 def _thresholds(config: dict) -> RouteThresholds:
     try:
-        return RouteThresholds(**{key: config[key] for key in ("input_token_limit", "non_english_tau", "balance_beta")})
+        return RouteThresholds(**{key: config[key] for key in _ROUTER_KEYS})
     except ValueError as exc:
         raise _UsageError(str(exc))
 

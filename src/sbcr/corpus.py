@@ -15,7 +15,7 @@ import math
 import random
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -95,7 +95,7 @@ class RejectionReport:
     detail: str = ""
 
     def to_json(self) -> dict:
-        return {"line": self.line, "id": self.id, "reason": self.reason, "detail": self.detail}
+        return asdict(self)
 
 
 @dataclass(frozen=True)

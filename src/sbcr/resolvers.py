@@ -22,6 +22,7 @@ from .search import SearchParams, candidate_lines, rrhc_resolve
 
 DEFAULT_INPUT_TOKEN_LIMIT = 300
 DEFAULT_OUTPUT_TOKEN_LIMIT = 100
+DEFAULT_DEADLINE = 10.0  # seconds
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
 
@@ -169,7 +170,7 @@ class RemoteResolver(Resolver):
 
     resolver_id = "remote"
 
-    def __init__(self, endpoint: str, limits: TokenLimits = TokenLimits(), deadline: float = 10.0):
+    def __init__(self, endpoint: str, limits: TokenLimits = TokenLimits(), deadline: float = DEFAULT_DEADLINE):
         if not 0 < deadline <= threading.TIMEOUT_MAX:
             raise ValueError(f"deadline must be in (0, {threading.TIMEOUT_MAX}] seconds, got {deadline}")
         super().__init__()

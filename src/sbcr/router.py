@@ -9,7 +9,7 @@ is empty, truncated, or failed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 from .resolvers import (
@@ -30,11 +30,7 @@ class ConflictFeatures:
     non_ascii_fraction: float
 
     def to_json(self) -> dict:
-        return {
-            "token_estimate": self.token_estimate,
-            "balance": self.balance,
-            "non_ascii_fraction": self.non_ascii_fraction,
-        }
+        return asdict(self)
 
 
 class RouteTarget(Enum):

@@ -194,6 +194,17 @@ def test_compare_hand_computed_report():
     assert report.resolver_a == "alpha" and report.resolver_b == "beta"
 
 
+def test_compare_names_a_mixed_set_by_all_its_resolver_ids():
+    """A hybrid set used to be named by its first row's id, so a set of sbcr, remote and
+    fallback rows could be reported as "remote"."""
+    ids = ["remote", "sbcr", "generative→search-fallback", "sbcr"]
+    rows_a = [ResultRow(f"c{i}", rid, 0.5, 0.5, 0.0, "ok") for i, rid in enumerate(ids)]
+    rows_b = [ResultRow(f"c{i}", "beta", 0.5, 0.5, 0.0, "ok") for i in range(len(ids))]
+    report = compare_results(rows_a, rows_b)
+    assert report.resolver_a == "generative→search-fallback+remote+sbcr"
+    assert report.resolver_b == "beta"
+
+
 def test_compare_antisymmetry():
     rng = random.Random(71)
     sims_a = [round(rng.random(), 3) for _ in range(40)]

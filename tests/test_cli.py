@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import sbcr
-from sbcr.cli import build_parser, main
+from sbcr.cli import SETTINGS, build_parser, main
 from sbcr.corpus import bundled_sample_path
 from sbcr.stub_server import StubServer
 
@@ -570,7 +570,8 @@ def test_compare_and_config_reject_json_nested_too_deep(tmp_path, capsys):
 @pytest.mark.parametrize(
     "field, value",
     [("balance", "Infinity"), ("sim_char", "NaN"), ("elapsed", "1" + "0" * 400), ("conflict_id", "[1]"),
-     ("conflict_id", "7"), ("conflict_id", '"\\ud800"'), ("status", "null")],
+     ("conflict_id", "7"), ("conflict_id", '"\\ud800"'), ("status", "null"), ("sim_char", '"0.5"'),
+     ("sim_line", "true")],
 )
 def test_compare_rejects_rows_it_cannot_report(tmp_path, capsys, field, value):
     row = {"conflict_id": "a", "resolver_id": "r", "sim_line": 0.5, "sim_char": 0.5, "elapsed": 0.0,
@@ -746,3 +747,43 @@ def test_nan_routing_threshold_is_usage_error(tmp_path, capsys, flag, key):
     off = ["--input-token-limit", str(2**63), "--non-english-tau", "1", "--balance-beta", "-1"]
     assert main(["route", sample_args(), *off, "--decisions", str(decisions)]) == 0
     assert {json.loads(line)["rule"] for line in decisions.read_text(encoding="utf-8").splitlines()} == {"default"}
+
+
+def _library_defaults() -> dict:
+    from sbcr.resolvers import DEFAULT_DEADLINE, RemoteResolver, TokenLimits
+    from sbcr.router import RouteThresholds
+    from sbcr.search import SearchParams
+
+    params, limits, thresholds = SearchParams(max_evaluations=2000), TokenLimits(), RouteThresholds()
+    assert thresholds.input_token_limit == limits.input_limit
+    assert RemoteResolver("http://127.0.0.1:9").deadline == DEFAULT_DEADLINE
+    return {
+        "neighbors": params.neighbors_per_iteration,
+        "stagnation": params.max_stagnation_iterations,
+        "max_evals": params.max_evaluations,
+        "time_budget": params.max_execution_time,
+        "top_n": params.top_n,
+        "seed": params.seed,
+        "endpoint": None,
+        "deadline": DEFAULT_DEADLINE,
+        "input_token_limit": limits.input_limit,
+        "output_token_limit": limits.output_limit,
+        "non_english_tau": thresholds.non_english_tau,
+        "balance_beta": thresholds.balance_beta,
+    }
+
+
+@pytest.mark.parametrize("key", list(SETTINGS))
+def test_each_setting_reaches_the_effective_config(tmp_path, capsys, monkeypatch, key):
+    """Each key defaults to its library class's value and is set by its flag and by the config file."""
+    monkeypatch.delenv("SBCR_REMOTE_URL", raising=False)
+    default, kind, _ = SETTINGS[key]
+    value = "http://127.0.0.1:9" if kind is str else kind((default or 0) + 1)
+    assert main(["--show-config"]) == 0
+    assert json.loads(capsys.readouterr().out)[key] == _library_defaults()[key] == default
+    assert main(["--show-config", "bench", sample_args(), "--" + key.replace("_", "-"), str(value)]) == 0
+    assert json.loads(capsys.readouterr().out)[key] == value
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({key: value}), encoding="utf-8")
+    assert main(["--config", str(config), "--show-config"]) == 0
+    assert json.loads(capsys.readouterr().out)[key] == value
