@@ -9,7 +9,6 @@ resolvers, a rule-based hybrid router, benchmarking, and paired statistics.
 from .corpus import (
     ConflictRecord,
     DatasetSplit,
-    FilterFlags,
     Language,
     RejectionReport,
     dedupe_by_commit,

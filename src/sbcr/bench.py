@@ -1,8 +1,8 @@
 """Benchmark runner, parameter tuning, and paired comparison analyses.
 
-Result rows are written as line-delimited JSON; comparison reports as a
-single JSON document with CSV exports of the per-conflict similarity
-differences and the balance histogram, ready for external plotting.
+Comparison reports are a single JSON document with CSV exports of the
+per-conflict similarity differences and the balance histogram, ready for
+external plotting; the CLI writes result rows.
 """
 
 from __future__ import annotations

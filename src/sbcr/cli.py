@@ -333,9 +333,8 @@ def _load_dataset(path: str) -> list[corpus.ConflictRecord]:
 
 
 def _cmd_ingest(args, config) -> int:
-    flags = corpus.FilterFlags(combination=not args.no_combination_filter)
     with _input(args.records) as fh:
-        records, rejections = corpus.ingest_records(fh, flags)
+        records, rejections = corpus.ingest_records(fh, combination=not args.no_combination_filter)
     rejects_path = args.rejects or (args.out + ".rejects.jsonl" if args.out != "-" else None)
     with _outputs(args.out, rejects_path) as (out, rejects_out):
         _write_jsonl(out, (record.to_json() for record in records))

@@ -75,17 +75,6 @@ class ConflictRecord:
 
 
 @dataclass(frozen=True)
-class FilterFlags:
-    """Toggles for record validation during ingestion.
-
-    ``combination`` rejects records whose resolution uses any line absent
-    from both versions (multiset containment on exact raw text).
-    """
-
-    combination: bool = True
-
-
-@dataclass(frozen=True)
 class RejectionReport:
     """Machine-readable reason for a rejected input record."""
 
@@ -171,15 +160,13 @@ def is_combination(resolution: Sequence[str], v1: Sequence[str], v2: Sequence[st
     return all(available[line] >= count for line, count in needed.items())
 
 
-def ingest_records(
-    stream: Iterable[str],
-    filters: FilterFlags = FilterFlags(),
-) -> tuple[list[ConflictRecord], list[RejectionReport]]:
+def ingest_records(stream: Iterable[str], *, combination: bool = True) -> tuple[list[ConflictRecord], list[RejectionReport]]:
     """Read line-delimited JSON records, validate them, and report rejections.
 
     A malformed line (see ``load_json``) is reported and skipped without
-    aborting the stream.
-    Duplicate ids keep the first occurrence. Blank lines are ignored.
+    aborting the stream. Duplicate ids keep the first occurrence. Blank lines
+    are ignored. ``combination`` rejects records whose resolution uses a line
+    absent from both versions (see ``is_combination``).
     """
     accepted: list[ConflictRecord] = []
     rejections: list[RejectionReport] = []
@@ -200,27 +187,23 @@ def ingest_records(
         if built.id in seen_ids:
             rejections.append(RejectionReport(line_no, built.id, "duplicate-id", "id already ingested"))
             continue
+        seen_ids.add(built.id)
         if not built.v1_lines and not built.v2_lines:
-            seen_ids.add(built.id)
             rejections.append(RejectionReport(line_no, built.id, "empty-both-sides", "both versions empty"))
             continue
-        if filters.combination and not is_combination(
-            built.resolution_lines, built.v1_lines, built.v2_lines
-        ):
-            seen_ids.add(built.id)
+        if combination and not is_combination(built.resolution_lines, built.v1_lines, built.v2_lines):
             rejections.append(
                 RejectionReport(line_no, built.id, "not-combination", "resolution uses lines absent from both versions")
             )
             continue
-        seen_ids.add(built.id)
         accepted.append(built)
     return accepted, rejections
 
 
-def load_records(path: str | Path, filters: FilterFlags = FilterFlags()) -> tuple[list[ConflictRecord], list[RejectionReport]]:
+def load_records(path: str | Path) -> tuple[list[ConflictRecord], list[RejectionReport]]:
     """Ingest records from a file path."""
     with open(path, encoding="utf-8") as fh:
-        return ingest_records(fh, filters)
+        return ingest_records(fh)
 
 
 def preserves_partial_order(

@@ -19,7 +19,7 @@ MARKER_SEP = "=" * 7
 MARKER_END = ">" * 7
 
 # exactly seven marker characters at column 0, then end-of-line or one space plus a label
-_MARKER_RE = re.compile(r"(<{7}|\|{7}|={7}|>{7})(?: (.*))?", re.DOTALL)
+_MARKER_RE = re.compile(r"(<{7}|\|{7}|={7}|>{7})(?: .*)?", re.DOTALL)
 
 
 class MarkerError(ValueError):
@@ -44,10 +44,6 @@ class Context:
 
     raw_lines: list[str]
 
-    @property
-    def lines(self) -> list[str]:
-        return [_strip_eol(line) for line in self.raw_lines]
-
 
 @dataclass
 class ConflictChunk:
@@ -56,9 +52,6 @@ class ConflictChunk:
     v1_lines: list[str]
     v2_lines: list[str]
     base_lines: list[str] | None = None
-    v1_label: str = ""
-    v2_label: str = ""
-    base_label: str | None = None
     raw_lines: list[str] = field(default_factory=list)  # verbatim block incl. markers
 
 
@@ -104,11 +97,9 @@ def _majority_eol(raw_lines: Sequence[str]) -> str:
     return "\r\n" if crlf > lf else "\n"
 
 
-def _match_marker(raw: str) -> tuple[str, str] | None:
+def _match_marker(raw: str) -> str | None:
     m = _MARKER_RE.fullmatch(_strip_eol(raw))
-    if not m:
-        return None
-    return m.group(1), m.group(2) or ""
+    return m.group(1) if m else None
 
 
 def parse_conflicted_file(text: str) -> ConflictedFile:
@@ -123,8 +114,6 @@ def parse_conflicted_file(text: str) -> ConflictedFile:
     state = "outside"  # outside | v1 | base | v2
     chunk_raw: list[str] = []
     sections: dict[str, list[str]] = {}
-    labels: dict[str, str] = {}
-    had_base = False
     chunk_start_line = 0
 
     def close_context() -> None:
@@ -133,32 +122,28 @@ def parse_conflicted_file(text: str) -> ConflictedFile:
             context.clear()
 
     for line_no, raw in enumerate(_split_raw_lines(text), start=1):
-        marker = _match_marker(raw)
-        if marker is None:
+        kind = _match_marker(raw)
+        if kind is None:
             if state == "outside":
                 context.append(raw)
             else:
                 chunk_raw.append(raw)
                 sections[state].append(_strip_eol(raw))
             continue
-        kind, label = marker
         if kind == MARKER_V1:
             if state != "outside":
                 raise NestedMarkers("conflict start marker inside an open conflict", line_no)
             close_context()
             state = "v1"
-            had_base = False
             chunk_start_line = line_no
             chunk_raw = [raw]
-            sections = {"v1": [], "base": [], "v2": []}
-            labels = {"v1": label, "base": ""}
+            sections = {"v1": [], "v2": []}
         elif kind == MARKER_BASE:
             if state != "v1":
                 raise UnbalancedMarkers("base marker outside the first conflict section", line_no)
             state = "base"
-            had_base = True
             chunk_raw.append(raw)
-            labels["base"] = label
+            sections["base"] = []
         elif kind == MARKER_SEP:
             if state not in ("v1", "base"):
                 raise UnbalancedMarkers("separator without a matching conflict start", line_no)
@@ -172,10 +157,7 @@ def parse_conflicted_file(text: str) -> ConflictedFile:
                 ConflictChunk(
                     v1_lines=sections["v1"],
                     v2_lines=sections["v2"],
-                    base_lines=sections["base"] if had_base else None,
-                    v1_label=labels["v1"],
-                    v2_label=label,
-                    base_label=labels["base"] if had_base else None,
+                    base_lines=sections.get("base"),
                     raw_lines=chunk_raw,
                 )
             )
@@ -237,7 +219,7 @@ _EXTENSION_LANGUAGES = {
 _NULL_COMMIT = "0" * 40
 
 
-def extract_records(file: ConflictedFile, path: str = "", project: str = "") -> list[dict]:
+def extract_records(file: ConflictedFile, path: str = "") -> list[dict]:
     """Emit one corpus-schema JSON object per chunk (resolution left empty).
 
     Synthesized metadata: the id is path#index, the commit is the null hash,
@@ -248,7 +230,7 @@ def extract_records(file: ConflictedFile, path: str = "", project: str = "") -> 
     return [
         ConflictRecord(
             id=f"{path or 'conflict'}#{k}",
-            project=project,
+            project="",
             commit_hash=_NULL_COMMIT,
             file_path=path,
             language=language,

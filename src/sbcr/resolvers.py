@@ -7,13 +7,14 @@ it returns, and turns anything it raises into a candidate with status FAILED.
 
 from __future__ import annotations
 
+import http.client
+import io
 import json
 import math
 import re
 import threading
 import time
-import urllib.error
-import urllib.request
+import urllib.parse
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
@@ -23,6 +24,8 @@ from .search import SearchParams, candidate_lines, rrhc_resolve
 DEFAULT_INPUT_TOKEN_LIMIT = 300
 DEFAULT_OUTPUT_TOKEN_LIMIT = 100
 DEFAULT_DEADLINE = 10.0  # seconds
+# Largest body, in bytes, that the client reads in a reply and the stub reads in a request.
+MAX_BODY_BYTES = 1 << 20
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
 
@@ -146,17 +149,48 @@ class TokenLimits:
     output_limit: int = DEFAULT_OUTPUT_TOKEN_LIMIT
 
 
+class _DeadlineReader(io.RawIOBase):
+    """A socket's reads, each allowed only what is left before ``end``;
+    HTTPResponse reads the reply through ``makefile``."""
+
+    def __init__(self, sock, end: float):
+        self.sock, self.end = sock, end
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        left = self.end - time.monotonic()
+        if left <= 0:
+            raise TimeoutError("timed out")  # as the socket says when its own timeout runs out
+        self.sock.settimeout(left)
+        return self.sock.recv_into(buffer)
+
+    def makefile(self, mode: str) -> io.BufferedReader:
+        return io.BufferedReader(self)
+
+
 def _post_json(url: str, payload: dict, timeout: float) -> tuple[int, bytes]:
-    """POST ``payload`` as JSON and return the status code and body of the reply, error replies included."""
-    request = urllib.request.Request(
-        url, data=json.dumps(payload).encode("utf-8"), headers={"Content-Type": "application/json"}
-    )
+    """POST ``payload`` as JSON and return the status code and body of the reply, error replies included.
+    ``timeout`` bounds the whole request; a reply body over ``MAX_BODY_BYTES`` raises ValueError."""
+    end = time.monotonic() + timeout
+    parts = urllib.parse.urlsplit(url)
+    if parts.scheme not in ("http", "https") or not parts.netloc:
+        raise ValueError(f"not an http or https URL: {url!r}")
+    kind = http.client.HTTPSConnection if parts.scheme == "https" else http.client.HTTPConnection
+    connection = kind(parts.netloc, timeout=timeout)
     try:
-        with urllib.request.urlopen(request, timeout=timeout) as response:
-            return response.status, response.read()
-    except urllib.error.HTTPError as exc:  # urlopen raises for every non-2xx reply
-        with exc:
-            return exc.code, exc.read()
+        connection.request("POST", parts.path, json.dumps(payload).encode("utf-8"), {"Content-Type": "application/json"})
+        response = http.client.HTTPResponse(_DeadlineReader(connection.sock, end), method="POST")
+        response.begin()
+        body = response.read(MAX_BODY_BYTES + 1)  # in pieces, each read bounded by the deadline
+        if len(body) > MAX_BODY_BYTES:
+            raise ValueError(f"reply body over {MAX_BODY_BYTES} bytes")
+        if response.length:  # the server closed before sending the Content-Length it declared
+            raise http.client.IncompleteRead(body, response.length)
+    finally:
+        connection.close()
+    return response.status, body
 
 
 class RemoteResolver(Resolver):

@@ -335,10 +335,6 @@ def _draw(moves: _Moves, getrandbits: Callable[[int], int]) -> Coded:
     return coded[:p] + (coded[p + 1], coded[p]) + coded[p + 2 :]
 
 
-def _coded_neighbor(coded: Coded, n1: int, n: int, getrandbits: Callable[[int], int]) -> Coded:
-    return _draw(_moves(coded, n1, n), getrandbits)
-
-
 def neighbor(candidate: Candidate | Coded, chunk: ChunkLike | _Moves, rng: random.Random) -> Candidate | Coded:
     """Apply one uniformly chosen applicable operator; always returns a valid candidate.
 
@@ -357,7 +353,7 @@ def neighbor(candidate: Candidate | Coded, chunk: ChunkLike | _Moves, rng: rando
     if type(chunk) is _Moves:
         return _draw(chunk, rng.getrandbits)
     coding = _coding(chunk)
-    moved = _coded_neighbor(_encode(candidate, coding.n1), coding.n1, coding.n, rng.getrandbits)
+    moved = _draw(_moves(_encode(candidate, coding.n1), coding.n1, coding.n), rng.getrandbits)
     return _decode(moved, coding.refs)
 
 

@@ -1,4 +1,4 @@
-"""Sequence similarity primitives shared by the search objective and the benchmark metric.
+"""Sequence similarity: the LCS ratio the benchmark scores resolutions with.
 
 The similarity score is the LCS ratio 2*LCS(a, b) / (|a| + |b|), applied either
 to line sequences directly or to the character stream obtained by joining the
@@ -43,11 +43,6 @@ def lcs_length(a: Sequence[Hashable], b: Sequence[Hashable]) -> int:
     return len(b) - v.bit_count()
 
 
-def flatten_lines(lines: Sequence[str]) -> str:
-    """Join a line list into the char-granularity stream (single LF separators, no trailing LF)."""
-    return "\n".join(lines)
-
-
 def similarity(
     a: Sequence[str],
     b: Sequence[str],
@@ -65,11 +60,8 @@ def similarity(
         a = [line.rstrip() for line in a]
         b = [line.rstrip() for line in b]
     if granularity is Granularity.CHAR:
-        sa: Sequence = flatten_lines(a)
-        sb: Sequence = flatten_lines(b)
-    else:
-        sa, sb = a, b
-    total = len(sa) + len(sb)
+        a, b = "\n".join(a), "\n".join(b)
+    total = len(a) + len(b)
     if total == 0:
         return 1.0
-    return 2.0 * lcs_length(sa, sb) / total
+    return 2.0 * lcs_length(a, b) / total

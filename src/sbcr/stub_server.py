@@ -12,7 +12,7 @@ import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from .resolvers import check_stub, stub_response
+from .resolvers import MAX_BODY_BYTES, check_stub, stub_response
 
 
 class _StubHandler(BaseHTTPRequestHandler):
@@ -51,8 +51,8 @@ class _StubHandler(BaseHTTPRequestHandler):
             length = int(self.headers.get("Content-Length", "0"))
         except ValueError:
             length = -1
-        if length < 0:  # read(-1) would wait for the client to close
-            self._send_json(400, {"error": "bad request: Content-Length is not a non-negative integer"})
+        if not 0 <= length <= MAX_BODY_BYTES:  # read(-1) waits for the client to close; a huge read fails
+            self._send_json(400, {"error": f"bad request: Content-Length is not an integer in [0, {MAX_BODY_BYTES}]"})
             return
         self._send(*stub_response(self.server.mode, self.rfile.read(length), self.server.slow_delay))
 

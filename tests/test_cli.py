@@ -186,6 +186,22 @@ def test_ingest_writes_accepted_and_rejects(tmp_path, capsys):
     assert rejected[0]["reason"] == "empty-both-sides"
 
 
+@pytest.mark.parametrize("flag", [False, True])
+def test_ingest_no_combination_filter_accepts_a_new_line(tmp_path, flag):
+    data = tmp_path / "input.jsonl"
+    record = {
+        "id": "new-line", "project": "p", "commit": "ab", "path": "f", "language": "Java",
+        "base": [], "v1": ["x"], "v2": ["y"], "resolution": ["x", "z"],
+    }
+    data.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    out, rejects = tmp_path / "accepted.jsonl", tmp_path / "rejects.jsonl"
+    args = ["ingest", str(data), "--out", str(out), "--rejects", str(rejects)]
+    assert main(args + ["--no-combination-filter"] * flag) == 0
+    accepted = [json.loads(l)["id"] for l in out.read_text(encoding="utf-8").splitlines()]
+    rejected = [json.loads(l)["reason"] for l in rejects.read_text(encoding="utf-8").splitlines()]
+    assert (accepted, rejected) == ((["new-line"], []) if flag else ([], ["not-combination"]))
+
+
 def test_split_deterministic_outputs(tmp_path):
     out1, out2 = tmp_path / "s1", tmp_path / "s2"
     for out in (out1, out2):

@@ -9,7 +9,6 @@ from conftest import achievable_sequences
 
 from sbcr.corpus import (
     ConflictRecord,
-    FilterFlags,
     Language,
     bundled_sample_path,
     dedupe_by_commit,
@@ -69,7 +68,7 @@ def test_ingest_combination_filter_toggle():
     line = make_json(resolution=["brand new line"])
     records, rejects = ingest_records([line])
     assert not records and rejects[0].reason == "not-combination"
-    records, rejects = ingest_records([line], FilterFlags(combination=False))
+    records, rejects = ingest_records([line], combination=False)
     assert len(records) == 1 and not rejects
 
 

@@ -52,7 +52,6 @@ def test_listing1_chunk_parses_one_sided():
     assert chunk.v2_lines == LISTING1_V2
     assert chunk.v2_lines[-1] == "    @Override"
     assert chunk.base_lines is None
-    assert chunk.v1_label == "HEAD" and chunk.v2_label == "theirs"
 
 
 def test_listing1_resolved_with_override_line():
@@ -87,7 +86,6 @@ def test_diff3_base_section():
     chunk = parse_conflicted_file(text).chunks[0]
     assert chunk.v1_lines == ["mine"]
     assert chunk.base_lines == ["orig"]
-    assert chunk.base_label == "base"
     assert chunk.v2_lines == ["theirs"]
 
 
@@ -135,7 +133,7 @@ def test_malformed_marker_errors_carry_line_numbers(text, error, line):
 def test_lone_cr_is_content_not_a_line_break():
     text = "before\rafter\n<<<<<<<\nx\r\n=======\ny\n>>>>>>>\n"
     parsed = parse_conflicted_file(text)
-    assert parsed.segments[0].lines == ["before\rafter"]
+    assert parsed.segments[0].raw_lines == ["before\rafter\n"]
     assert parsed.chunks[0].v1_lines == ["x"]
     assert render_with_markers(parsed) == text
 

@@ -1,3 +1,4 @@
+import contextlib
 import http.client
 import json
 import math
@@ -15,6 +16,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from sbcr.resolvers import (
+    MAX_BODY_BYTES,
     RemoteResolver,
     SearchResolver,
     Status,
@@ -27,7 +29,7 @@ from sbcr.resolvers import (
     truncate_to_tokens,
     _post_json,
 )
-from sbcr.router import FALLBACK_RESOLVER_ID, RouteThresholds, hybrid_resolve
+from sbcr.router import FALLBACK_RESOLVER_ID, HybridResolver, RouteThresholds, hybrid_resolve
 from sbcr.search import SearchParams
 from sbcr.stub_server import StubServer
 
@@ -450,10 +452,12 @@ def test_concurrent_requests_each_end_at_the_deadline():
     assert max(seconds for _, seconds in finished) < 0.8
 
 
-def test_stub_server_answers_a_negative_content_length_with_400(echo_server):
-    """read(-1) used to wait for the client to close, so no reply came."""
+@pytest.mark.parametrize("length", [-1, MAX_BODY_BYTES + 1, 10**20])
+def test_stub_server_answers_a_negative_content_length_with_400(echo_server, length):
+    """read(-1) used to wait for the client to close, a length over the cap
+    waited for a body that never came, and 10**20 failed the read: no reply came."""
     with socket.create_connection(echo_server.server_address, timeout=2) as sock:
-        sock.sendall(b"POST /v1/resolve HTTP/1.1\r\nHost: stub\r\nContent-Length: -1\r\n\r\n{}")
+        sock.sendall(b"POST /v1/resolve HTTP/1.1\r\nHost: stub\r\nContent-Length: %d\r\n\r\n{}" % length)
         with sock.makefile("rb") as reply:
             status_line = reply.readline()
     assert status_line.split()[1] == b"400"
@@ -481,3 +485,75 @@ def test_stub_server_logs_a_client_hang_up_only_when_verbose(capsys, verbose):
     err = capsys.readouterr().err
     assert "Traceback" not in err and "Exception occurred" not in err
     assert ("client hung up before the reply" in err) is verbose
+
+
+def _reply(body: bytes) -> bytes:
+    return b"HTTP/1.0 200 OK\r\nContent-Length: %d\r\n\r\n" % len(body) + body
+
+
+@contextlib.contextmanager
+def _loopback_server(reply: bytes, *, drip: float = 0.0, connections: int = 1):
+    """Answer ``connections`` requests from one thread with ``reply``, sent
+    whole or, when ``drip`` is set, one byte every ``drip`` seconds."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(5)
+
+    def serve():
+        for _ in range(connections):
+            try:
+                conn, _ = listener.accept()
+            except OSError:
+                return
+            with conn:
+                conn.settimeout(5)
+                try:
+                    conn.recv(1 << 16)
+                    for piece in [reply[k : k + 1] for k in range(len(reply))] if drip else [reply]:
+                        conn.sendall(piece)
+                        time.sleep(drip)
+                    # read the rest of the request until the client hangs up, so closing sends no reset
+                    conn.shutdown(socket.SHUT_WR)
+                    while conn.recv(1 << 16):
+                        pass
+                except OSError:  # the client hung up
+                    pass
+
+    thread = threading.Thread(target=serve)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{listener.getsockname()[1]}"
+    finally:
+        thread.join(10)
+        listener.close()
+    assert not thread.is_alive()
+
+
+def test_remote_deadline_bounds_a_dripped_reply():
+    """The deadline used to bound each socket read, not the request, so a
+    reply sent a byte at a time came back OK long after the deadline."""
+    body = json.dumps({"lines": LOPSIDED.v1_lines, "truncated": False}).encode("utf-8")
+    with _loopback_server(_reply(body), drip=0.1, connections=2) as url:
+        remote = RemoteResolver(url, deadline=0.5)
+        start = time.monotonic()
+        candidate = remote.resolve(LOPSIDED)
+        assert time.monotonic() - start < 1.5
+        assert (candidate.status, candidate.detail) == (Status.FAILED, "request failed: timed out")
+        search = SearchResolver(SearchParams(max_evaluations=20))
+        assert HybridResolver(search, remote).resolve(LOPSIDED).resolver_id == FALLBACK_RESOLVER_ID
+
+
+_BODY = json.dumps({"lines": ["a"], "truncated": False}).encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "reply, detail",
+    [
+        (_reply(_BODY.ljust(MAX_BODY_BYTES + 4096)), f"reply body over {MAX_BODY_BYTES} bytes"),
+        (_reply(_BODY.ljust(100))[: -100 + len(_BODY)], f"IncompleteRead({len(_BODY)} bytes read, {100 - len(_BODY)} more expected)"),
+    ],
+    ids=["over-the-cap", "shorter-than-declared"],
+)
+def test_remote_reply_of_the_wrong_size_fails(reply, detail):
+    with _loopback_server(reply) as url:
+        candidate = RemoteResolver(url, deadline=5.0).resolve(CHUNK)
+    assert (candidate.status, candidate.detail) == (Status.FAILED, f"request failed: {detail}")

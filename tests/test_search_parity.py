@@ -23,8 +23,8 @@ from sbcr.search import (
     SearchResult,
     SourceLineRef,
     Version,
-    _coded_neighbor,
     _decode,
+    _draw,
     _encode,
     _moves,
     concat_candidate,
@@ -280,7 +280,7 @@ def test_coding_round_trips_and_neighbor_is_the_coded_core(chunk_and_candidate, 
     assert _decode(coded, refs) == candidate
     assert all(type(r) is int and 0 <= r < n for r in coded)
     ours, theirs = random.Random(seed), random.Random(seed)
-    assert neighbor(candidate, chunk, ours) == _decode(_coded_neighbor(coded, n1, n, theirs.getrandbits), refs)
+    assert neighbor(candidate, chunk, ours) == _decode(_draw(_moves(coded, n1, n), theirs.getrandbits), refs)
     assert ours.getstate() == theirs.getstate()
 
 
