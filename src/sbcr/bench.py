@@ -226,21 +226,12 @@ class ComparisonReport:
 
     def to_json(self) -> dict:
         return {
-            "resolver_a": self.resolver_a,
-            "resolver_b": self.resolver_b,
-            "n": self.n,
-            "wins_a": self.wins_a,
-            "wins_b": self.wins_b,
-            "ties": self.ties,
-            "wilcoxon_p": self.wilcoxon_p,
-            "cles_a_over_b": self.cles_a_over_b,
+            **dataclasses.asdict(self),  # every field, in order; these two take their own shape
             "sim_diff": [{"conflict_id": cid, "diff": diff} for cid, diff in self.sim_diff],
             "balance_histogram": {
                 "bucket_low_edges": list(_BUCKET_LOW_EDGES),
                 **{key: list(values) for key, values in self.balance_histogram.items()},
             },
-            "extremes_a": list(self.extremes_a),
-            "extremes_b": list(self.extremes_b),
         }
 
 

@@ -35,7 +35,7 @@ from .search import SearchParams
 from .stub_server import StubServer
 
 ENDPOINT_ENV_VAR = "SBCR_REMOTE_URL"
-JOBS_HELP = "records run at once on threads; only remote requests overlap, as the engine holds the interpreter lock"
+JOBS_HELP = "records run at once on threads; remote requests overlap, searches run one at a time with their whole budget"
 ENGINE_HELP = "sbcr | trivial:<strategy> | remote | hybrid"
 
 EXIT_OK = 0
@@ -132,7 +132,6 @@ def build_parser() -> _Parser:
     p.add_argument("--grid-stagnation", default="5,10,20", help="comma-separated stagnation limits")
     p.add_argument("--ranking", choices=["best-similarity", "exact-match"], default="best-similarity", help="average-ranking interpretation")
     p.add_argument("--out", default="-", help="tuning table CSV output (default stdout)")
-    p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     _add_flags(p, ["top_n", "seed"])  # neighbors, stagnation and the budget come from the --grid-* flags
 
     p = sub.add_parser("compare", help="paired comparison of two result files")
@@ -236,7 +235,6 @@ def _remote_resolver(config: dict) -> RemoteResolver:
 
 
 def _build_resolver(engine: str, config: dict) -> Resolver:
-    trivial_clock = None if config["time_budget"] is not None else (lambda: 0.0)
     if engine == "sbcr":
         return SearchResolver(_search_params(config))
     if engine.startswith("trivial:"):
@@ -246,7 +244,7 @@ def _build_resolver(engine: str, config: dict) -> Resolver:
         except ValueError:
             raise _UsageError(f"unknown trivial strategy {name!r}; expected one of "
                               f"{[s.value for s in TrivialStrategy]}")
-        return TrivialResolver(strategy, clock=trivial_clock)
+        return TrivialResolver(strategy)
     if engine == "remote":
         return _remote_resolver(config)
     if engine == "hybrid":
@@ -385,9 +383,6 @@ def _cmd_resolve(args, config) -> int:
     resolver = _build_resolver(args.engine, config)
     resolutions = []
     for chunk in parsed.chunks:
-        if not chunk.v1_lines and not chunk.v2_lines:
-            resolutions.append([])  # both sides deleted everything
-            continue
         candidate = resolver.resolve(chunk)
         if candidate.status is Status.FAILED:
             if args.engine == "remote":
@@ -424,8 +419,6 @@ def _parse_grid_values(flag: str, text: str, kind) -> list:
 def _cmd_tune(args, config) -> int:
     if args.sample < 1:
         raise _UsageError("--sample must be at least 1")
-    if args.jobs < 1:
-        raise _UsageError("--jobs must be at least 1")
     budgets_text = args.grid_budgets or ("10,20,40" if args.wallclock else "500,2000")
     neighbors = _parse_grid_values("--grid-neighbors", args.grid_neighbors, int)
     stagnation = _parse_grid_values("--grid-stagnation", args.grid_stagnation, int)
@@ -442,7 +435,7 @@ def _cmd_tune(args, config) -> int:
         raise _InputError("tuning dataset is empty")
     sample = random.Random(config["seed"]).sample(records, min(args.sample, len(records)))
     with _output(args.out) as out:
-        rows = bench_mod.tune_grid(sample, grid, config["seed"], ranking=args.ranking, jobs=args.jobs)
+        rows = bench_mod.tune_grid(sample, grid, config["seed"], ranking=args.ranking)
         bench_mod.dump_tuning_csv(rows, out)
     return EXIT_OK
 

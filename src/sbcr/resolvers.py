@@ -1,8 +1,9 @@
 """Uniform resolver interface: search adapter, trivial baselines, remote client, local stub.
 
-Every resolver is total, and ``Resolver.resolve`` alone makes it so: it is the
-one ``resolve`` here, times the resolver's ``_generate``, classifies the lines
-it returns, and turns anything it raises into a candidate with status FAILED.
+Every resolver is total, and ``Resolver.resolve`` alone makes it so: it times
+the resolver's ``_generate``, classifies the lines it returns, and turns
+anything it raises into a candidate with status FAILED. ``SearchResolver``
+only holds a lock around it, so searches run one at a time.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ DEFAULT_DEADLINE = 10.0  # seconds
 MAX_BODY_BYTES = 1 << 20
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
+# Held by each search: threads would interleave the CPU-bound engine and split its wall-clock budget.
+_SEARCH_LOCK = threading.Lock()
 
 
 def estimate_tokens(lines: Sequence[str]) -> int:
@@ -115,15 +118,22 @@ class SearchResolver(Resolver):
         super().__init__(None if params.max_execution_time is not None else lambda: 0.0)
         self.params = params
 
+    def resolve(self, chunk) -> ResolutionCandidate:
+        with _SEARCH_LOCK:  # taken before the clock starts, so elapsed counts no wait
+            return super().resolve(chunk)
+
     def _generate(self, chunk) -> Sequence[str]:
+        if not chunk.v1_lines and not chunk.v2_lines:
+            return []  # both sides deleted everything: the one candidate there is
         return candidate_lines(rrhc_resolve(chunk, self.params).best, chunk)
 
 
 class TrivialResolver(Resolver):
-    """The classic one-step strategies: take one side, the base, or a concatenation."""
+    """The classic one-step strategies: take one side, the base, or a concatenation.
+    None reads the time, so every candidate reports ``elapsed`` 0.0."""
 
-    def __init__(self, strategy: TrivialStrategy, clock: Callable[[], float] | None = None):
-        super().__init__(clock)
+    def __init__(self, strategy: TrivialStrategy):
+        super().__init__(lambda: 0.0)
         self.strategy = strategy
         self.resolver_id = f"trivial:{strategy.value}"
 

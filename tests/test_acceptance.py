@@ -332,7 +332,7 @@ def test_c8_end_to_end_determinism(tmp_path):
     mean_sbcr = sum(r.sim_char for r in sbcr_rows) / len(sbcr_rows)
     trivial_means = {}
     for strategy in TrivialStrategy:
-        rows = run_benchmark(records, TrivialResolver(strategy, clock=lambda: 0.0))
+        rows = run_benchmark(records, TrivialResolver(strategy))
         trivial_means[strategy.value] = sum(r.sim_char for r in rows) / len(rows)
     best_trivial = max(trivial_means.values())
     beats_trivial = mean_sbcr >= best_trivial

@@ -46,7 +46,7 @@ class ConstantResolver(Resolver):
 
 def test_run_benchmark_take_v1_perfect_when_resolution_is_v1():
     records = [record(id="x", v1=("k",), v2=("m",), resolution=("k",))]
-    rows = run_benchmark(records, TrivialResolver(TrivialStrategy.TAKE_V1, clock=lambda: 0.0))
+    rows = run_benchmark(records, TrivialResolver(TrivialStrategy.TAKE_V1))
     assert rows[0].sim_char == 1.0
     assert rows[0].sim_line == 1.0
     assert rows[0].status == "ok"
@@ -60,7 +60,7 @@ def test_run_benchmark_balance_needs_no_routing_features(monkeypatch):
 
     monkeypatch.setattr(sbcr.router, "estimate_tokens", no_tokens)
     records, _ = load_records(bundled_sample_path())
-    rows = run_benchmark(records, TrivialResolver(TrivialStrategy.TAKE_V1, clock=lambda: 0.0))
+    rows = run_benchmark(records, TrivialResolver(TrivialStrategy.TAKE_V1))
     assert len(rows) == 50
     by_id = {r.id: r for r in records}
     for row in rows:

@@ -104,6 +104,20 @@ def test_resolve_chunk_with_both_sides_empty(tmp_path):
     assert out.read_text(encoding="utf-8") == "a\nb\n"
 
 
+@pytest.mark.parametrize(
+    "engine, resolved",
+    [("trivial:take-base", "a\nkept\nb\n"), ("sbcr", "a\nb\n")],
+    ids=["take-base", "sbcr"],
+)
+def test_resolve_passes_a_chunk_both_sides_deleted_to_its_engine(tmp_path, engine, resolved):
+    """The CLI used to skip such a chunk for every engine, so take-base dropped its base lines."""
+    source = tmp_path / "deleted.txt"
+    source.write_text("a\n<<<<<<< ours\n||||||| base\nkept\n=======\n>>>>>>> theirs\nb\n", encoding="utf-8")
+    out = tmp_path / "resolved.txt"
+    assert main(["resolve", str(source), "--engine", engine, "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == resolved
+
+
 def test_resolve_missing_file_exit_2(tmp_path):
     assert main(["resolve", str(tmp_path / "absent.txt")]) == 2
 
@@ -223,8 +237,15 @@ GOLDEN_BENCH_SHA256 = "b6ce70c2d866d944dd621a54eb3c534ac7df8d577e6eed76366957a25
 def test_seeded_bench_rows_match_golden_hash(tmp_path):
     out = tmp_path / "rows.jsonl"
     argv = ["bench", sample_args(), "--engine", "sbcr", "--seed", "7", "--max-evals", "5000", "--out", str(out)]
-    assert main(argv) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_BENCH_SHA256
+    for jobs in ("1", "4"):
+        assert main([*argv, "--jobs", jobs]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_BENCH_SHA256
+
+
+def test_trivial_rows_report_no_elapsed_under_a_time_budget(tmp_path):
+    out = tmp_path / "rows.jsonl"
+    assert main(["bench", sample_args(), "--engine", "trivial:take-v1", "--time-budget", "1", "--out", str(out)]) == 0
+    assert {json.loads(line)["elapsed"] for line in out.read_text(encoding="utf-8").splitlines()} == {0.0}
 
 
 def test_bench_trivial_runs(tmp_path):
@@ -370,8 +391,9 @@ def test_dash_reads_records_from_stdin(monkeypatch, capsys):
 @pytest.mark.parametrize(
     "command, flag",
     [("tune", "--neighbors"), ("tune", "--stagnation"), ("tune", "--max-evals"), ("tune", "--time-budget"),
-     ("route", "--out"), ("route", "--max-evals"), ("route", "--endpoint")],
-    ids=["--neighbors", "--stagnation", "--max-evals", "--time-budget", "route--out", "route--max-evals", "route--endpoint"],
+     ("tune", "--jobs"), ("route", "--out"), ("route", "--max-evals"), ("route", "--endpoint")],
+    ids=["--neighbors", "--stagnation", "--max-evals", "--time-budget", "--jobs", "route--out", "route--max-evals",
+         "route--endpoint"],
 )
 def test_tune_rejects_search_flags_it_does_not_read(tmp_path, capsys, command, flag):
     # a missing dataset would exit 2, so exit 1 shows the flag was refused before any read
@@ -741,7 +763,7 @@ def test_hybrid_bench_rows_do_not_depend_on_jobs(tmp_path):
     assert server.calls > 0
 
 
-@pytest.mark.parametrize("argv", [["bench", "--jobs", "0"], ["tune", "--jobs", "-3"]], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("argv", [["bench", "--jobs", "0"]], ids=lambda argv: argv[0])
 def test_jobs_below_one_is_usage_error_before_reading(tmp_path, capsys, argv):
     command, *flags = argv
     assert main([command, str(tmp_path / "missing.jsonl"), *flags]) == 1

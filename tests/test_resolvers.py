@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 from conftest import Chunk
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sbcr.resolvers import (
@@ -92,8 +92,39 @@ def test_search_resolver_matches_engine_best():
     assert candidate.elapsed == result.elapsed
 
 
+def test_search_resolver_answers_a_chunk_with_no_lines_as_empty():
+    candidate = SearchResolver(SearchParams(max_evaluations=10)).resolve(Chunk([], [], base_lines=["kept"]))
+    assert (candidate.status, candidate.lines) == (Status.EMPTY, ())
+
+
+def test_searches_run_one_at_a_time_under_jobs(monkeypatch):
+    """Threads interleaving searches split each one's wall-clock budget."""
+    from sbcr import resolvers
+    from sbcr.bench import run_benchmark
+    from sbcr.corpus import bundled_sample_path, load_records
+
+    real, running, seen, lock = resolvers.rrhc_resolve, [0], [], threading.Lock()
+
+    def probe(chunk, params):
+        with lock:
+            running[0] += 1
+            seen.append(running[0])
+        time.sleep(0.02)
+        try:
+            return real(chunk, params)
+        finally:
+            with lock:
+                running[0] -= 1
+
+    monkeypatch.setattr("sbcr.resolvers.rrhc_resolve", probe)
+    records = load_records(bundled_sample_path())[0][:8]
+    rows = run_benchmark(records, SearchResolver(SearchParams(max_evaluations=20)), jobs=4)
+    assert [row.status for row in rows] == ["ok"] * 8
+    assert max(seen) == 1
+
+
 def test_search_resolver_total_on_bad_chunk():
-    candidate = SearchResolver(SearchParams(max_evaluations=10)).resolve(Chunk([], []))
+    candidate = SearchResolver(SearchParams(max_evaluations=10)).resolve(Chunk(["a"], None))
     assert candidate.status is Status.FAILED
 
 
@@ -557,3 +588,34 @@ def test_remote_reply_of_the_wrong_size_fails(reply, detail):
     with _loopback_server(reply) as url:
         candidate = RemoteResolver(url, deadline=5.0).resolve(CHUNK)
     assert (candidate.status, candidate.detail) == (Status.FAILED, f"request failed: {detail}")
+
+
+_STATUS_LINES = st.one_of(
+    st.sampled_from([b"HTTP/1.1 200 OK", b"HTTP/1.0 200 OK"]),
+    st.sampled_from([b"HTTP/1.1 500 Oops", b"HTTP/1.1 404", b"HTTP/1.1 100 Continue", b"HTTP/2 200",
+                     b"HTTP/1.1 2000 OK", b"ICY 200 OK", b"", b"HTTP/1.1"]),
+    st.binary(max_size=24),
+)
+_HEADERS = st.lists(
+    st.sampled_from([b"Content-Length: 7", b"Content-Length: 0", b"Content-Length: -1", b"Content-Length: 99999999",
+                     b"Content-Length: x", b"Transfer-Encoding: chunked", b"Connection: close", b"X" * 70_000])
+    | st.binary(max_size=24),
+    max_size=3,
+)
+_REPLY_BODIES = st.sampled_from([_BODY, b"3\r\nabc\r\n0\r\n\r\n", b"zz\r\n"]) | st.binary(max_size=48)
+
+
+@settings(max_examples=50)
+@given(_STATUS_LINES, _HEADERS, _REPLY_BODIES)
+def test_no_reply_bytes_break_the_remote_client(status_line, headers, body):
+    """Whatever a server sends before it closes, the client returns a candidate
+    by its deadline, and FAILED unless the reply's status line reads 200."""
+    reply = status_line + b"\r\n" + b"".join(header + b"\r\n" for header in headers) + b"\r\n" + body
+    with _loopback_server(reply) as url:
+        start = time.monotonic()
+        candidate = RemoteResolver(url, deadline=0.5).resolve(CHUNK)
+        assert time.monotonic() - start < 1.5
+    # the fields http.client reads from the first line; it skips a 100 reply and reads the next one
+    fields = reply.split(b"\n", 1)[0].decode("iso-8859-1").split(None, 2)
+    if len(fields) < 2 or fields[1] not in ("200", "100"):
+        assert candidate.status is Status.FAILED
