@@ -23,6 +23,7 @@ from .similarity import Granularity, similarity
 from .stats import cles, wilcoxon_signed_rank
 
 TIE_TOLERANCE = 1e-9
+DEFAULT_EXTREMES = 10  # ids kept from each tail of a comparison
 
 
 @dataclass(frozen=True)
@@ -124,19 +125,6 @@ class TuningRow:
     avg_similarity: float
     avg_time: float
 
-    @property
-    def config_label(self) -> str:
-        budget = (
-            self.params.max_evaluations
-            if self.params.max_evaluations is not None
-            else self.params.max_execution_time
-        )
-        return f"{self.params.neighbors_per_iteration},{budget},{self.params.max_stagnation_iterations}"
-
-    @property
-    def budget_kind(self) -> str:
-        return "evaluations" if self.params.max_evaluations is not None else "seconds"
-
 
 def tune_grid(
     records: Sequence[ConflictRecord],
@@ -153,8 +141,10 @@ def tune_grid(
     the 1-based position, in the engine's score-ordered top-N list, of the
     candidate most similar to the ground truth ("best-similarity" mode) or
     of the first exact match ("exact-match" mode), with penalty N+1 when no
-    such candidate is listed.
+    such candidate is listed. Records run one after another: ``jobs`` must be 1.
     """
+    if jobs != 1:
+        raise ValueError(f"tune_grid runs one record at a time; jobs must be 1, got {jobs}")
     if not records:
         raise ValueError("tuning sample is empty")
     if not grid:
@@ -162,40 +152,20 @@ def tune_grid(
     rows = []
     for base_params in grid:
         params = dataclasses.replace(base_params, seed=seed)
-
-        def measure(record: ConflictRecord) -> tuple[int, int, float, float]:
+        measured = []
+        for record in records:
             result = rrhc_resolve(record, params)
-            truth = record.resolution_lines
-            rank = params.top_n + 1
-            best_ranked_sim = -1.0
-            for position, entry in enumerate(result.ranked, start=1):
-                sim = similarity(candidate_lines(entry.candidate, record), truth, Granularity.CHAR)
-                if position == 1:
-                    best_sim = sim  # ranked[0] is (best, best_score)
-                if ranking == "exact-match":
-                    if sim == 1.0:
-                        rank = position
-                        break
-                elif sim > best_ranked_sim:
-                    best_ranked_sim = sim
-                    rank = position
-            return (1 if best_sim == 1.0 else 0), rank, best_sim, result.elapsed
-
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                measured = list(pool.map(measure, records))
-        else:
-            measured = [measure(record) for record in records]
+            sims = []  # char similarity of each ranked candidate; ranked[0] is (best, best_score)
+            for entry in result.ranked:
+                sims.append(similarity(candidate_lines(entry.candidate, record), record.resolution_lines, Granularity.CHAR))
+                if ranking == "exact-match" and sims[-1] == 1.0:
+                    break
+            target = 1.0 if ranking == "exact-match" else max(sims)
+            rank = sims.index(target) + 1 if target in sims else params.top_n + 1
+            measured.append((sims[0] == 1.0, rank, sims[0], result.elapsed))
+        top1, ranks, best_sims, times = zip(*measured)
         n = len(records)
-        rows.append(
-            TuningRow(
-                params=params,
-                top1_count=sum(m[0] for m in measured),
-                avg_ranking=sum(m[1] for m in measured) / n,
-                avg_similarity=sum(m[2] for m in measured) / n,
-                avg_time=sum(m[3] for m in measured) / n,
-            )
-        )
+        rows.append(TuningRow(params, sum(top1), sum(ranks) / n, sum(best_sims) / n, sum(times) / n))
     return sorted(rows, key=lambda row: -row.avg_similarity)
 
 
@@ -241,7 +211,7 @@ def _set_name(rows: Sequence[ResultRow]) -> str:
 
 
 def compare_results(
-    rows_a: Sequence[ResultRow], rows_b: Sequence[ResultRow], m: int = 10
+    rows_a: Sequence[ResultRow], rows_b: Sequence[ResultRow], m: int = DEFAULT_EXTREMES
 ) -> ComparisonReport:
     """Pair two result sets by conflict id and compute the full comparison analysis."""
     if m < 0:
@@ -253,6 +223,8 @@ def compare_results(
     mismatched = sorted(set(by_id_a) ^ set(by_id_b))
     if mismatched:
         raise ValueError(f"conflict id sets differ; first mismatched id: {mismatched[0]}")
+    if not by_id_a:
+        raise ValueError("no conflicts to compare")
 
     ids = sorted(by_id_a)
     diffs = [(cid, by_id_a[cid].sim_char - by_id_b[cid].sim_char) for cid in ids]
@@ -313,10 +285,13 @@ def dump_tuning_csv(rows: Sequence[TuningRow], out: TextIO) -> None:
         ["configuration", "budget_kind", "top1_similarity_count", "average_ranking", "average_similarity", "average_time"]
     )
     for row in rows:
+        params = row.params
+        timed = params.max_evaluations is None
+        budget = params.max_execution_time if timed else params.max_evaluations
         writer.writerow(
             [
-                row.config_label,
-                row.budget_kind,
+                f"{params.neighbors_per_iteration},{budget},{params.max_stagnation_iterations}",
+                "seconds" if timed else "evaluations",
                 row.top1_count,
                 repr(row.avg_ranking),
                 repr(row.avg_similarity),

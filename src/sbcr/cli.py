@@ -21,6 +21,7 @@ from . import bench as bench_mod
 from . import corpus, parsing
 from .resolvers import (
     DEFAULT_DEADLINE,
+    DEFAULT_STUB_MODE,
     STUB_MODES,
     RemoteResolver,
     Resolver,
@@ -32,7 +33,7 @@ from .resolvers import (
 )
 from .router import HybridResolver, RouteThresholds, extract_features, route
 from .search import SearchParams
-from .stub_server import StubServer
+from .stub_server import DEFAULT_SLOW_DELAY, StubServer
 
 ENDPOINT_ENV_VAR = "SBCR_REMOTE_URL"
 JOBS_HELP = "records run at once on threads; remote requests overlap, searches run one at a time with their whole budget"
@@ -64,16 +65,23 @@ DEFAULTS = {key: default for key, (default, _, _) in SETTINGS.items()}
 _ROUTER_KEYS = ("input_token_limit", "non_english_tau", "balance_beta")
 
 
-class _UsageError(Exception):
-    pass
+class _Failure(Exception):
+    """A failure ``main`` reports on stderr as ``sbcr: <label>: <message>`` and ends with ``exit_code``."""
+
+    exit_code: int
+    label: str
 
 
-class _InputError(Exception):
-    pass
+class _UsageError(_Failure):
+    exit_code, label = EXIT_USAGE, "error"
 
 
-class _RemoteError(Exception):
-    pass
+class _InputError(_Failure):
+    exit_code, label = EXIT_INPUT, "input error"
+
+
+class _RemoteError(_Failure):
+    exit_code, label = EXIT_REMOTE, "remote error"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -137,7 +145,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("compare", help="paired comparison of two result files")
     p.add_argument("results_a")
     p.add_argument("results_b")
-    p.add_argument("--extremes", type=int, default=10, help="ids to keep from each tail")
+    p.add_argument("--extremes", type=int, default=bench_mod.DEFAULT_EXTREMES, help="ids to keep from each tail")
     p.add_argument("--out", default="-", help="report JSON output (default stdout)")
     p.add_argument("--csv-dir", default=None, help="also write sim_diff.csv and balance_histogram.csv here")
 
@@ -147,9 +155,9 @@ def build_parser() -> _Parser:
     _add_flags(p, _ROUTER_KEYS)
 
     p = sub.add_parser("serve-stub", help="run the stub generative resolver")
-    p.add_argument("--mode", default="echo-v1", help=" | ".join(STUB_MODES))
+    p.add_argument("--mode", default=DEFAULT_STUB_MODE, help=" | ".join(STUB_MODES))
     p.add_argument("--port", type=int, default=8731)
-    p.add_argument("--delay", type=float, default=2.0, help="sleep for slow mode, seconds")
+    p.add_argument("--delay", type=float, default=DEFAULT_SLOW_DELAY, help="sleep for slow mode, seconds")
     p.add_argument("--verbose", action="store_true")
 
     return parser
@@ -345,15 +353,9 @@ def _cmd_ingest(args, config) -> int:
 def _cmd_split(args, config) -> int:
     records = _load_dataset(args.records)
     try:
-        parts = [float(x) for x in args.ratios.split(",")]
-        if len(parts) != 3:
-            raise ValueError("need exactly three ratios")
-    except ValueError as exc:
+        split = corpus.split_dataset([r.id for r in records], config["seed"], tuple(float(x) for x in args.ratios.split(",")))
+    except ValueError as exc:  # a ratio that is not a number, or ratios split_dataset refuses
         raise _UsageError(f"bad --ratios: {exc}")
-    try:
-        split = corpus.split_dataset([r.id for r in records], config["seed"], (parts[0], parts[1], parts[2]))
-    except ValueError as exc:
-        raise _UsageError(str(exc))
     by_id = {r.id: r for r in records}
     out_dir = _output_dir(args.out_dir)
     parts = (("train", split.train_ids), ("valid", split.valid_ids), ("test", split.test_ids))
@@ -471,7 +473,7 @@ def _cmd_route(args, config) -> int:
         for record in records:
             decision = route(extract_features(record), thresholds)
             logged = {"id": record.id, "rule": decision.rule.value, "target": decision.target.value}
-            out.write(json.dumps({**logged, "features": decision.features.to_json()}) + "\n")
+            _write_jsonl(out, [{**logged, "features": decision.features.to_json()}])
     return EXIT_OK
 
 
@@ -518,15 +520,9 @@ def main(argv: list[str] | None = None) -> int:
             parser.print_usage(sys.stderr)
             return EXIT_USAGE
         return _COMMANDS[args.command](args, config)
-    except _UsageError as exc:
-        print(f"sbcr: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except _InputError as exc:
-        print(f"sbcr: input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except _RemoteError as exc:
-        print(f"sbcr: remote error: {exc}", file=sys.stderr)
-        return EXIT_REMOTE
+    except _Failure as exc:
+        print(f"sbcr: {exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except BrokenPipeError:
         return EXIT_OK
     except Exception as exc:  # invariant violations and bugs

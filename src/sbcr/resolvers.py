@@ -268,6 +268,7 @@ _STUB_TABLE: dict[str, tuple[bool, Callable]] = {
     "garbage": (False, lambda v1, v2, limit: None),
 }
 STUB_MODES = tuple(_STUB_TABLE)
+DEFAULT_STUB_MODE = "echo-v1"
 
 
 def check_stub(mode: str, slow_delay: float) -> None:
@@ -314,7 +315,7 @@ class StubGenerativeResolver(RemoteResolver):
 
     def __init__(
         self,
-        mode: str = "echo-v1",
+        mode: str = DEFAULT_STUB_MODE,
         limits: TokenLimits = TokenLimits(),
         slow_delay: float = 0.05,
     ):

@@ -12,7 +12,9 @@ import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from .resolvers import MAX_BODY_BYTES, check_stub, stub_response
+from .resolvers import DEFAULT_STUB_MODE, MAX_BODY_BYTES, check_stub, stub_response
+
+DEFAULT_SLOW_DELAY = 2.0  # seconds a slow-mode reply waits
 
 
 class _StubHandler(BaseHTTPRequestHandler):
@@ -62,7 +64,7 @@ class StubServer(ThreadingHTTPServer):
 
     daemon_threads = True  # a sleeping slow-mode handler must not block shutdown
 
-    def __init__(self, mode: str = "echo-v1", port: int = 0, slow_delay: float = 2.0, verbose: bool = False):
+    def __init__(self, mode: str = DEFAULT_STUB_MODE, port: int = 0, slow_delay: float = DEFAULT_SLOW_DELAY, verbose: bool = False):
         check_stub(mode, slow_delay)  # before the socket is bound, so a bad argument leaks none
         super().__init__(("127.0.0.1", port), _StubHandler)
         self.mode = mode

@@ -154,6 +154,15 @@ def test_tune_grid_rejects_empty_inputs():
         tune_grid(sample_records(2), [], seed=0)
 
 
+def test_tune_grid_refuses_jobs_before_any_search(monkeypatch):
+    """tune_grid runs records one after another; it once ran them on threads that split each search's budget."""
+    searched = []
+    monkeypatch.setattr("sbcr.bench.rrhc_resolve", lambda *args: searched.append(args))
+    with pytest.raises(ValueError, match="jobs"):
+        tune_grid(sample_records(2), [grid_params(1, 10, 5)], seed=0, jobs=2)
+    assert searched == []
+
+
 def rows_from(sims_a, sims_b, balances=None):
     balances = balances or [0.0] * len(sims_a)
     rows_a = [
@@ -227,6 +236,11 @@ def test_compare_rejects_mismatched_ids():
     _, rows_b = rows_from([0.5, 0.6], [0.5, 0.6])
     with pytest.raises(ValueError, match="c001"):
         compare_results(rows_a, rows_b)
+
+
+def test_compare_of_two_empty_sets_says_there_is_nothing_to_compare():
+    with pytest.raises(ValueError, match="^no conflicts to compare$"):
+        compare_results([], [])
 
 
 def test_compare_histogram_counts_sum_to_n():

@@ -275,6 +275,23 @@ def test_tune_emits_csv_grid(tmp_path):
     assert lines[0].startswith("configuration,budget_kind,top1_similarity_count")
 
 
+# sha256 of the CSV `tune <bundled sample> --sample 8 --grid-neighbors 1,5 --grid-budgets 50,200
+# --grid-stagnation 5 --top-n 10 --seed 3` writes in each ranking mode.
+GOLDEN_TUNE_SHA256 = {
+    "best-similarity": "c19ae8b5efec32adede5fab9a463c7641446442a47b4212849c781456b43db39",
+    "exact-match": "ce9d187f53f6434bd22eba08cbddde3dfb7f3cb823e0750fc54102fe754f3d55",
+}
+
+
+@pytest.mark.parametrize("ranking", list(GOLDEN_TUNE_SHA256))
+def test_seeded_tune_csv_matches_golden_hash(tmp_path, ranking):
+    out = tmp_path / "tuning.csv"
+    argv = ["tune", sample_args(), "--sample", "8", "--grid-neighbors", "1,5", "--grid-budgets", "50,200",
+            "--grid-stagnation", "5", "--top-n", "10", "--seed", "3", "--ranking", ranking, "--out", str(out)]
+    assert main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_TUNE_SHA256[ranking]
+
+
 def test_tune_stdout_matches_out_file(tmp_path, capsys):
     argv = ["tune", sample_args(), "--sample", "3", "--seed", "2", "--grid-neighbors", "2",
             "--grid-budgets", "100,200", "--grid-stagnation", "5"]
@@ -338,6 +355,16 @@ def test_route_decisions_follow_input_order(tmp_path):
     logged = [json.loads(l) for l in decisions.read_text(encoding="utf-8").splitlines()]
     assert [d["id"] for d in logged] == [json.loads(l)["id"] for l in reversed(lines)]
     assert {d["target"] for d in logged} == {"search", "generative"}
+
+
+def test_route_decisions_keep_non_ascii_ids(tmp_path):
+    """The decision log is UTF-8 JSONL like every other output; it once escaped "é1" as "\\u00e91"."""
+    record = json.loads(bundled_sample_path().read_text(encoding="utf-8").splitlines()[0])
+    records = tmp_path / "records.jsonl"
+    records.write_text(json.dumps({**record, "id": "é1"}) + "\n", encoding="utf-8")
+    decisions = tmp_path / "decisions.jsonl"
+    assert main(["route", str(records), "--decisions", str(decisions)]) == 0
+    assert decisions.read_text(encoding="utf-8").startswith('{"id": "é1", ')
 
 
 def test_input_token_limit_must_be_an_integer(conflicted_file, capsys):
@@ -597,6 +624,20 @@ def test_ingest_rejects_deep_and_unencodable_lines(tmp_path, capsys):
     assert [(r["line"], r["reason"]) for r in reports] == [(1, "malformed"), (2, "malformed")]
 
 
+def test_split_needs_exactly_three_ratios(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["split", sample_args(), "--ratios", "0.5,0.5", "--out-dir", str(out)]) == 1
+    assert "sbcr: error: bad --ratios: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_compare_of_two_empty_result_files_is_input_error(tmp_path, capsys):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("", encoding="utf-8")
+    assert main(["compare", str(empty), str(empty)]) == 2
+    assert capsys.readouterr().err == "sbcr: input error: no conflicts to compare\n"
+
+
 def test_compare_and_config_reject_json_nested_too_deep(tmp_path, capsys):
     deep = tmp_path / "deep.json"
     deep.write_text(DEEP_JSON + "\n", encoding="utf-8")
@@ -825,3 +866,20 @@ def test_each_setting_reaches_the_effective_config(tmp_path, capsys, monkeypatch
     config.write_text(json.dumps({key: value}), encoding="utf-8")
     assert main(["--config", str(config), "--show-config"]) == 0
     assert json.loads(capsys.readouterr().out)[key] == value
+
+
+def test_parser_defaults_are_the_library_defaults():
+    """serve-stub and compare read their defaults from the library's constants instead of restating them."""
+    import inspect
+
+    from sbcr.bench import DEFAULT_EXTREMES, compare_results
+    from sbcr.resolvers import DEFAULT_STUB_MODE, StubGenerativeResolver
+    from sbcr.stub_server import DEFAULT_SLOW_DELAY
+
+    stub = build_parser().parse_args(["serve-stub"])
+    assert (stub.mode, stub.delay) == (DEFAULT_STUB_MODE, DEFAULT_SLOW_DELAY)
+    assert build_parser().parse_args(["compare", "a", "b"]).extremes == DEFAULT_EXTREMES
+    server = inspect.signature(StubServer).parameters
+    assert (server["mode"].default, server["slow_delay"].default) == (DEFAULT_STUB_MODE, DEFAULT_SLOW_DELAY)
+    assert inspect.signature(StubGenerativeResolver).parameters["mode"].default == DEFAULT_STUB_MODE
+    assert inspect.signature(compare_results).parameters["m"].default == DEFAULT_EXTREMES
