@@ -165,7 +165,15 @@ def tune_grid(
             measured.append((sims[0] == 1.0, rank, sims[0], result.elapsed))
         top1, ranks, best_sims, times = zip(*measured)
         n = len(records)
-        rows.append(TuningRow(params, sum(top1), sum(ranks) / n, sum(best_sims) / n, sum(times) / n))
+        rows.append(
+            TuningRow(
+                params=params,
+                top1_count=sum(top1),
+                avg_ranking=sum(ranks) / n,
+                avg_similarity=sum(best_sims) / n,
+                avg_time=sum(times) / n,
+            )
+        )
     return sorted(rows, key=lambda row: -row.avg_similarity)
 
 

@@ -469,11 +469,10 @@ def _cmd_compare(args, config) -> int:
 def _cmd_route(args, config) -> int:
     thresholds = _thresholds(config)
     records = _load_dataset(args.records)
+    decisions = ((record.id, route(extract_features(record), thresholds)) for record in records)
+    logged = ({"id": i, "rule": d.rule.value, "target": d.target.value, "features": d.features.to_json()} for i, d in decisions)
     with _output(args.decisions) as out:
-        for record in records:
-            decision = route(extract_features(record), thresholds)
-            logged = {"id": record.id, "rule": decision.rule.value, "target": decision.target.value}
-            _write_jsonl(out, [{**logged, "features": decision.features.to_json()}])
+        _write_jsonl(out, logged)
     return EXIT_OK
 
 
