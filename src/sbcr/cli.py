@@ -351,11 +351,12 @@ def _cmd_ingest(args, config) -> int:
 
 
 def _cmd_split(args, config) -> int:
-    records = _load_dataset(args.records)
     try:
-        split = corpus.split_dataset([r.id for r in records], config["seed"], tuple(float(x) for x in args.ratios.split(",")))
-    except ValueError as exc:  # a ratio that is not a number, or ratios split_dataset refuses
+        ratios = corpus.check_ratios([float(x) for x in args.ratios.split(",")])
+    except ValueError as exc:  # a ratio that is not a number, or ratios check_ratios refuses
         raise _UsageError(f"bad --ratios: {exc}")
+    records = _load_dataset(args.records)
+    split = corpus.split_dataset([r.id for r in records], config["seed"], ratios)
     by_id = {r.id: r for r in records}
     out_dir = _output_dir(args.out_dir)
     parts = (("train", split.train_ids), ("valid", split.valid_ids), ("test", split.test_ids))
@@ -372,6 +373,7 @@ def _cmd_split(args, config) -> int:
 
 
 def _cmd_resolve(args, config) -> int:
+    resolver = None if args.records else _build_resolver(args.engine, config)
     with _input(args.file) as fh:
         text = fh.read()
     try:
@@ -382,7 +384,6 @@ def _cmd_resolve(args, config) -> int:
         with _output(args.out) as out:
             _write_jsonl(out, parsing.extract_records(parsed, path=args.file if args.file != "-" else ""))
         return EXIT_OK
-    resolver = _build_resolver(args.engine, config)
     resolutions = []
     for chunk in parsed.chunks:
         candidate = resolver.resolve(chunk)
@@ -400,8 +401,8 @@ def _cmd_resolve(args, config) -> int:
 def _cmd_bench(args, config) -> int:
     if args.jobs < 1:
         raise _UsageError("--jobs must be at least 1")
-    records = _load_dataset(args.records)
     resolver = _build_resolver(args.engine, config)
+    records = _load_dataset(args.records)
     with _output(args.out) as out:
         rows = bench_mod.run_benchmark(records, resolver, jobs=args.jobs, trim_trailing=args.trim_trailing_ws)
         _write_jsonl(out, (row.to_json() for row in rows))

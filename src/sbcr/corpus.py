@@ -260,19 +260,14 @@ def _pareto_minimal(states: set[tuple[int, int]]) -> set[tuple[int, int]]:
     return keep
 
 
-def dedupe_by_commit(
-    records_a: Sequence[ConflictRecord], records_b: Sequence[ConflictRecord]
-) -> list[ConflictRecord]:
-    """Merge two datasets, dropping every record whose commit hash appears in both.
-
-    Conservative exclusion: a shared commit hash removes the records from
-    both sides of the merge, not just one.
-    """
-    hashes_a = {r.commit_hash for r in records_a}
-    hashes_b = {r.commit_hash for r in records_b}
-    shared = hashes_a & hashes_b
-    merged = list(records_a) + list(records_b)
-    return [r for r in merged if r.commit_hash not in shared]
+def check_ratios(ratios: Sequence[float]) -> tuple[float, float, float]:
+    """The train/valid/test ratios as a triple; ValueError unless they are three
+    finite, non-negative numbers summing to 1 within 1e-9."""
+    if len(ratios) != 3 or not all(0 <= r < math.inf for r in ratios):
+        raise ValueError(f"ratios must be three finite non-negative numbers, got {tuple(ratios)}")
+    if abs(sum(ratios) - 1.0) > 1e-9:
+        raise ValueError(f"ratios must sum to 1, got {sum(ratios)}")
+    return (ratios[0], ratios[1], ratios[2])
 
 
 def split_dataset(
@@ -281,13 +276,9 @@ def split_dataset(
     """Deterministically shuffle ids and cut them into train/valid/test partitions.
 
     Cut points are floor(n * r_train) and floor(n * (r_train + r_valid));
-    the remainder goes to test. Ratios must be finite, non-negative and sum
-    to 1 within 1e-9.
+    the remainder goes to test. The ratios must pass ``check_ratios``.
     """
-    if len(ratios) != 3 or not all(0 <= r < math.inf for r in ratios):
-        raise ValueError(f"ratios must be three finite non-negative numbers, got {tuple(ratios)}")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(f"ratios must sum to 1, got {sum(ratios)}")
+    ratios = check_ratios(ratios)
     shuffled = list(ids)
     random.Random(seed).shuffle(shuffled)
     n = len(shuffled)
@@ -298,7 +289,7 @@ def split_dataset(
         valid_ids=tuple(shuffled[cut1:cut2]),
         test_ids=tuple(shuffled[cut2:]),
         seed=seed,
-        ratios=(ratios[0], ratios[1], ratios[2]),
+        ratios=ratios,
     )
 
 

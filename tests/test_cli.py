@@ -715,6 +715,18 @@ def test_tune_usage_errors_exit_1_before_reading(tmp_path, capsys, flags):
     assert "sbcr: error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "case",
+    ["split --ratios 0.5,0.5", "bench --engine bogus", "bench --neighbors 0", "bench --engine remote",
+     "resolve --engine bogus"],
+)
+def test_flags_are_checked_before_the_input_is_read(tmp_path, capsys, monkeypatch, case):
+    command, *flags = case.split()
+    monkeypatch.delenv("SBCR_REMOTE_URL", raising=False)
+    assert main([command, str(tmp_path / "missing"), *flags]) == 1
+    assert "sbcr: error:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("port", ["99999", "-1"])
 def test_serve_stub_port_out_of_range_is_usage_error(capsys, port):
     assert main(["serve-stub", "--port", port]) == 1

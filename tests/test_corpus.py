@@ -8,10 +8,8 @@ import pytest
 from conftest import achievable_sequences
 
 from sbcr.corpus import (
-    ConflictRecord,
     Language,
     bundled_sample_path,
-    dedupe_by_commit,
     ingest_records,
     is_combination,
     parse_language,
@@ -134,42 +132,6 @@ def test_partial_order_matches_enumeration_oracle():
             assert preserves_partial_order(probe, v1, v2) == (tuple(probe) in reachable)
             checked += 1
     assert checked >= 1000
-
-
-def _record(id: str, commit: str) -> ConflictRecord:
-    return ConflictRecord(
-        id=id,
-        project="p",
-        commit_hash=commit,
-        file_path="f",
-        language=Language.OTHER,
-        base_lines=(),
-        v1_lines=("x",),
-        v2_lines=(),
-        resolution_lines=("x",),
-    )
-
-
-def test_dedupe_removes_shared_commits_entirely():
-    a = [_record("a1", "aaaa"), _record("a2", "bbbb")]
-    b = [_record("b1", "aaaa"), _record("b2", "cccc")]
-    merged = dedupe_by_commit(a, b)
-    assert [r.id for r in merged] == ["a2", "b2"]
-
-
-def test_dedupe_disjoint_and_empty():
-    a = [_record("a1", "aaaa")]
-    b = [_record("b1", "cccc")]
-    assert len(dedupe_by_commit(a, b)) == 2
-    assert dedupe_by_commit([], b) == b
-
-
-def test_dedupe_commutative_up_to_order():
-    a = [_record("a1", "aaaa"), _record("a2", "bbbb")]
-    b = [_record("b1", "aaaa"), _record("b2", "cccc")]
-    ab = {r.id for r in dedupe_by_commit(a, b)}
-    ba = {r.id for r in dedupe_by_commit(b, a)}
-    assert ab == ba
 
 
 def test_split_sizes_and_determinism():

@@ -273,11 +273,20 @@ def test_stub_server_rejects_bad_route_and_body(echo_server):
 
 
 def test_import_does_not_load_requests():
+    """The CLI loads every module without requests; the engine alone loads no other sbcr module and no HTTP."""
     import sbcr
 
     src = str(Path(sbcr.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
-    code = "import sbcr, sys; assert 'requests' not in sys.modules"
+    code = """
+import sys
+import sbcr.search
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "sbcr")
+assert loaded == ["sbcr", "sbcr.search"], loaded
+assert "http.client" not in sys.modules
+import sbcr.cli
+assert "requests" not in sys.modules
+"""
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
