@@ -19,7 +19,7 @@ from .corpus import ConflictRecord, load_json
 from .resolvers import Resolver
 from .router import balance
 from .search import SearchParams, candidate_lines, rrhc_resolve
-from .similarity import Granularity, similarity
+from .similarity import Granularity, char_similarities, similarity
 from .stats import cles, wilcoxon_signed_rank
 
 TIE_TOLERANCE = 1e-9
@@ -155,11 +155,9 @@ def tune_grid(
         measured = []
         for record in records:
             result = rrhc_resolve(record, params)
-            sims = []  # char similarity of each ranked candidate; ranked[0] is (best, best_score)
-            for entry in result.ranked:
-                sims.append(similarity(candidate_lines(entry.candidate, record), record.resolution_lines, Granularity.CHAR))
-                if ranking == "exact-match" and sims[-1] == 1.0:
-                    break
+            sims = char_similarities(  # one per ranked candidate; ranked[0] is (best, best_score)
+                [candidate_lines(entry.candidate, record) for entry in result.ranked], record.resolution_lines
+            )
             target = 1.0 if ranking == "exact-match" else max(sims)
             rank = sims.index(target) + 1 if target in sims else params.top_n + 1
             measured.append((sims[0] == 1.0, rank, sims[0], result.elapsed))
@@ -170,8 +168,8 @@ def tune_grid(
                 params=params,
                 top1_count=sum(top1),
                 avg_ranking=sum(ranks) / n,
-                avg_similarity=sum(best_sims) / n,
-                avg_time=sum(times) / n,
+                avg_similarity=math.fsum(best_sims) / n,  # exactly rounded, so equal on every Python version
+                avg_time=math.fsum(times) / n,
             )
         )
     return sorted(rows, key=lambda row: -row.avg_similarity)

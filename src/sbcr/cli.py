@@ -118,9 +118,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("resolve", help="resolve a conflicted file (or extract its chunks)")
     p.add_argument("file", help="conflicted text file")
-    p.add_argument("--engine", default="sbcr", help=ENGINE_HELP)
+    p.add_argument("--engine", default=None, help=ENGINE_HELP + " (default sbcr)")  # None, so --records can refuse it
     p.add_argument("--out", default="-", help="resolved file output (default stdout)")
-    p.add_argument("--records", action="store_true", help="emit chunk records instead of resolving")
+    p.add_argument("--records", action="store_true", help="emit chunk records instead of resolving; takes no --engine or settings flag")
     _add_flags(p, SETTINGS)
 
     p = sub.add_parser("bench", help="run a resolver over a dataset and write result rows")
@@ -373,7 +373,14 @@ def _cmd_split(args, config) -> int:
 
 
 def _cmd_resolve(args, config) -> int:
-    resolver = None if args.records else _build_resolver(args.engine, config)
+    engine = args.engine or "sbcr"
+    if args.records:
+        unused = ["--engine"] * (args.engine is not None) + [
+            "--" + key.replace("_", "-") for key in SETTINGS if getattr(args, key) is not None
+        ]
+        if unused:
+            raise _UsageError(f"--records only extracts chunks; it takes no {', '.join(unused)}")
+    resolver = None if args.records else _build_resolver(engine, config)
     with _input(args.file) as fh:
         text = fh.read()
     try:
@@ -388,7 +395,7 @@ def _cmd_resolve(args, config) -> int:
     for chunk in parsed.chunks:
         candidate = resolver.resolve(chunk)
         if candidate.status is Status.FAILED:
-            if args.engine == "remote":
+            if engine == "remote":
                 raise _RemoteError(f"remote resolver failed: {candidate.detail}")
             raise _InputError(f"resolver failed: {candidate.detail}")
         resolutions.append(list(candidate.lines))

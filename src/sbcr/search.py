@@ -199,7 +199,7 @@ def lcs_length(coded: Coded, parent: _Parent) -> int:
     """LCS length of an int-coded candidate's lines and one parent version.
 
     The engine's objective over match masks (see the module docstring), not
-    ``sbcr.lcs_length``, the text and char LCS the benchmark metric uses.
+    ``sbcr.similarity.lcs_length``, the text and char LCS the benchmark metric uses.
     The zero bits of ``v`` count the LCS.
     """
     masks, size = parent

@@ -8,12 +8,22 @@ lines with a single LF.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Hashable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 
 class Granularity(Enum):
     LINE = "line"
     CHAR = "char"
+
+
+def _position_masks(seq: Sequence[Hashable]) -> dict[Hashable, int]:
+    """Each distinct element of ``seq`` mapped to the bitmask of its positions."""
+    masks: dict[Hashable, int] = {}
+    bit = 1
+    for y in seq:
+        masks[y] = masks.get(y, 0) | bit
+        bit <<= 1
+    return masks
 
 
 def lcs_length(a: Sequence[Hashable], b: Sequence[Hashable]) -> int:
@@ -28,12 +38,8 @@ def lcs_length(a: Sequence[Hashable], b: Sequence[Hashable]) -> int:
     """
     if len(a) < len(b):
         a, b = b, a
-    masks: dict[Hashable, int] = {}
-    bit = 1
-    for y in b:
-        masks[y] = masks.get(y, 0) | bit
-        bit <<= 1
-    full = bit - 1
+    masks = _position_masks(b)
+    full = (1 << len(b)) - 1
     v = full
     for x in a:
         m = masks.get(x)
@@ -65,3 +71,43 @@ def similarity(
     if total == 0:
         return 1.0
     return 2.0 * lcs_length(a, b) / total
+
+
+def char_similarities(candidates: Iterable[Sequence[str]], truth: Sequence[str]) -> list[float]:
+    """``similarity(c, truth, Granularity.CHAR)`` for each line list ``c``, bit for bit.
+
+    Built for a ranked candidate list, whose entries repeat and share leading
+    lines. LCS is symmetric, so the bit vector runs over ``truth``'s joined
+    text, whose masks are built once. Each distinct candidate is scored once,
+    in sorted order, resuming from the state kept after the whole lines it
+    shares with the candidate scored before it (Landau, Myers & Schmidt 1998);
+    each distinct line's non-zero masks are looked up once.
+    """
+    candidates = [tuple(c) for c in candidates]
+    text = "\n".join(truth)
+    masks = _position_masks(text)
+    full = (1 << len(text)) - 1
+    lf = "\n" in masks  # then every line's masks start with the LF's, which a first line skips
+    line_masks: dict[str, list[int]] = {}
+    scores: dict[tuple[str, ...], float] = {}
+    states = [full]  # states[i]: v after the first i lines of the previous candidate and the LF before each
+    previous: tuple[str, ...] = ()
+    for c in sorted(set(candidates)):
+        shared = 0
+        while shared < len(c) and shared < len(previous) and c[shared] == previous[shared]:
+            shared += 1
+        del states[shared + 1 :]
+        v = states[-1]
+        for i in range(shared, len(c)):
+            line = c[i]
+            ms = line_masks.get(line)
+            if ms is None:
+                ms = line_masks[line] = [m for m in map(masks.get, "\n" + line) if m]
+            for m in ms[1:] if lf and not i else ms:
+                u = v & m
+                v = ((v + u) | (v - u)) & full
+            states.append(v)
+        previous = c
+        total = sum(map(len, c)) + max(len(c) - 1, 0) + len(text)
+        scores[c] = 1.0 if total == 0 else 2.0 * (len(text) - v.bit_count()) / total
+    return [scores[c] for c in candidates]

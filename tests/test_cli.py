@@ -133,6 +133,20 @@ def test_resolve_records_extraction(conflicted_file, tmp_path, capsys):
     assert record["resolution"] == []
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--engine", "sbcr"], ["--engine", "bogus", "--neighbors", "0"],
+     *(["--" + key.replace("_", "-"), "http://127.0.0.1:9" if kind is str else "1"] for key, (_, kind, _) in SETTINGS.items())],
+    ids=lambda flags: " ".join(flags),
+)
+def test_resolve_records_refuses_engine_and_settings_flags_before_reading(conflicted_file, tmp_path, capsys, flags):
+    out = tmp_path / "chunks.jsonl"
+    assert main(["resolve", str(tmp_path / "missing.txt"), "--records", *flags]) == 1
+    assert main(["resolve", str(conflicted_file), "--records", *flags, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.count(f"it takes no {flags[0]}") == 2
+    assert not out.exists()
+
+
 def test_resolve_remote_failure_exit_3(conflicted_file, tmp_path):
     code = main(
         ["resolve", str(conflicted_file), "--engine", "remote", "--endpoint", "http://127.0.0.1:9", "--deadline", "0.3"]
@@ -276,21 +290,20 @@ def test_tune_emits_csv_grid(tmp_path):
 
 
 # The CSV `tune <bundled sample> --sample 8 --grid-neighbors 1,5 --grid-budgets 50,200 --grid-stagnation 5
-# --top-n 10 --seed 3` writes in each ranking mode, one (fields before, average_similarity, average_time) per
-# row. average_similarity is a sum() over records, which rounds differently from Python 3.12 on, so it is
-# compared within a relative 1e-12; every other byte is compared exactly.
+# --top-n 10 --seed 3` writes in each ranking mode, one line per row. average_similarity is an fsum() over
+# records, which rounds the same on every Python version, so every byte is compared exactly.
 GOLDEN_TUNE_ROWS = {
     "best-similarity": [
-        ('"1,200,5",evaluations,1,5.25', 0.8110792905415227, "0.0"),
-        ('"1,50,5",evaluations,1,4.75', 0.7836475812646484, "0.0"),
-        ('"5,200,5",evaluations,0,6.0', 0.7009248989620156, "0.0"),
-        ('"5,50,5",evaluations,0,3.75', 0.6953893064300392, "0.0"),
+        '"1,200,5",evaluations,1,5.25,0.8110792905415227,0.0',
+        '"1,50,5",evaluations,1,4.75,0.7836475812646485,0.0',
+        '"5,200,5",evaluations,0,6.0,0.7009248989620156,0.0',
+        '"5,50,5",evaluations,0,3.75,0.6953893064300393,0.0',
     ],
     "exact-match": [
-        ('"1,200,5",evaluations,1,8.125', 0.8110792905415227, "0.0"),
-        ('"1,50,5",evaluations,1,7.625', 0.7836475812646484, "0.0"),
-        ('"5,200,5",evaluations,0,9.375', 0.7009248989620156, "0.0"),
-        ('"5,50,5",evaluations,0,8.5', 0.6953893064300392, "0.0"),
+        '"1,200,5",evaluations,1,8.125,0.8110792905415227,0.0',
+        '"1,50,5",evaluations,1,7.625,0.7836475812646485,0.0',
+        '"5,200,5",evaluations,0,9.375,0.7009248989620156,0.0',
+        '"5,50,5",evaluations,0,8.5,0.6953893064300393,0.0',
     ],
 }
 
@@ -304,10 +317,7 @@ def test_seeded_tune_csv_matches_golden_rows(tmp_path, ranking):
     header, *lines, last = out.read_bytes().decode("utf-8").split("\r\n")
     assert header == "configuration,budget_kind,top1_similarity_count,average_ranking,average_similarity,average_time"
     assert last == ""
-    rows = [line.rsplit(",", 2) for line in lines]
-    expected = GOLDEN_TUNE_ROWS[ranking]
-    assert [(fields, time) for fields, _, time in rows] == [(fields, time) for fields, _, time in expected]
-    assert [float(sim) for _, sim, _ in rows] == pytest.approx([sim for _, sim, _ in expected], rel=1e-12, abs=0)
+    assert lines == GOLDEN_TUNE_ROWS[ranking]
 
 
 def test_tune_stdout_matches_out_file(tmp_path, capsys):

@@ -5,7 +5,7 @@ from conftest import lcs_oracle, lcs_row_dp
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sbcr.similarity import Granularity, lcs_length, similarity
+from sbcr.similarity import Granularity, char_similarities, lcs_length, similarity
 
 
 def test_lcs_hand_checked():
@@ -97,3 +97,36 @@ def test_lcs_equals_row_dp_on_strings(a, b):
 def test_lcs_with_an_empty_side_is_zero(seq):
     empty = seq[:0]
     assert lcs_length(seq, empty) == lcs_length(empty, seq) == 0
+
+
+def _char_oracle(candidates, truth):
+    return [similarity(c, truth, Granularity.CHAR) for c in candidates]
+
+
+def test_char_similarities_edge_cases():
+    truth = ["ab", "", "c\u00e9"]
+    candidates = [["ab"], [], ["ab", ""], ["ab"], ["ab", "", "c\u00e9"], [""], ["ab", "", "c\u00e9", "x"]]
+    assert char_similarities(candidates, truth) == _char_oracle(candidates, truth)
+    assert char_similarities(candidates, []) == _char_oracle(candidates, [])
+    assert char_similarities([[], [""], ["", ""]], []) == [1.0, 1.0, 0.0]
+    assert char_similarities([], truth) == []
+
+
+# Lines including the empty line, one holding a LF and non-ASCII text. Each candidate is a prefix of one of a
+# few stems plus a short tail, so candidates repeat and share leading lines.
+_LINES = st.sampled_from(["", "\n", "a", "ab", "b}", "x\ny", "\u00e9\u20ac", "\U0001f600a"])
+
+
+@given(
+    st.lists(st.lists(_LINES, max_size=6), min_size=1, max_size=4).flatmap(
+        lambda stems: st.lists(
+            st.tuples(st.sampled_from(stems), st.integers(0, 6), st.lists(_LINES, max_size=3)).map(
+                lambda t: t[0][: t[1]] + t[2]
+            ),
+            max_size=12,
+        )
+    ),
+    st.lists(_LINES, max_size=6),
+)
+def test_char_similarities_equal_similarity(candidates, truth):
+    assert char_similarities(candidates, truth) == _char_oracle(candidates, truth)
