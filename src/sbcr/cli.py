@@ -62,6 +62,8 @@ SETTINGS = {
     "balance_beta": (RouteThresholds.balance_beta, float, "route to search at or below this |balance|"),
 }
 DEFAULTS = {key: default for key, (default, _, _) in SETTINGS.items()}
+# bench and resolve take one resolution per conflict, so only tune reads the ranked list's capacity
+_ENGINE_KEYS = tuple(key for key in SETTINGS if key != "top_n")
 _ROUTER_KEYS = ("input_token_limit", "non_english_tau", "balance_beta")
 
 
@@ -121,7 +123,7 @@ def build_parser() -> _Parser:
     p.add_argument("--engine", default=None, help=ENGINE_HELP + " (default sbcr)")  # None, so --records can refuse it
     p.add_argument("--out", default="-", help="resolved file output (default stdout)")
     p.add_argument("--records", action="store_true", help="emit chunk records instead of resolving; takes no --engine or settings flag")
-    _add_flags(p, SETTINGS)
+    _add_flags(p, _ENGINE_KEYS)
 
     p = sub.add_parser("bench", help="run a resolver over a dataset and write result rows")
     p.add_argument("records", help="line-delimited JSON records with ground truth")
@@ -129,7 +131,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default="-", help="result rows output (default stdout)")
     p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     p.add_argument("--trim-trailing-ws", action="store_true", help="trim trailing whitespace before scoring")
-    _add_flags(p, SETTINGS)
+    _add_flags(p, _ENGINE_KEYS)
 
     p = sub.add_parser("tune", help="grid-search engine parameters on a sample")
     p.add_argument("records", help="line-delimited JSON records with ground truth")
@@ -364,7 +366,7 @@ def _cmd_split(args, config) -> int:
         for out, (_, ids) in zip(outs, parts):
             _write_jsonl(out, (by_id[i].to_json() for i in ids))
         id_lists = {f"{name}_ids": list(ids) for name, ids in parts}
-        _write_json(outs[-1], {"seed": split.seed, "ratios": list(split.ratios), **id_lists})
+        _write_json(outs[-1], {"seed": config["seed"], "ratios": list(ratios), **id_lists})
     print(
         f"split {len(records)} records into {len(split.train_ids)}/{len(split.valid_ids)}/{len(split.test_ids)}",
         file=sys.stderr,
@@ -376,7 +378,7 @@ def _cmd_resolve(args, config) -> int:
     engine = args.engine or "sbcr"
     if args.records:
         unused = ["--engine"] * (args.engine is not None) + [
-            "--" + key.replace("_", "-") for key in SETTINGS if getattr(args, key) is not None
+            "--" + key.replace("_", "-") for key in _ENGINE_KEYS if getattr(args, key) is not None
         ]
         if unused:
             raise _UsageError(f"--records only extracts chunks; it takes no {', '.join(unused)}")

@@ -1,4 +1,4 @@
-"""Dataset handling: load, validate, filter, deduplicate, and split conflict records.
+"""Dataset handling: load, validate, filter and split conflict records.
 
 Records arrive as line-delimited JSON objects:
 
@@ -92,8 +92,6 @@ class DatasetSplit:
     train_ids: tuple[str, ...]
     valid_ids: tuple[str, ...]
     test_ids: tuple[str, ...]
-    seed: int
-    ratios: tuple[float, float, float]
 
 
 def _string_list(value) -> tuple[str, ...] | None:
@@ -288,8 +286,6 @@ def split_dataset(
         train_ids=tuple(shuffled[:cut1]),
         valid_ids=tuple(shuffled[cut1:cut2]),
         test_ids=tuple(shuffled[cut2:]),
-        seed=seed,
-        ratios=ratios,
     )
 
 

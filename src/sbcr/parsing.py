@@ -74,32 +74,19 @@ def _split_raw_lines(text: str) -> list[str]:
     return lines
 
 
-def _strip_eol(raw: str) -> str:
+def _split_eol(raw: str) -> tuple[str, str | None]:
+    """A raw line's text and its ending: CRLF, LF, or None for a last line without one."""
     if raw.endswith("\r\n"):
-        return raw[:-2]
+        return raw[:-2], "\r\n"
     if raw.endswith("\n"):
-        return raw[:-1]
-    return raw
-
-
-def _eol_of(raw: str) -> str | None:
-    if raw.endswith("\r\n"):
-        return "\r\n"
-    if raw.endswith("\n"):
-        return "\n"
-    return None
+        return raw[:-1], "\n"
+    return raw, None
 
 
 def _majority_eol(raw_lines: Sequence[str]) -> str:
     """Majority ending among the given raw lines; LF wins ties and empty input."""
-    crlf = sum(1 for line in raw_lines if _eol_of(line) == "\r\n")
-    lf = sum(1 for line in raw_lines if _eol_of(line) == "\n")
-    return "\r\n" if crlf > lf else "\n"
-
-
-def _match_marker(raw: str) -> str | None:
-    m = _MARKER_RE.fullmatch(_strip_eol(raw))
-    return m.group(1) if m else None
+    eols = [_split_eol(line)[1] for line in raw_lines]
+    return "\r\n" if eols.count("\r\n") > eols.count("\n") else "\n"
 
 
 def parse_conflicted_file(text: str) -> ConflictedFile:
@@ -122,14 +109,16 @@ def parse_conflicted_file(text: str) -> ConflictedFile:
             context.clear()
 
     for line_no, raw in enumerate(_split_raw_lines(text), start=1):
-        kind = _match_marker(raw)
-        if kind is None:
+        line, _ = _split_eol(raw)
+        marker = _MARKER_RE.fullmatch(line)
+        if marker is None:
             if state == "outside":
                 context.append(raw)
             else:
                 chunk_raw.append(raw)
-                sections[state].append(_strip_eol(raw))
+                sections[state].append(line)
             continue
+        kind = marker.group(1)
         if kind == MARKER_V1:
             if state != "outside":
                 raise NestedMarkers("conflict start marker inside an open conflict", line_no)
@@ -200,7 +189,7 @@ def render_resolved(file: ConflictedFile, resolutions: Sequence[Sequence[str]]) 
         index += 1
         if not lines:
             continue
-        block_has_final_newline = _eol_of(segment.raw_lines[-1]) is not None
+        block_has_final_newline = _split_eol(segment.raw_lines[-1])[1] is not None
         for k, line in enumerate(lines):
             last = k == len(lines) - 1
             pieces.append(line if last and not block_has_final_newline else line + file.dominant_eol)

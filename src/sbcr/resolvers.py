@@ -16,7 +16,7 @@ import re
 import threading
 import time
 import urllib.parse
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Sequence
 
@@ -109,7 +109,8 @@ class Resolver:
 
 
 class SearchResolver(Resolver):
-    """Adapter running the hill-climbing engine and returning its best candidate."""
+    """Adapter running the hill-climbing engine and returning its best candidate. It reads only ``best``,
+    the first best candidate found at any ``top_n``, so it asks the engine for a one-entry ranked list."""
 
     resolver_id = "sbcr"
 
@@ -125,7 +126,7 @@ class SearchResolver(Resolver):
     def _generate(self, chunk) -> Sequence[str]:
         if not chunk.v1_lines and not chunk.v2_lines:
             return []  # both sides deleted everything: the one candidate there is
-        return candidate_lines(rrhc_resolve(chunk, self.params).best, chunk)
+        return candidate_lines(rrhc_resolve(chunk, replace(self.params, top_n=1)).best, chunk)
 
 
 class TrivialResolver(Resolver):
@@ -159,6 +160,14 @@ class TokenLimits:
     output_limit: int = DEFAULT_OUTPUT_TOKEN_LIMIT
 
 
+def _time_left(end: float) -> float:
+    """Seconds left before ``end``; TimeoutError when none are."""
+    left = end - time.monotonic()
+    if left <= 0:
+        raise TimeoutError("timed out")  # as the socket says when its own timeout runs out
+    return left
+
+
 class _DeadlineReader(io.RawIOBase):
     """A socket's reads, each allowed only what is left before ``end``;
     HTTPResponse reads the reply through ``makefile``."""
@@ -170,10 +179,7 @@ class _DeadlineReader(io.RawIOBase):
         return True
 
     def readinto(self, buffer) -> int:
-        left = self.end - time.monotonic()
-        if left <= 0:
-            raise TimeoutError("timed out")  # as the socket says when its own timeout runs out
-        self.sock.settimeout(left)
+        self.sock.settimeout(_time_left(self.end))
         return self.sock.recv_into(buffer)
 
     def makefile(self, mode: str) -> io.BufferedReader:
@@ -182,15 +188,19 @@ class _DeadlineReader(io.RawIOBase):
 
 def _post_json(url: str, payload: dict, timeout: float) -> tuple[int, bytes]:
     """POST ``payload`` as JSON and return the status code and body of the reply, error replies included.
-    ``timeout`` bounds the whole request; a reply body over ``MAX_BODY_BYTES`` raises ValueError."""
+    ``timeout`` bounds the whole request from connecting on, but not the host name lookup before it;
+    a reply body over ``MAX_BODY_BYTES`` raises ValueError."""
     end = time.monotonic() + timeout
     parts = urllib.parse.urlsplit(url)
     if parts.scheme not in ("http", "https") or not parts.netloc:
         raise ValueError(f"not an http or https URL: {url!r}")
     kind = http.client.HTTPSConnection if parts.scheme == "https" else http.client.HTTPConnection
+    data = json.dumps(payload).encode("utf-8")
     connection = kind(parts.netloc, timeout=timeout)
     try:
-        connection.request("POST", parts.path, json.dumps(payload).encode("utf-8"), {"Content-Type": "application/json"})
+        connection.connect()
+        connection.sock.settimeout(_time_left(end))  # the send gets what the connect left
+        connection.request("POST", parts.path, data, {"Content-Type": "application/json"})
         response = http.client.HTTPResponse(_DeadlineReader(connection.sock, end), method="POST")
         response.begin()
         body = response.read(MAX_BODY_BYTES + 1)  # in pieces, each read bounded by the deadline

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from heapq import nlargest
 from operator import itemgetter
-from typing import Callable, NamedTuple, Protocol, Sequence
+from typing import Callable, Hashable, NamedTuple, Protocol, Sequence
 
 
 class Version(IntEnum):
@@ -182,15 +182,24 @@ class _Parent(NamedTuple):
     size: int
 
 
+def position_masks(seq: Sequence[Hashable]) -> dict[Hashable, int]:
+    """Each distinct element of ``seq`` mapped to the bitmask of its positions; ``sbcr.similarity``
+    builds its tables with it too, and it lives here because the engine imports no other sbcr module."""
+    masks: dict[Hashable, int] = {}
+    bit = 1
+    for y in seq:
+        masks[y] = masks.get(y, 0) | bit
+        bit <<= 1
+    return masks
+
+
 def _parents(chunk: ChunkLike) -> tuple[_Parent, _Parent]:
     """The v1 and v2 match tables of a chunk, built once per chunk."""
     lines = [*chunk.v1_lines, *chunk.v2_lines]
 
     def table(parent: Sequence[str]) -> _Parent:
-        positions: dict[str, int] = {}
-        for i, line in enumerate(parent):
-            positions[line] = positions.get(line, 0) | 1 << i
-        return _Parent(tuple([positions.get(line, 0) for line in lines]), len(parent))
+        masks = position_masks(parent)
+        return _Parent(tuple([masks.get(line, 0) for line in lines]), len(parent))
 
     return table(chunk.v1_lines), table(chunk.v2_lines)
 

@@ -10,20 +10,12 @@ from __future__ import annotations
 from enum import Enum
 from typing import Hashable, Iterable, Sequence
 
+from .search import position_masks
+
 
 class Granularity(Enum):
     LINE = "line"
     CHAR = "char"
-
-
-def _position_masks(seq: Sequence[Hashable]) -> dict[Hashable, int]:
-    """Each distinct element of ``seq`` mapped to the bitmask of its positions."""
-    masks: dict[Hashable, int] = {}
-    bit = 1
-    for y in seq:
-        masks[y] = masks.get(y, 0) | bit
-        bit <<= 1
-    return masks
 
 
 def lcs_length(a: Sequence[Hashable], b: Sequence[Hashable]) -> int:
@@ -38,7 +30,7 @@ def lcs_length(a: Sequence[Hashable], b: Sequence[Hashable]) -> int:
     """
     if len(a) < len(b):
         a, b = b, a
-    masks = _position_masks(b)
+    masks = position_masks(b)
     full = (1 << len(b)) - 1
     v = full
     for x in a:
@@ -85,7 +77,7 @@ def char_similarities(candidates: Iterable[Sequence[str]], truth: Sequence[str])
     """
     candidates = [tuple(c) for c in candidates]
     text = "\n".join(truth)
-    masks = _position_masks(text)
+    masks = position_masks(text)
     full = (1 << len(text)) - 1
     lf = "\n" in masks  # then every line's masks start with the LF's, which a first line skips
     line_masks: dict[str, list[int]] = {}

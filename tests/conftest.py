@@ -1,4 +1,4 @@
-"""Shared test helpers: tiny chunk type, random generators, and brute-force oracles."""
+"""Shared test helpers: tiny chunk type, random generators, and brute-force and DP oracles."""
 
 from __future__ import annotations
 
@@ -63,6 +63,66 @@ def all_candidates(chunk: Chunk) -> Iterator[tuple[SourceLineRef, ...]]:
 def brute_force_optimum(chunk: Chunk) -> float:
     """Exhaustive-enumeration maximum of the evaluation function."""
     return max(evaluate(candidate, chunk) for candidate in all_candidates(chunk))
+
+
+def _pareto_maximal(pairs: set[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The pairs no other pair matches or beats in both places."""
+    kept: list[tuple[int, int]] = []
+    for first, second in sorted(pairs, reverse=True):
+        if not kept or second > kept[-1][1]:
+            kept.append((first, second))
+    return kept
+
+
+def exact_best_score(v1: Sequence[str], v2: Sequence[str]) -> float:
+    """The maximum of the search objective over every candidate of a chunk, without enumerating them.
+
+    A DP over (v1 lines passed, v2 lines passed, v1-parent pointer, v2-parent
+    pointer). A step skips the next line of v1 or of v2, or takes it into the
+    candidate; a taken line joins the alignment with either or both parents,
+    matching the earliest equal parent line at or after that parent's pointer,
+    which is exact for LCS (Wagner & Fischer 1974). A line in neither alignment
+    only lengthens the candidate, which lowers both ratios, so no step takes
+    one. Per state and candidate length it keeps the Pareto-maximal (LCS with
+    v1, LCS with v2) pairs: at a fixed length the score grows with both, and
+    the rest of the walk adds the same to every pair of one state.
+    """
+    n1, n2 = len(v1), len(v2)
+
+    def matches(parent: Sequence[str], line: str, pointer: int) -> list[tuple[int, int]]:
+        """(new pointer, LCS gain) for leaving ``line`` out of the alignment or matching it."""
+        moves = [(pointer, 0)]
+        for pos in range(pointer, len(parent)):
+            if parent[pos] == line:
+                moves.append((pos + 1, 1))
+                break
+        return moves
+
+    # table[i, j][a, b, length]: (LCS with v1, LCS with v2) pairs after passing i v1 and j v2 lines
+    table: dict[tuple[int, int], dict[tuple[int, int, int], set[tuple[int, int]]]] = {(0, 0): {(0, 0, 0): {(0, 0)}}}
+    best = -1.0
+    for i in range(n1 + 1):
+        for j in range(n2 + 1):
+            states = table.pop((i, j), {})
+            for (a, b, length), pairs in states.items():
+                pairs = _pareto_maximal(pairs)
+                if i == n1 and j == n2:
+                    for l1, l2 in pairs:  # _score's arithmetic, so an optimum compares equal to evaluate()
+                        s1 = 1.0 if length + n1 == 0 else 2.0 * l1 / (length + n1)
+                        s2 = 1.0 if length + n2 == 0 else 2.0 * l2 / (length + n2)
+                        best = max(best, (s1 + s2) / 2.0)
+                steps = [((i + 1, j), v1[i])] if i < n1 else []
+                steps += [((i, j + 1), v2[j])] if j < n2 else []
+                for step, line in steps:
+                    after = table.setdefault(step, {})
+                    after.setdefault((a, b, length), set()).update(pairs)  # skip the line
+                    for a2, gain1 in matches(v1, line, a):
+                        for b2, gain2 in matches(v2, line, b):
+                            if gain1 or gain2:
+                                after.setdefault((a2, b2, length + 1), set()).update(
+                                    (l1 + gain1, l2 + gain2) for l1, l2 in pairs
+                                )
+    return best
 
 
 def achievable_sequences(v1: Sequence[str], v2: Sequence[str]) -> set[tuple[str, ...]]:

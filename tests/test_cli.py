@@ -143,7 +143,9 @@ def test_resolve_records_refuses_engine_and_settings_flags_before_reading(confli
     out = tmp_path / "chunks.jsonl"
     assert main(["resolve", str(tmp_path / "missing.txt"), "--records", *flags]) == 1
     assert main(["resolve", str(conflicted_file), "--records", *flags, "--out", str(out)]) == 1
-    assert capsys.readouterr().err.count(f"it takes no {flags[0]}") == 2
+    # resolve takes no --top-n at all, so argparse refuses it
+    refusal = "unrecognized arguments: --top-n" if flags[0] == "--top-n" else f"it takes no {flags[0]}"
+    assert capsys.readouterr().err.count(refusal) == 2
     assert not out.exists()
 
 
@@ -587,6 +589,16 @@ def test_unwritable_output_fails_before_any_work(tmp_path, capsys, monkeypatch, 
     assert "cannot write" in capsys.readouterr().err
 
 
+def test_input_is_read_before_any_output_is_opened(tmp_path, capsys):
+    """Flags, then input, then outputs, then work: an unreadable input is reported before an
+    unwritable output, and opening outputs first would leave an empty file behind."""
+    missing = str(tmp_path / "nonexistent.jsonl")
+    assert main(["bench", missing, "--out", str(tmp_path / "missing" / "x.jsonl")]) == 2
+    assert main(["bench", missing, "--out", str(tmp_path / "x.jsonl")]) == 2
+    assert capsys.readouterr().err.count(f"input error: cannot read {missing}") == 2
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_ingest_writes_nothing_when_one_output_is_unwritable(tmp_path, capsys):
     ok = tmp_path / "accepted.jsonl"
     ok.write_bytes(b"earlier output\n")
@@ -900,12 +912,41 @@ def test_each_setting_reaches_the_effective_config(tmp_path, capsys, monkeypatch
     value = "http://127.0.0.1:9" if kind is str else kind((default or 0) + 1)
     assert main(["--show-config"]) == 0
     assert json.loads(capsys.readouterr().out)[key] == _library_defaults()[key] == default
-    assert main(["--show-config", "bench", sample_args(), "--" + key.replace("_", "-"), str(value)]) == 0
+    command = "tune" if key == "top_n" else "bench"  # only tune reads the ranked list's capacity
+    assert main(["--show-config", command, sample_args(), "--" + key.replace("_", "-"), str(value)]) == 0
     assert json.loads(capsys.readouterr().out)[key] == value
     config = tmp_path / "conf.json"
     config.write_text(json.dumps({key: value}), encoding="utf-8")
     assert main(["--config", str(config), "--show-config"]) == 0
     assert json.loads(capsys.readouterr().out)[key] == value
+
+
+@pytest.mark.parametrize("command", ["bench", "resolve"])
+def test_only_tune_takes_top_n(tmp_path, capsys, command):
+    """bench and resolve answer each conflict with one resolution, so no ranked list is theirs to size."""
+    assert main([command, str(tmp_path / "missing"), "--top-n", "5"]) == 1
+    assert "unrecognized arguments: --top-n 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("engine", [["sbcr"], ["hybrid", "--endpoint", "http://127.0.0.1:9"]])
+def test_bench_searches_ask_the_engine_for_one_candidate(tmp_path, monkeypatch, engine):
+    """Whatever top_n the config sets, each search bench runs keeps a one-entry ranked list;
+    under hybrid every record reaches search, routed there or fallen back from the refused endpoint."""
+    import sbcr.resolvers
+
+    seen = []
+    search = sbcr.resolvers.rrhc_resolve
+
+    def probe(chunk, params, **kwargs):
+        seen.append(params.top_n)
+        return search(chunk, params, **kwargs)
+
+    monkeypatch.setattr(sbcr.resolvers, "rrhc_resolve", probe)
+    config = tmp_path / "conf.json"
+    config.write_text('{"top_n": 7}', encoding="utf-8")
+    argv = ["--config", str(config), "bench", sample_args(), "--engine", *engine, "--max-evals", "20"]
+    assert main([*argv, "--out", str(tmp_path / "rows.jsonl")]) == 0
+    assert seen == [1] * 50
 
 
 def test_parser_defaults_are_the_library_defaults():

@@ -582,6 +582,25 @@ def test_remote_deadline_bounds_a_dripped_reply():
         assert HybridResolver(search, remote).resolve(LOPSIDED).resolver_id == FALLBACK_RESOLVER_ID
 
 
+def test_remote_deadline_bounds_the_connect_and_the_send_together(monkeypatch):
+    """The connect and the send each used to get the whole deadline, so a slow
+    connect followed by a send the server never reads took their sum."""
+    connect = http.client.socket.create_connection
+
+    def slow_connect(*args, **kwargs):
+        time.sleep(0.6)
+        return connect(*args, **kwargs)
+
+    monkeypatch.setattr(http.client.socket, "create_connection", slow_connect)
+    with socket.create_server(("127.0.0.1", 0)) as listener:  # accepts nothing, so reads nothing
+        remote = RemoteResolver(f"http://127.0.0.1:{listener.getsockname()[1]}", deadline=1.0)
+        start = time.monotonic()
+        candidate = remote.resolve(Chunk(v1_lines=["x" * (1 << 20)] * 16, v2_lines=[]))  # a 16 MB request
+        elapsed = time.monotonic() - start
+    assert (candidate.status, candidate.detail) == (Status.FAILED, "request failed: timed out")
+    assert elapsed < 1.3
+
+
 _BODY = json.dumps({"lines": ["a"], "truncated": False}).encode("utf-8")
 
 

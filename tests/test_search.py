@@ -5,11 +5,12 @@ import tracemalloc
 from collections import Counter
 
 import pytest
-from conftest import Chunk, brute_force_optimum, lcs_row_dp, random_chunk
+from conftest import Chunk, brute_force_optimum, exact_best_score, lcs_row_dp, random_chunk
 from hypothesis import given
 from hypothesis import strategies as st
 
 from sbcr import search
+from sbcr.corpus import bundled_sample_path, load_records
 from sbcr.search import (
     SearchParams,
     SourceLineRef,
@@ -398,3 +399,34 @@ def test_masked_objective_equals_row_dp(case):
         total = len(lines) + len(parent)
         ratios.append(1.0 if total == 0 else 2.0 * common / total)
     assert evaluate(candidate, chunk) == (ratios[0] + ratios[1]) / 2.0
+
+
+_SMALL_SIDE = st.lists(st.sampled_from(["a", "b", "c"]), max_size=4)
+SMALL_CHUNKS = st.builds(Chunk, _SMALL_SIDE, _SMALL_SIDE)
+
+
+@given(SMALL_CHUNKS)
+def test_exact_optimum_equals_brute_force(chunk):
+    """The DP oracle against enumerating every candidate (at most 1,921 at 4 lines a side)."""
+    assert exact_best_score(chunk.v1_lines, chunk.v2_lines) == brute_force_optimum(chunk)
+
+
+@given(SMALL_CHUNKS.filter(lambda chunk: chunk.v1_lines or chunk.v2_lines), st.integers(0, 2**32 - 1), st.integers(1, 300))
+def test_rrhc_best_score_is_its_best_and_never_beats_the_exact_optimum(chunk, seed, budget):
+    result = rrhc_resolve(chunk, eval_params(seed=seed, max_evaluations=budget))
+    assert result.best_score == evaluate(result.best, chunk)
+    assert result.best_score <= exact_best_score(chunk.v1_lines, chunk.v2_lines)
+
+
+@pytest.fixture(scope="module")
+def sample_optima():
+    records, _ = load_records(bundled_sample_path())
+    return [(record, exact_best_score(record.v1_lines, record.v2_lines)) for record in records]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_rrhc_reaches_the_exact_optimum_on_every_sample_record(sample_optima, seed):
+    """Search quality at the CLI's default budget, which the golden hash pins only by accident."""
+    assert len(sample_optima) == 50
+    for record, optimum in sample_optima:
+        assert rrhc_resolve(record, eval_params(seed=seed, max_evaluations=2000)).best_score == optimum, record.id
