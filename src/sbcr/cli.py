@@ -37,7 +37,7 @@ from .stub_server import DEFAULT_SLOW_DELAY, StubServer
 
 ENDPOINT_ENV_VAR = "SBCR_REMOTE_URL"
 JOBS_HELP = "records run at once on threads; remote requests overlap, searches run one at a time with their whole budget"
-ENGINE_HELP = "sbcr | trivial:<strategy> | remote | hybrid"
+ENGINES = ("sbcr", *(f"trivial:{s.value}" for s in TrivialStrategy), "remote", "hybrid")
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -120,14 +120,14 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("resolve", help="resolve a conflicted file (or extract its chunks)")
     p.add_argument("file", help="conflicted text file")
-    p.add_argument("--engine", default=None, help=ENGINE_HELP + " (default sbcr)")  # None, so --records can refuse it
+    p.add_argument("--engine", choices=ENGINES, default=None, help="resolver (default sbcr)")  # None, so --records can refuse it
     p.add_argument("--out", default="-", help="resolved file output (default stdout)")
     p.add_argument("--records", action="store_true", help="emit chunk records instead of resolving; takes no --engine or settings flag")
     _add_flags(p, _ENGINE_KEYS)
 
     p = sub.add_parser("bench", help="run a resolver over a dataset and write result rows")
     p.add_argument("records", help="line-delimited JSON records with ground truth")
-    p.add_argument("--engine", default="sbcr", help=ENGINE_HELP)
+    p.add_argument("--engine", choices=ENGINES, default="sbcr", help="resolver (default sbcr)")
     p.add_argument("--out", default="-", help="result rows output (default stdout)")
     p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     p.add_argument("--trim-trailing-ws", action="store_true", help="trim trailing whitespace before scoring")
@@ -247,19 +247,11 @@ def _remote_resolver(config: dict) -> RemoteResolver:
 def _build_resolver(engine: str, config: dict) -> Resolver:
     if engine == "sbcr":
         return SearchResolver(_search_params(config))
-    if engine.startswith("trivial:"):
-        name = engine.split(":", 1)[1]
-        try:
-            strategy = TrivialStrategy(name)
-        except ValueError:
-            raise _UsageError(f"unknown trivial strategy {name!r}; expected one of "
-                              f"{[s.value for s in TrivialStrategy]}")
-        return TrivialResolver(strategy)
     if engine == "remote":
         return _remote_resolver(config)
     if engine == "hybrid":
         return HybridResolver(SearchResolver(_search_params(config)), _remote_resolver(config), _thresholds(config))
-    raise _UsageError(f"unknown engine {engine!r}")
+    return TrivialResolver(TrivialStrategy(engine.removeprefix("trivial:")))
 
 
 @contextmanager

@@ -13,8 +13,8 @@ from __future__ import annotations
 import json
 import math
 import random
-from bisect import bisect_left
 from collections import Counter
+from contextlib import suppress
 from dataclasses import asdict, dataclass
 from enum import Enum
 from pathlib import Path
@@ -152,10 +152,7 @@ def load_json(text: str):
 
 def is_combination(resolution: Sequence[str], v1: Sequence[str], v2: Sequence[str]) -> bool:
     """True iff every resolution line occurs in v1 or v2 (multiset containment, exact text)."""
-    available = Counter(v1)
-    available.update(v2)
-    needed = Counter(resolution)
-    return all(available[line] >= count for line, count in needed.items())
+    return Counter(resolution) <= Counter([*v1, *v2])  # one Counter: Counter + Counter loops in Python
 
 
 def ingest_records(stream: Iterable[str], *, combination: bool = True) -> tuple[list[ConflictRecord], list[RejectionReport]]:
@@ -216,33 +213,14 @@ def preserves_partial_order(
     matching each line at its earliest still-available occurrence dominates
     any later choice, so the frontier stays small.
     """
-    if not resolution:
-        return True
-    positions1: dict[str, list[int]] = {}
-    for i, line in enumerate(v1):
-        positions1.setdefault(line, []).append(i)
-    positions2: dict[str, list[int]] = {}
-    for j, line in enumerate(v2):
-        positions2.setdefault(line, []).append(j)
-
-    def earliest(positions: list[int] | None, start: int) -> int | None:
-        if not positions:
-            return None
-        k = bisect_left(positions, start)
-        return positions[k] if k < len(positions) else None
-
     frontier: set[tuple[int, int]] = {(0, 0)}
     for line in resolution:
-        occ1 = positions1.get(line)
-        occ2 = positions2.get(line)
         nxt: set[tuple[int, int]] = set()
         for i, j in frontier:
-            p = earliest(occ1, i)
-            if p is not None:
-                nxt.add((p + 1, j))
-            q = earliest(occ2, j)
-            if q is not None:
-                nxt.add((i, q + 1))
+            with suppress(ValueError):  # index raises it when no match is left
+                nxt.add((v1.index(line, i) + 1, j))
+            with suppress(ValueError):
+                nxt.add((i, v2.index(line, j) + 1))
         if not nxt:
             return False
         frontier = _pareto_minimal(nxt)

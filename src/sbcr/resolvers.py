@@ -145,10 +145,9 @@ class TrivialResolver(Resolver):
         if s is TrivialStrategy.TAKE_V2:
             return list(chunk.v2_lines)
         if s is TrivialStrategy.TAKE_BASE:
-            base = getattr(chunk, "base_lines", None)
-            if base is None:
+            if chunk.base_lines is None:
                 raise ValueError("chunk has no base section")
-            return list(base)
+            return list(chunk.base_lines)
         if s is TrivialStrategy.CONCAT_V1_V2:
             return list(chunk.v1_lines) + list(chunk.v2_lines)
         return list(chunk.v2_lines) + list(chunk.v1_lines)
@@ -234,7 +233,7 @@ class RemoteResolver(Resolver):
 
     def _generate(self, chunk) -> Sequence[str]:
         payload = {
-            "base": list(getattr(chunk, "base_lines", None) or []),
+            "base": list(chunk.base_lines or []),
             "v1": list(chunk.v1_lines),
             "v2": list(chunk.v2_lines),
             "input_token_limit": self.limits.input_limit,

@@ -76,10 +76,9 @@ def balance(chunk) -> float:
 
 def extract_features(chunk) -> ConflictFeatures:
     """Deterministic routing features for one chunk (base included in the size proxy)."""
-    base = getattr(chunk, "base_lines", None) or []
-    all_lines = list(base) + list(chunk.v1_lines) + list(chunk.v2_lines)
+    all_lines = list(chunk.base_lines or []) + list(chunk.v1_lines) + list(chunk.v2_lines)
     text = "".join(all_lines)
-    non_ascii = sum(1 for ch in text if ord(ch) > 127)
+    non_ascii = len(text) - len(text.encode("ascii", "ignore"))
     fraction = 0.0 if not text else non_ascii / len(text)
     return ConflictFeatures(
         token_estimate=estimate_tokens(all_lines),

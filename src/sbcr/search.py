@@ -62,6 +62,7 @@ Candidate = tuple[SourceLineRef, ...]
 class ChunkLike(Protocol):
     v1_lines: Sequence[str]
     v2_lines: Sequence[str]
+    base_lines: Sequence[str] | None
 
 
 @dataclass(frozen=True)
@@ -367,9 +368,12 @@ def neighbor(candidate: Candidate | Coded, chunk: ChunkLike | _Moves, rng: rando
 
 
 # Entries the score memo of one search may hold beyond the ranked list before
-# it is cut back to the ranked list. Cutting the rest changes no result; the
-# limit bounds memory under a wall-clock budget, far above any evaluation budget.
+# it is cut back to the ranked list: _MEMO_LIMIT, or _MEMO_CODES // n on a chunk
+# of n > 128 lines, since an entry holds up to n codes. Cutting the rest changes
+# no result; the cap bounds memory under a wall-clock budget, far above any
+# evaluation budget.
 _MEMO_LIMIT = 1 << 15
+_MEMO_CODES = 1 << 22
 
 
 class _BudgetSpent(Exception):
@@ -411,6 +415,7 @@ def rrhc_resolve(
     coding = _coding(chunk)
     p1, p2 = _parents(chunk)
     rng = random.Random(params.seed)
+    memo_cap = params.top_n + min(_MEMO_LIMIT, _MEMO_CODES // coding.n)
     # Score memo in discovery order: nlargest keeps input order among equal
     # scores, so ties rank in discovery order, also across memo cuts.
     scores: dict[Coded, float] = {}
@@ -428,7 +433,7 @@ def rrhc_resolve(
         score = scores.get(candidate)
         if score is None:
             score = _score(candidate, p1, p2)
-            if len(scores) >= params.top_n + _MEMO_LIMIT:
+            if len(scores) >= memo_cap:
                 scores = dict(nlargest(params.top_n, scores.items(), key=itemgetter(1)))
             scores[candidate] = score
         return score

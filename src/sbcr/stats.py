@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from typing import Sequence
 
 
@@ -55,10 +56,7 @@ def _normal_two_sided_p(ranks: Sequence[float], w_plus: float) -> float:
     n = len(ranks)
     mean = n * (n + 1) / 4.0
     variance = n * (n + 1) * (2 * n + 1) / 24.0
-    seen: dict[float, int] = {}
-    for r in ranks:
-        seen[r] = seen.get(r, 0) + 1
-    for t in seen.values():
+    for t in Counter(ranks).values():
         variance -= (t**3 - t) / 48.0
     if variance <= 0:
         return 1.0

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import sbcr
-from sbcr.cli import SETTINGS, build_parser, main
+from sbcr.cli import DEFAULTS, ENGINES, SETTINGS, _build_resolver, build_parser, main
 from sbcr.corpus import bundled_sample_path
 from sbcr.stub_server import StubServer
 
@@ -143,8 +143,13 @@ def test_resolve_records_refuses_engine_and_settings_flags_before_reading(confli
     out = tmp_path / "chunks.jsonl"
     assert main(["resolve", str(tmp_path / "missing.txt"), "--records", *flags]) == 1
     assert main(["resolve", str(conflicted_file), "--records", *flags, "--out", str(out)]) == 1
-    # resolve takes no --top-n at all, so argparse refuses it
-    refusal = "unrecognized arguments: --top-n" if flags[0] == "--top-n" else f"it takes no {flags[0]}"
+    # resolve takes no --top-n at all and no engine outside ENGINES, so argparse refuses them
+    if flags[0] == "--top-n":
+        refusal = "unrecognized arguments: --top-n"
+    elif "bogus" in flags:
+        refusal = "invalid choice: 'bogus'"
+    else:
+        refusal = f"it takes no {flags[0]}"
     assert capsys.readouterr().err.count(refusal) == 2
     assert not out.exists()
 
@@ -408,6 +413,14 @@ def test_route_needs_no_endpoint(tmp_path, monkeypatch):
     decisions = tmp_path / "decisions.jsonl"
     assert main(["route", sample_args(), "--decisions", str(decisions)]) == 0
     assert len(decisions.read_text(encoding="utf-8").splitlines()) == 50
+
+
+def test_every_engine_name_is_its_resolvers_id(capsys):
+    config = {**DEFAULTS, "endpoint": "http://127.0.0.1:9"}
+    assert [_build_resolver(engine, config).resolver_id for engine in ENGINES] == list(ENGINES)
+    assert main(["bench", "--help"]) == 0
+    help_text = capsys.readouterr().out
+    assert all(engine in help_text for engine in ENGINES)
 
 
 def test_parser_lists_every_flag_in_help():
@@ -746,7 +759,7 @@ def test_flags_are_checked_before_the_input_is_read(tmp_path, capsys, monkeypatc
     command, *flags = case.split()
     monkeypatch.delenv("SBCR_REMOTE_URL", raising=False)
     assert main([command, str(tmp_path / "missing"), *flags]) == 1
-    assert "sbcr: error:" in capsys.readouterr().err
+    assert ("invalid choice" if "bogus" in flags else "sbcr: error:") in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("port", ["99999", "-1"])

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -367,6 +368,30 @@ def test_rrhc_memory_stays_bounded_under_a_wall_clock_budget(monkeypatch):
         tracemalloc.stop()
     assert result.evaluations >= 20_000
     assert peak < 1 << 20, peak  # about 0.5 MB; an uncut memo reaches about 5.5 MB here
+
+
+def test_rrhc_memo_cap_counts_codes_on_a_long_chunk(monkeypatch):
+    """On a chunk of n lines the memo holds at most _MEMO_CODES // n entries
+    beyond the ranked list, however high _MEMO_LIMIT is, and each entry holds
+    at most n codes. The objective is the same length-only stand-in."""
+    cap = 64
+    monkeypatch.setattr(search, "_MEMO_CODES", 600 * cap)
+    monkeypatch.setattr(search, "lcs_length", lambda a, b: len(a) // 2)
+    rng = random.Random(30)
+    words = [f"line {i}" for i in range(40)]
+    chunk = Chunk([rng.choice(words) for _ in range(300)], [rng.choice(words) for _ in range(300)])
+    params = SearchParams(max_execution_time=2001.0, top_n=1, seed=3)
+    ticks = itertools.count()
+    tracemalloc.start()
+    try:
+        result = rrhc_resolve(chunk, params, clock=lambda: next(ticks))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.evaluations >= 10_000
+    entry = sys.getsizeof(tuple(range(600)))  # the longest candidate
+    # about 0.33 MB, 0.18 MB of it outside the memo; capped by _MEMO_LIMIT alone the memo reaches about 26 MB
+    assert peak < (params.top_n + cap) * entry + (256 << 10), peak
 
 
 @st.composite
