@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import math
+from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -181,8 +182,8 @@ _OUTCOMES = ("a_wins", "b_wins", "ties")  # the balance histogram's classes, in 
 
 
 def _balance_bucket(balance: float) -> int:
-    index = int((balance + 1.0) * 10.0)
-    return min(BALANCE_BUCKETS - 1, max(0, index))
+    """The last bucket whose low edge is at or below balance (the first below -1); the last keeps 1.0."""
+    return max(0, bisect_right(_BUCKET_LOW_EDGES, balance) - 1)
 
 
 @dataclass(frozen=True)

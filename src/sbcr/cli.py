@@ -157,7 +157,7 @@ def build_parser() -> _Parser:
     _add_flags(p, _ROUTER_KEYS)
 
     p = sub.add_parser("serve-stub", help="run the stub generative resolver")
-    p.add_argument("--mode", default=DEFAULT_STUB_MODE, help=" | ".join(STUB_MODES))
+    p.add_argument("--mode", choices=STUB_MODES, default=DEFAULT_STUB_MODE)
     p.add_argument("--port", type=int, default=8731)
     p.add_argument("--delay", type=float, default=DEFAULT_SLOW_DELAY, help="sleep for slow mode, seconds")
     p.add_argument("--verbose", action="store_true")

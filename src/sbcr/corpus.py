@@ -236,12 +236,15 @@ def _pareto_minimal(states: set[tuple[int, int]]) -> set[tuple[int, int]]:
     return keep
 
 
+RATIO_TOLERANCE = 1e-9  # float slack in a decimal ratio: their sum, and each split cut
+
+
 def check_ratios(ratios: Sequence[float]) -> tuple[float, float, float]:
     """The train/valid/test ratios as a triple; ValueError unless they are three
-    finite, non-negative numbers summing to 1 within 1e-9."""
+    finite, non-negative numbers summing to 1 within RATIO_TOLERANCE."""
     if len(ratios) != 3 or not all(0 <= r < math.inf for r in ratios):
         raise ValueError(f"ratios must be three finite non-negative numbers, got {tuple(ratios)}")
-    if abs(sum(ratios) - 1.0) > 1e-9:
+    if abs(sum(ratios) - 1.0) > RATIO_TOLERANCE:
         raise ValueError(f"ratios must sum to 1, got {sum(ratios)}")
     return (ratios[0], ratios[1], ratios[2])
 
@@ -251,15 +254,16 @@ def split_dataset(
 ) -> DatasetSplit:
     """Deterministically shuffle ids and cut them into train/valid/test partitions.
 
-    Cut points are floor(n * r_train) and floor(n * (r_train + r_valid));
+    Cut points are floor(n * r + RATIO_TOLERANCE) for r = r_train and r_train + r_valid,
+    so decimal ratios cut at their decimal value: 10 ids at 0.1,0.7,0.2 split 1/7/2;
     the remainder goes to test. The ratios must pass ``check_ratios``.
     """
     ratios = check_ratios(ratios)
     shuffled = list(ids)
     random.Random(seed).shuffle(shuffled)
     n = len(shuffled)
-    cut1 = math.floor(n * ratios[0])
-    cut2 = math.floor(n * (ratios[0] + ratios[1]))
+    cut1 = math.floor(n * ratios[0] + RATIO_TOLERANCE)
+    cut2 = math.floor(n * (ratios[0] + ratios[1]) + RATIO_TOLERANCE)
     return DatasetSplit(
         train_ids=tuple(shuffled[:cut1]),
         valid_ids=tuple(shuffled[cut1:cut2]),

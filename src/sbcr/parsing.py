@@ -7,6 +7,7 @@ including mixed LF/CRLF endings and a missing final newline.
 
 from __future__ import annotations
 
+import io
 import re
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -65,15 +66,6 @@ class ConflictedFile:
         return [s for s in self.segments if isinstance(s, ConflictChunk)]
 
 
-def _split_raw_lines(text: str) -> list[str]:
-    """Split on LF only, keeping endings; a lone CR stays inside its line."""
-    parts = text.split("\n")
-    lines = [part + "\n" for part in parts[:-1]]
-    if parts[-1]:
-        lines.append(parts[-1])
-    return lines
-
-
 def _split_eol(raw: str) -> tuple[str, str | None]:
     """A raw line's text and its ending: CRLF, LF, or None for a last line without one."""
     if raw.endswith("\r\n"):
@@ -89,71 +81,52 @@ def _majority_eol(raw_lines: Sequence[str]) -> str:
     return "\r\n" if eols.count("\r\n") > eols.count("\n") else "\n"
 
 
+# marker -> (states it may appear in, state after it, error raised in any other state, message)
+_TRANSITIONS = {
+    MARKER_V1: (("outside",), "v1", NestedMarkers, "conflict start marker inside an open conflict"),
+    MARKER_BASE: (("v1",), "base", UnbalancedMarkers, "base marker outside the first conflict section"),
+    MARKER_SEP: (("v1", "base"), "v2", UnbalancedMarkers, "separator without a matching conflict start"),
+    MARKER_END: (("v2",), "outside", UnbalancedMarkers, "conflict end marker without a separator"),
+}
+
+
 def parse_conflicted_file(text: str) -> ConflictedFile:
     """Split text into context segments and conflict chunks.
 
     Marker lines must sit at column 0 with exactly seven marker characters;
-    anything else is content. Raises UnbalancedMarkers or NestedMarkers on
-    malformed input.
+    anything else is content. Lines split on LF only, so a lone CR stays
+    inside its line. Raises UnbalancedMarkers or NestedMarkers on malformed
+    input.
     """
+    lines = io.StringIO(text, newline="\n").readlines()
     segments: list[Context | ConflictChunk] = []
-    context: list[str] = []
     state = "outside"  # outside | v1 | base | v2
-    chunk_raw: list[str] = []
+    start = 0  # index of the open segment's first line: a context, or a conflict's start marker
     sections: dict[str, list[str]] = {}
-    chunk_start_line = 0
-
-    def close_context() -> None:
-        if context:
-            segments.append(Context(raw_lines=list(context)))
-            context.clear()
-
-    for line_no, raw in enumerate(_split_raw_lines(text), start=1):
+    for i, raw in enumerate(lines):
         line, _ = _split_eol(raw)
         marker = _MARKER_RE.fullmatch(line)
         if marker is None:
-            if state == "outside":
-                context.append(raw)
-            else:
-                chunk_raw.append(raw)
+            if state != "outside":
                 sections[state].append(line)
             continue
-        kind = marker.group(1)
-        if kind == MARKER_V1:
-            if state != "outside":
-                raise NestedMarkers("conflict start marker inside an open conflict", line_no)
-            close_context()
-            state = "v1"
-            chunk_start_line = line_no
-            chunk_raw = [raw]
-            sections = {"v1": [], "v2": []}
-        elif kind == MARKER_BASE:
-            if state != "v1":
-                raise UnbalancedMarkers("base marker outside the first conflict section", line_no)
-            state = "base"
-            chunk_raw.append(raw)
-            sections["base"] = []
-        elif kind == MARKER_SEP:
-            if state not in ("v1", "base"):
-                raise UnbalancedMarkers("separator without a matching conflict start", line_no)
-            state = "v2"
-            chunk_raw.append(raw)
-        else:  # MARKER_END
-            if state != "v2":
-                raise UnbalancedMarkers("conflict end marker without a separator", line_no)
-            chunk_raw.append(raw)
-            segments.append(
-                ConflictChunk(
-                    v1_lines=sections["v1"],
-                    v2_lines=sections["v2"],
-                    base_lines=sections.get("base"),
-                    raw_lines=chunk_raw,
-                )
-            )
-            state = "outside"
+        allowed, state_after, error, message = _TRANSITIONS[marker.group(1)]
+        if state not in allowed:
+            raise error(message, i + 1)
+        if state == "outside":  # a conflict start closes the context and opens a chunk
+            if i > start:
+                segments.append(Context(raw_lines=lines[start:i]))
+            start, sections = i, {}
+        state = state_after
+        if state == "outside":
+            segments.append(ConflictChunk(sections["v1"], sections["v2"], sections.get("base"), lines[start : i + 1]))
+            start = i + 1
+        else:  # entering a section opens it
+            sections[state] = []
     if state != "outside":
-        raise UnbalancedMarkers("conflict never closed (missing end marker)", chunk_start_line)
-    close_context()
+        raise UnbalancedMarkers("conflict never closed (missing end marker)", start + 1)
+    if start < len(lines):
+        segments.append(Context(raw_lines=lines[start:]))
 
     context_raw = [raw for seg in segments if isinstance(seg, Context) for raw in seg.raw_lines]
     return ConflictedFile(segments=segments, dominant_eol=_majority_eol(context_raw))
@@ -174,25 +147,17 @@ def render_resolved(file: ConflictedFile, resolutions: Sequence[Sequence[str]]) 
     empty resolution deletes the chunk. A chunk that ended the file without
     a trailing newline keeps that property.
     """
-    chunks = file.chunks
-    if len(resolutions) != len(chunks):
-        raise ValueError(
-            f"expected {len(chunks)} resolutions (one per chunk), got {len(resolutions)}"
-        )
+    if len(resolutions) != len(file.chunks):
+        raise ValueError(f"expected {len(file.chunks)} resolutions (one per chunk), got {len(resolutions)}")
     pieces: list[str] = []
-    index = 0
+    remaining = iter(resolutions)
     for segment in file.segments:
         if isinstance(segment, Context):
             pieces.extend(segment.raw_lines)
-            continue
-        lines = resolutions[index]
-        index += 1
-        if not lines:
-            continue
-        block_has_final_newline = _split_eol(segment.raw_lines[-1])[1] is not None
-        for k, line in enumerate(lines):
-            last = k == len(lines) - 1
-            pieces.append(line if last and not block_has_final_newline else line + file.dominant_eol)
+        elif lines := next(remaining):
+            pieces.append(file.dominant_eol.join(lines))
+            if segment.raw_lines[-1].endswith("\n"):
+                pieces.append(file.dominant_eol)
     return "".join(pieces)
 
 

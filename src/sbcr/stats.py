@@ -14,19 +14,13 @@ def _signed_ranks(diffs: Sequence[float]) -> tuple[list[float], list[float]]:
     Returns (ranks, signs-matched diffs) in the same order.
     """
     nonzero = [d for d in diffs if d != 0.0]
-    order = sorted(range(len(nonzero)), key=lambda i: abs(nonzero[i]))
-    ranks = [0.0] * len(nonzero)
-    pos = 0
-    while pos < len(order):
-        end = pos
-        value = abs(nonzero[order[pos]])
-        while end < len(order) and abs(nonzero[order[end]]) == value:
-            end += 1
-        avg = (pos + 1 + end) / 2.0  # mean of 1-based ranks pos+1 .. end
-        for k in range(pos, end):
-            ranks[order[k]] = avg
-        pos = end
-    return ranks, nonzero
+    counts = Counter(map(abs, nonzero))
+    rank_of = {}
+    below = 0
+    for value in sorted(counts):
+        rank_of[value] = (2 * below + 1 + counts[value]) / 2.0  # mean of 1-based ranks below+1 .. below+count
+        below += counts[value]
+    return [rank_of[abs(d)] for d in nonzero], nonzero
 
 
 def _exact_two_sided_p(ranks: Sequence[float], w_plus: float) -> float:

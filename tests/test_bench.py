@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -250,6 +251,19 @@ def test_compare_histogram_counts_sum_to_n():
     balances = [rng.uniform(-1, 1) for _ in range(30)]
     report = compare_results(*rows_from(sims_a, sims_b, balances))
     assert sum(sum(v) for v in report.balance_histogram.values()) == 30
+
+
+def test_every_small_chunk_balance_lands_in_the_bucket_its_edges_name():
+    """For every chunk of up to 200 lines, the bucket's low edge is at or below its balance
+    and the next edge above it (the last bucket keeps 1.0). Edges compare as exact decimals:
+    (-0.9 + 1.0) * 10 is 0.9999999999999998 in floats, which once filed -0.9 and -0.8 one low."""
+    pairs = [(n1, n2) for n1 in range(201) for n2 in range(201 - n1) if n1 + n2]
+    report = compare_results(*rows_from([1.0] * len(pairs), [0.0] * len(pairs), [(n1 - n2) / (n1 + n2) for n1, n2 in pairs]))
+    lows = [Fraction(str(edge)) for edge in report.to_json()["balance_histogram"]["bucket_low_edges"]]
+    expected = [0] * len(lows)
+    for n1, n2 in pairs:
+        expected[max(i for i, low in enumerate(lows) if low <= Fraction(n1 - n2, n1 + n2))] += 1
+    assert list(report.balance_histogram["a_wins"]) == expected
 
 
 def test_comparison_report_json_shape():

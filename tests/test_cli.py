@@ -36,6 +36,11 @@ def test_help_exists_for_every_subcommand(capsys):
         assert "--help" in out
 
 
+def test_serve_stub_refuses_an_unknown_mode_before_binding(capsys):
+    assert main(["serve-stub", "--mode", "bogus", "--port", "0"]) == 1
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
 def test_usage_error_exit_code_1(capsys, tmp_path):
     assert main(["resolve"]) == 1  # missing positional
     assert main(["no-such-command"]) == 1
@@ -247,6 +252,14 @@ def test_split_deterministic_outputs(tmp_path):
     assert len(split["train_ids"]) == 40
     assert len(split["valid_ids"]) == 5
     assert len(split["test_ids"]) == 5
+
+
+def test_split_cuts_decimal_ratios_at_their_decimal_value(tmp_path):
+    records = tmp_path / "ten.jsonl"
+    records.write_text("".join(bundled_sample_path().read_text(encoding="utf-8").splitlines(keepends=True)[:10]), encoding="utf-8")
+    assert main(["split", str(records), "--ratios", "0.1,0.7,0.2", "--out-dir", str(tmp_path)]) == 0
+    lengths = [len((tmp_path / f"{name}.jsonl").read_text(encoding="utf-8").splitlines()) for name in ("train", "valid", "test")]
+    assert lengths == [1, 7, 2]
 
 
 # sha256 of the rows `bench <bundled sample> --engine sbcr --seed 7 --max-evals 5000`

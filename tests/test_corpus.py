@@ -146,6 +146,22 @@ def test_split_floor_cut_small_input():
     assert (len(split.train_ids), len(split.valid_ids), len(split.test_ids)) == (4, 0, 1)
 
 
+@pytest.mark.parametrize("n,ratios,sizes", [(10, (0.1, 0.7, 0.2), (1, 7, 2)), (30, (0.7, 0.2, 0.1), (21, 6, 3))])
+def test_split_cuts_decimal_ratios_at_their_decimal_value(n, ratios, sizes):
+    """0.1 + 0.7 is 0.7999999999999999 in floats; a bare floor cut 10 ids at 0.1,0.7,0.2 into 1/6/3."""
+    split = split_dataset([f"i{k}" for k in range(n)], seed=1, ratios=ratios)
+    assert (len(split.train_ids), len(split.valid_ids), len(split.test_ids)) == sizes
+
+
+def test_split_cuts_every_one_decimal_ratio_triple_exactly():
+    tenths = [(a, b, 10 - a - b) for a in range(11) for b in range(11 - a)]
+    for n in range(61):
+        for a, b, c in tenths:
+            split = split_dataset(range(n), seed=0, ratios=(a / 10, b / 10, c / 10))
+            train, valid = n * a // 10, n * (a + b) // 10 - n * a // 10
+            assert (len(split.train_ids), len(split.valid_ids), len(split.test_ids)) == (train, valid, n - train - valid)
+
+
 def test_split_partition_property():
     rng = random.Random(5)
     for _ in range(50):

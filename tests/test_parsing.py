@@ -130,6 +130,61 @@ def test_malformed_marker_errors_carry_line_numbers(text, error, line):
     assert info.value.line == line
 
 
+# a prefix that leaves the parser in each state, and the line number the next line gets
+STATE_PREFIXES = {
+    "outside": ("ctx\n", 2),
+    "v1": ("<<<<<<< a\nmine\n", 3),
+    "base": ("<<<<<<< a\nmine\n||||||| b\norig\n", 5),
+    "v2": ("<<<<<<< a\nmine\n=======\ntheirs\n", 5),
+}
+MARKER_LINES = {"start": "<<<<<<< x\n", "base": "||||||| x\n", "sep": "=======\n", "end": ">>>>>>> x\n"}
+# what follows the marker when it is allowed: the rest of a well-formed conflict
+COMPLETIONS = {
+    ("outside", "start"): "left\n=======\nright\n>>>>>>> y\n",
+    ("v1", "base"): "orig\n=======\nright\n>>>>>>> y\n",
+    ("v1", "sep"): "right\n>>>>>>> y\n",
+    ("base", "sep"): "right\n>>>>>>> y\n",
+    ("v2", "end"): "after\n",
+}
+
+
+@pytest.mark.parametrize(
+    "state,marker,expected",
+    [
+        ("outside", "start", (["left"], None, ["right"])),
+        ("outside", "base", UnbalancedMarkers),
+        ("outside", "sep", UnbalancedMarkers),
+        ("outside", "end", UnbalancedMarkers),
+        ("v1", "start", NestedMarkers),
+        ("v1", "base", (["mine"], ["orig"], ["right"])),
+        ("v1", "sep", (["mine"], None, ["right"])),
+        ("v1", "end", UnbalancedMarkers),
+        ("base", "start", NestedMarkers),
+        ("base", "base", UnbalancedMarkers),
+        ("base", "sep", (["mine"], ["orig"], ["right"])),
+        ("base", "end", UnbalancedMarkers),
+        ("v2", "start", NestedMarkers),
+        ("v2", "base", UnbalancedMarkers),
+        ("v2", "sep", UnbalancedMarkers),
+        ("v2", "end", (["mine"], None, ["theirs"])),
+    ],
+)
+def test_each_marker_in_each_state(state, marker, expected):
+    """Every marker after every state: the expected error class, carrying the marker's 1-based
+    line, or, completed into a well-formed conflict, one chunk with the expected sections."""
+    prefix, line = STATE_PREFIXES[state]
+    text = prefix + MARKER_LINES[marker] + COMPLETIONS.get((state, marker), "")
+    if (state, marker) not in COMPLETIONS:
+        with pytest.raises(expected) as info:
+            parse_conflicted_file(text)
+        assert info.value.line == line
+        return
+    parsed = parse_conflicted_file(text)
+    [chunk] = parsed.chunks
+    assert (chunk.v1_lines, chunk.base_lines, chunk.v2_lines) == expected
+    assert render_with_markers(parsed) == text
+
+
 def test_lone_cr_is_content_not_a_line_break():
     text = "before\rafter\n<<<<<<<\nx\r\n=======\ny\n>>>>>>>\n"
     parsed = parse_conflicted_file(text)
