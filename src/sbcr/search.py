@@ -21,15 +21,16 @@ table holds what every draw from one climb position needs (its unused codes
 and exchange slots), so the engine builds it once per position, not once
 per draw.
 
-The objective compares codes, not text. Per chunk, each parent version gets
-a ``_Parent`` table whose ``masks[r]`` sets bit ``i`` when parent line ``i``
-equals chunk line ``r``; a candidate's LCS with that parent is then Hyyrö's
-bit-parallel loop over its codes (Allison & Dix 1986; Hyyrö 2004), which
-hashes no string and builds no dict. ``evaluate`` and ``rrhc_resolve`` share
-that scorer. It keeps the name ``lcs_length`` because it is a seam: the
+The objective compares codes, not text. Per chunk, one ``_Table`` holds
+both parents: ``masks[r]`` sets bit ``i`` when v1 line ``i`` equals chunk
+line ``r``, and bit ``size1 + 1 + j`` when v2 line ``j`` does. A candidate's
+LCS with both is one pass of Hyyrö's bit-parallel loop over its codes
+(Allison & Dix 1986; Hyyrö 2004), exact per field because the zero guard bit
+``size1`` stops the carry out of the v1 field. ``evaluate`` and
+``rrhc_resolve`` share that scorer. It keeps the name ``lcs_length``: the
 benchmark's tracer wraps ``search.lcs_length`` to count objective calls and
 tests swap stand-ins in through it, so it is called through the module
-global exactly twice per scored candidate, candidate codes first.
+global exactly once per scored candidate, candidate codes first.
 """
 
 from __future__ import annotations
@@ -175,14 +176,6 @@ def _coding(chunk: ChunkLike) -> _Coding:
     return _Coding(len(chunk.v1_lines), len(refs), refs)
 
 
-class _Parent(NamedTuple):
-    """One parent version's match table over a chunk's codes: ``masks[r]`` has
-    bit ``i`` set when parent line ``i`` equals chunk line ``r``."""
-
-    masks: tuple[int, ...]
-    size: int
-
-
 def position_masks(seq: Sequence[Hashable]) -> dict[Hashable, int]:
     """Each distinct element of ``seq`` mapped to the bitmask of its positions; ``sbcr.similarity``
     builds its tables with it too, and it lives here because the engine imports no other sbcr module."""
@@ -194,40 +187,45 @@ def position_masks(seq: Sequence[Hashable]) -> dict[Hashable, int]:
     return masks
 
 
-def _parents(chunk: ChunkLike) -> tuple[_Parent, _Parent]:
-    """The v1 and v2 match tables of a chunk, built once per chunk."""
+class _Table(NamedTuple):
+    """A chunk's match table against v1 and v2 (see the module docstring)."""
+
+    masks: tuple[int, ...]
+    size1: int
+    size2: int
+
+
+def _table(chunk: ChunkLike) -> _Table:
+    """The chunk's match table, built once per chunk; ``None`` equals no line, so it marks the guard."""
+    masks = position_masks([*chunk.v1_lines, None, *chunk.v2_lines])
     lines = [*chunk.v1_lines, *chunk.v2_lines]
-
-    def table(parent: Sequence[str]) -> _Parent:
-        masks = position_masks(parent)
-        return _Parent(tuple([masks.get(line, 0) for line in lines]), len(parent))
-
-    return table(chunk.v1_lines), table(chunk.v2_lines)
+    return _Table(tuple([masks[line] for line in lines]), len(chunk.v1_lines), len(chunk.v2_lines))
 
 
-def lcs_length(coded: Coded, parent: _Parent) -> int:
-    """LCS length of an int-coded candidate's lines and one parent version.
+def lcs_length(coded: Coded, table: _Table) -> tuple[int, int]:
+    """LCS lengths of an int-coded candidate's lines with v1 and with v2, in one pass.
 
     The engine's objective over match masks (see the module docstring), not
     ``sbcr.similarity.lcs_length``, the text and char LCS the benchmark metric uses.
-    The zero bits of ``v`` count the LCS.
+    The zero bits of each field of ``v`` count that parent's LCS. ``u`` is a subset of ``v``,
+    so ``v - u`` never borrows, and ``full`` clears the guard bit that stops ``v + u``'s carry.
     """
-    masks, size = parent
-    full = (1 << size) - 1
+    masks, size1, size2 = table
+    low = (1 << size1) - 1
+    full = low | ((1 << size2) - 1) << (size1 + 1)
     v = full
     for r in coded:
-        m = masks[r]
-        if m:
-            u = v & m
-            v = ((v + u) | (v - u)) & full
-    return size - v.bit_count()
+        u = v & masks[r]
+        v = ((v + u) | (v - u)) & full
+    return size1 - (v & low).bit_count(), size2 - (v >> (size1 + 1)).bit_count()
 
 
-def _score(coded: Coded, p1: _Parent, p2: _Parent) -> float:
+def _score(coded: Coded, table: _Table) -> float:
     """Mean of the candidate's LCS ratio to each parent; 1.0 for an empty pair."""
     k = len(coded)
-    s1 = 1.0 if k + p1.size == 0 else 2.0 * lcs_length(coded, p1) / (k + p1.size)
-    s2 = 1.0 if k + p2.size == 0 else 2.0 * lcs_length(coded, p2) / (k + p2.size)
+    l1, l2 = lcs_length(coded, table)
+    s1 = 1.0 if k + table.size1 == 0 else 2.0 * l1 / (k + table.size1)
+    s2 = 1.0 if k + table.size2 == 0 else 2.0 * l2 / (k + table.size2)
     return (s1 + s2) / 2.0
 
 
@@ -235,7 +233,7 @@ def evaluate(candidate: Sequence[SourceLineRef], chunk: ChunkLike) -> float:
     """Score a candidate: mean of its line-level similarity to each parent version."""
     if not is_valid_candidate(candidate, chunk):
         raise ValueError("invalid candidate for this chunk")
-    return _score(_encode(candidate, len(chunk.v1_lines)), *_parents(chunk))
+    return _score(_encode(candidate, len(chunk.v1_lines)), _table(chunk))
 
 
 def _random_coded(n1: int, n: int, draw: Callable[[], float]) -> Coded:
@@ -395,7 +393,7 @@ def rrhc_resolve(
     distinct candidates, ties in discovery order, with ``best`` at its head.
 
     The climb and the score memo hold int-coded candidates (see the module
-    docstring), scored against the chunk's two ``_Parent`` tables, built once
+    docstring), scored in one pass against the chunk's ``_Table``, built once
     here. Restarts come from ``random_candidate`` given the chunk's
     ``_Coding``; neighbours come from ``neighbor`` given the ``_Moves`` table
     of the current position, rebuilt only when the climb moves or restarts.
@@ -413,7 +411,7 @@ def rrhc_resolve(
         clock = time.monotonic if params.max_execution_time is not None else lambda: 0.0
 
     coding = _coding(chunk)
-    p1, p2 = _parents(chunk)
+    table = _table(chunk)
     rng = random.Random(params.seed)
     memo_cap = params.top_n + min(_MEMO_LIMIT, _MEMO_CODES // coding.n)
     # Score memo in discovery order: nlargest keeps input order among equal
@@ -432,7 +430,7 @@ def rrhc_resolve(
             assert is_valid_candidate(_decode(candidate, coding.refs), chunk), "engine produced an invalid candidate"
         score = scores.get(candidate)
         if score is None:
-            score = _score(candidate, p1, p2)
+            score = _score(candidate, table)
             if len(scores) >= memo_cap:
                 scores = dict(nlargest(params.top_n, scores.items(), key=itemgetter(1)))
             scores[candidate] = score

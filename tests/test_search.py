@@ -4,9 +4,10 @@ import random
 import sys
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
 import pytest
-from conftest import Chunk, brute_force_optimum, exact_best_score, lcs_row_dp, random_chunk
+from conftest import Chunk, all_candidates, brute_force_optimum, exact_best_score, lcs_row_dp, random_chunk
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -82,6 +83,53 @@ def test_random_candidate_uniform_interleaving():
     assert len(both) >= 9000
     first_v1 = sum(1 for d in both if d[0].version is Version.V1)
     assert abs(first_v1 / len(both) - 0.5) < 0.02
+
+
+class _GridWalk:
+    """A stub rng whose ``random()`` replays ``path``, a list of indices into
+    the grid ``(k + 0.5) / 6``, and extends it with index 0 past its end. The
+    grid splits [0, 1) exactly at 1/2, 1/3 and 2/3, the only thresholds
+    ``random_candidate`` draws against on a chunk of at most three lines."""
+
+    def __init__(self, path: list[int]):
+        self.path = path
+        self.pos = 0
+
+    def random(self) -> float:
+        if self.pos == len(self.path):
+            self.path.append(0)
+        self.pos += 1
+        return (self.path[self.pos - 1] + 0.5) / 6
+
+
+def _exact_distribution(chunk: Chunk) -> Counter:
+    """Each candidate ``random_candidate`` can draw, with its exact probability:
+    a depth-first walk over every sequence of grid draws it can consume."""
+    dist: Counter = Counter()
+    path: list[int] = []
+    while True:
+        dist[random_candidate(chunk, _GridWalk(path))] += Fraction(1, 6 ** len(path))
+        while path and path[-1] == 5:
+            path.pop()
+        if not path:
+            return dist
+        path[-1] += 1
+
+
+@pytest.mark.parametrize("sides", [(2, 1), (1, 2)])
+def test_random_candidate_exact_distribution(sides):
+    """Every subset of the lines has probability exactly 1/8, and every
+    interleaving of a subset is equally likely."""
+    chunk = Chunk(["a", "b"][: sides[0]], ["c", "d"][: sides[1]])
+    dist = _exact_distribution(chunk)
+    by_subset: dict[frozenset, list[Fraction]] = {}
+    for candidate, p in dist.items():
+        by_subset.setdefault(frozenset(candidate), []).append(p)
+    assert len(by_subset) == 8
+    for subset, probabilities in by_subset.items():
+        orders = math.comb(len(subset), sum(r.version is Version.V1 for r in subset))
+        assert probabilities == [Fraction(1, 8 * orders)] * orders, subset
+    assert set(dist) == set(all_candidates(chunk))
 
 
 def test_neighbor_empty_candidate_only_addition():
@@ -354,7 +402,7 @@ def test_rrhc_memory_stays_bounded_under_a_wall_clock_budget(monkeypatch):
     the heap hold candidates, not lines, and tracemalloc would make the real
     LCS about fifteen times slower."""
     monkeypatch.setattr(search, "_MEMO_LIMIT", 64)
-    monkeypatch.setattr(search, "lcs_length", lambda a, b: len(a) // 2)
+    monkeypatch.setattr(search, "lcs_length", lambda a, b: (len(a) // 2, len(a) // 2))
     rng = random.Random(30)
     words = [f"line {i}" for i in range(12)]
     chunk = Chunk([rng.choice(words) for _ in range(30)], [rng.choice(words) for _ in range(30)])
@@ -376,7 +424,7 @@ def test_rrhc_memo_cap_counts_codes_on_a_long_chunk(monkeypatch):
     at most n codes. The objective is the same length-only stand-in."""
     cap = 64
     monkeypatch.setattr(search, "_MEMO_CODES", 600 * cap)
-    monkeypatch.setattr(search, "lcs_length", lambda a, b: len(a) // 2)
+    monkeypatch.setattr(search, "lcs_length", lambda a, b: (len(a) // 2, len(a) // 2))
     rng = random.Random(30)
     words = [f"line {i}" for i in range(40)]
     chunk = Chunk([rng.choice(words) for _ in range(300)], [rng.choice(words) for _ in range(300)])
@@ -417,13 +465,35 @@ def test_masked_objective_equals_row_dp(case):
     chunk, candidate = case
     lines = candidate_lines(candidate, chunk)
     coded = search._encode(candidate, len(chunk.v1_lines))
+    commons = (lcs_row_dp(lines, chunk.v1_lines), lcs_row_dp(lines, chunk.v2_lines))
+    assert search.lcs_length(coded, search._table(chunk)) == commons
     ratios = []
-    for parent, table in zip((chunk.v1_lines, chunk.v2_lines), search._parents(chunk)):
-        common = lcs_row_dp(lines, parent)
-        assert search.lcs_length(coded, table) == common
+    for parent, common in zip((chunk.v1_lines, chunk.v2_lines), commons):
         total = len(lines) + len(parent)
         ratios.append(1.0 if total == 0 else 2.0 * common / total)
     assert evaluate(candidate, chunk) == (ratios[0] + ratios[1]) / 2.0
+
+
+_GUARD_SIZES = (0, 1, 29, 30, 31, 59, 60, 61, 63, 64, 65)
+
+
+@pytest.mark.parametrize("size1", _GUARD_SIZES)
+def test_one_pass_objective_keeps_the_parents_apart(size1):
+    """Both sides repeat one line, so every candidate line matches every parent
+    line and each step carries as far as it can; with the guard bit on and around
+    CPython's 30-bit digit edges and the 64-bit width, both fields of the one
+    pass still equal the row DP against each parent alone."""
+    rng = random.Random(size1)
+    for size2 in _GUARD_SIZES:
+        chunk = Chunk(["x;"] * size1, ["x;"] * size2)
+        table = search._table(chunk)
+        candidates = [(), concat_candidate(chunk)] + [random_candidate(chunk, rng) for _ in range(4)]
+        for candidate in candidates:
+            lines = candidate_lines(candidate, chunk)
+            assert search.lcs_length(search._encode(candidate, size1), table) == (
+                lcs_row_dp(lines, chunk.v1_lines),
+                lcs_row_dp(lines, chunk.v2_lines),
+            ), (size1, size2, candidate)
 
 
 _SMALL_SIDE = st.lists(st.sampled_from(["a", "b", "c"]), max_size=4)
