@@ -16,6 +16,7 @@ import re
 import threading
 import time
 import urllib.parse
+import weakref
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Sequence
@@ -168,48 +169,104 @@ def _time_left(end: float) -> float:
 
 
 class _DeadlineReader(io.RawIOBase):
-    """A socket's reads, each allowed only what is left before ``end``;
-    HTTPResponse reads the reply through ``makefile``."""
+    """A socket's reads, each allowed only what is left before ``end``, and a
+    count of the bytes they received; ``getresponse`` reads the reply through
+    ``makefile``. Like the socket's own ``makefile``, it holds the socket open
+    until it is closed."""
 
     def __init__(self, sock, end: float):
-        self.sock, self.end = sock, end
+        self.sock, self.end, self.received = sock, end, 0
+        self.stream = sock.makefile("rb", buffering=0)
 
     def readable(self) -> bool:
         return True
 
     def readinto(self, buffer) -> int:
         self.sock.settimeout(_time_left(self.end))
-        return self.sock.recv_into(buffer)
+        n = self.stream.readinto(buffer)
+        self.received += n
+        return n
+
+    def close(self) -> None:
+        self.stream.close()
+        super().close()
 
     def makefile(self, mode: str) -> io.BufferedReader:
         return io.BufferedReader(self)
 
 
-def _post_json(url: str, payload: dict, timeout: float) -> tuple[int, bytes]:
+class _Pool:
+    """Idle kept-alive connections to one endpoint, taken and given back under a lock.
+    A request opens a connection only when none is idle, so the pool never holds
+    more than the most requests that ran at once."""
+
+    def __init__(self):
+        self.idle: list[http.client.HTTPConnection] = []
+        self.lock = threading.Lock()
+
+    def take(self) -> http.client.HTTPConnection | None:
+        with self.lock:
+            return self.idle.pop() if self.idle else None
+
+    def give(self, connection: http.client.HTTPConnection) -> None:
+        with self.lock:
+            self.idle.append(connection)
+
+    def close(self) -> None:
+        with self.lock:
+            idle, self.idle = self.idle, []
+        for connection in idle:
+            connection.close()
+
+
+def _post_json(url: str, payload: dict, timeout: float, pool: _Pool | None = None) -> tuple[int, bytes]:
     """POST ``payload`` as JSON and return the status code and body of the reply, error replies included.
-    ``timeout`` bounds the whole request from connecting on, but not the host name lookup before it;
-    a reply body over ``MAX_BODY_BYTES`` raises ValueError."""
+
+    The request goes over a connection taken from ``pool``, or a new one, and a
+    complete HTTP/1.1 reply without ``Connection: close`` gives the connection
+    back. A taken connection the peer closed before any reply byte is retried
+    once on a new one; the request is idempotent. ``timeout`` bounds the whole
+    request from taking a connection on, but not the host name lookup when one
+    opens; a reply body over ``MAX_BODY_BYTES`` raises ValueError."""
     end = time.monotonic() + timeout
     parts = urllib.parse.urlsplit(url)
     if parts.scheme not in ("http", "https") or not parts.netloc:
         raise ValueError(f"not an http or https URL: {url!r}")
     kind = http.client.HTTPSConnection if parts.scheme == "https" else http.client.HTTPConnection
     data = json.dumps(payload).encode("utf-8")
-    connection = kind(parts.netloc, timeout=timeout)
-    try:
-        connection.connect()
-        connection.sock.settimeout(_time_left(end))  # the send gets what the connect left
-        connection.request("POST", parts.path, data, {"Content-Type": "application/json"})
-        response = http.client.HTTPResponse(_DeadlineReader(connection.sock, end), method="POST")
-        response.begin()
-        body = response.read(MAX_BODY_BYTES + 1)  # in pieces, each read bounded by the deadline
-        if len(body) > MAX_BODY_BYTES:
-            raise ValueError(f"reply body over {MAX_BODY_BYTES} bytes")
-        if response.length:  # the server closed before sending the Content-Length it declared
-            raise http.client.IncompleteRead(body, response.length)
-    finally:
-        connection.close()
-    return response.status, body
+    connection = pool.take() if pool is not None else None
+    while True:
+        reused = connection is not None
+        if not reused:
+            connection = kind(parts.netloc, timeout=_time_left(end))
+        try:
+            if not reused:
+                connection.connect()  # http.client turns Nagle's algorithm off here, so a body never waits on an ACK
+            connection.sock.settimeout(_time_left(end))  # the send gets what is left, after a connect too
+            with _DeadlineReader(connection.sock, end) as reader:
+                connection.response_class = lambda sock, **kwargs: http.client.HTTPResponse(reader, **kwargs)
+                connection.request("POST", parts.path, data, {"Content-Type": "application/json"})
+                with connection.getresponse() as response:
+                    body = response.read(MAX_BODY_BYTES + 1)  # in pieces, each read bounded by the deadline
+                    if len(body) > MAX_BODY_BYTES:
+                        raise ValueError(f"reply body over {MAX_BODY_BYTES} bytes")
+                    if response.length:  # the server closed before sending the Content-Length it declared
+                        raise http.client.IncompleteRead(body, response.length)
+                    keep = response.isclosed() and response.version == 11 and not response.will_close
+        except ConnectionError:
+            connection.close()
+            if reused and not reader.received:  # a stale connection: the peer closed it while it was idle
+                connection = None
+                continue
+            raise
+        except BaseException:
+            connection.close()
+            raise
+        if keep and pool is not None:
+            pool.give(connection)
+        else:
+            connection.close()
+        return response.status, body
 
 
 class RemoteResolver(Resolver):
@@ -218,7 +275,8 @@ class RemoteResolver(Resolver):
     Requests are idempotent (a pure POST of the chunk content) and bounded by
     a deadline. A deadline outside (0, ``threading.TIMEOUT_MAX``] fails every
     request, so it is refused. The caller's ``jobs`` bounds how many requests
-    run at once.
+    run at once. Connections are kept alive in a pool between requests, and
+    the idle ones are closed when the resolver is collected.
     """
 
     resolver_id = "remote"
@@ -230,6 +288,8 @@ class RemoteResolver(Resolver):
         self.endpoint = endpoint.rstrip("/")
         self.limits = limits
         self.deadline = deadline
+        self._pool = _Pool()
+        weakref.finalize(self, self._pool.close)
 
     def _generate(self, chunk) -> Sequence[str]:
         payload = {
@@ -263,7 +323,7 @@ class RemoteResolver(Resolver):
         return lines
 
     def _post(self, payload: dict) -> tuple[int, bytes]:
-        return _post_json(f"{self.endpoint}/v1/resolve", payload, self.deadline)
+        return _post_json(f"{self.endpoint}/v1/resolve", payload, self.deadline, self._pool)
 
 
 # Every stub mode: whether it sleeps before replying, and its (lines, truncated)

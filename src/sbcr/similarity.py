@@ -18,16 +18,45 @@ class Granularity(Enum):
     CHAR = "char"
 
 
+def _shared_prefix(a: Sequence[Hashable], b: Sequence[Hashable]) -> int:
+    """Length of the longest prefix ``a`` and ``b`` share.
+
+    Gallops, then bisects, over slice equality, so the element comparisons
+    run in C and a pair whose first elements differ pays one comparison.
+    """
+    limit = min(len(a), len(b))
+    lo, step = 0, 1
+    while lo + step <= limit and a[lo : lo + step] == b[lo : lo + step]:
+        lo, step = lo + step, step * 2
+    hi = min(lo + step - 1, limit)  # the prefix ends in [lo, hi]
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if a[lo:mid] == b[lo:mid]:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
 def lcs_length(a: Sequence[Hashable], b: Sequence[Hashable]) -> int:
     """Length of the longest common subsequence of two sequences.
 
     Elements are compared by exact equality and must be hashable; callers
-    pass a ``str`` (char level) or a list of ``str`` (line level). Uses
-    Hyyrö's bit-parallel recurrence (Allison & Dix 1986; Hyyrö 2004): each
-    element of the shorter sequence maps to the bitmask of its positions,
-    and one pass over the longer sequence updates a bit vector ``v`` whose
-    zero bits count the LCS, in O(|a| * |b| / w) word operations.
+    pass a ``str`` (char level) or a list or tuple of ``str`` (line level).
+    The prefix and suffix the two share are cut off first and counted whole,
+    which is exact: LCS(xA, xB) = 1 + LCS(A, B), and likewise at the end.
+    What is left runs Hyyrö's bit-parallel recurrence (Allison & Dix 1986;
+    Hyyrö 2004): each element of the shorter sequence maps to the bitmask
+    of its positions, and one pass over the longer sequence updates a bit
+    vector ``v`` whose zero bits count the LCS, in O(|a| * |b| / w) word
+    operations.
     """
+    if type(a) is not type(b):  # a tuple's slices never equal a list's
+        a, b = list(a), list(b)
+    head = _shared_prefix(a, b)
+    a, b = a[head:], b[head:]
+    tail = _shared_prefix(a[::-1], b[::-1])
+    a, b = a[: len(a) - tail], b[: len(b) - tail]
     if len(a) < len(b):
         a, b = b, a
     masks = position_masks(b)
@@ -38,7 +67,7 @@ def lcs_length(a: Sequence[Hashable], b: Sequence[Hashable]) -> int:
         if m:
             u = v & m
             v = ((v + u) | (v - u)) & full
-    return len(b) - v.bit_count()
+    return head + tail + len(b) - v.bit_count()
 
 
 def similarity(

@@ -2,13 +2,16 @@
 
 Speaks the wire protocol of RemoteResolver: POST /v1/resolve with
 {"base", "v1", "v2", "input_token_limit", "output_token_limit"} returning
-{"lines": [...], "truncated": bool}. The configured mode selects one of the
-canned behaviors (echo-v1, echo-v2, empty, truncate, slow, garbage).
+{"lines": [...], "truncated": bool}, over HTTP/1.1 connections kept open
+between requests. The configured mode selects one of the canned behaviors
+(echo-v1, echo-v2, empty, truncate, slow, garbage).
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -19,23 +22,31 @@ DEFAULT_SLOW_DELAY = 2.0  # seconds a slow-mode reply waits
 
 class _StubHandler(BaseHTTPRequestHandler):
     server: "StubServer"
+    protocol_version = "HTTP/1.1"  # keeps a connection open for the client's next request
+    disable_nagle_algorithm = True  # else a reply's body waits on the client's delayed ACK of its head
 
     def log_message(self, format, *args):  # quiet by default
         if self.server.verbose:
             super().log_message(format, *args)
 
-    def _send_json(self, code: int, payload: dict) -> None:
-        self._send(code, json.dumps(payload).encode("utf-8"))
-
-    def _send(self, code: int, body: bytes) -> None:
+    def handle(self):
         try:
-            self.send_response(code)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-        except (BrokenPipeError, ConnectionResetError) as exc:  # the client gave up, at its deadline say
+            super().handle()
+        except ConnectionError as exc:  # the client gave up, at its deadline say, while a reply was due
             self.log_message("client hung up before the reply: %s", exc)
+
+    def _send_json(self, code: int, payload: dict, close: bool = False) -> None:
+        self._send(code, json.dumps(payload).encode("utf-8"), close)
+
+    def _send(self, code: int, body: bytes, close: bool = False) -> None:
+        """Reply; ``close`` ends the connection after it, as when the request's body is left unread."""
+        self.send_response(code)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        if close:
+            self.send_header("Connection", "close")
+        self.end_headers()
+        self.wfile.write(body)
 
     def do_GET(self):
         if self.path == "/stats":
@@ -45,7 +56,7 @@ class _StubHandler(BaseHTTPRequestHandler):
 
     def do_POST(self):
         if self.path != "/v1/resolve":
-            self._send_json(404, {"error": f"no such route: {self.path}"})
+            self._send_json(404, {"error": f"no such route: {self.path}"}, close=True)
             return
         with self.server.lock:
             self.server.calls += 1
@@ -54,7 +65,7 @@ class _StubHandler(BaseHTTPRequestHandler):
         except ValueError:
             length = -1
         if not 0 <= length <= MAX_BODY_BYTES:  # read(-1) waits for the client to close; a huge read fails
-            self._send_json(400, {"error": f"bad request: Content-Length is not an integer in [0, {MAX_BODY_BYTES}]"})
+            self._send_json(400, {"error": f"bad request: Content-Length is not an integer in [0, {MAX_BODY_BYTES}]"}, close=True)
             return
         self._send(*stub_response(self.server.mode, self.rfile.read(length), self.server.slow_delay))
 
@@ -73,6 +84,7 @@ class StubServer(ThreadingHTTPServer):
         self.calls = 0
         self.lock = threading.Lock()
         self._thread: threading.Thread | None = None
+        self._live: set[socket.socket] = set()  # the connections whose handlers have not returned
 
     @property
     def url(self) -> str:
@@ -83,8 +95,23 @@ class StubServer(ThreadingHTTPServer):
         self._thread.start()
         return self
 
+    def process_request(self, request, client_address):
+        with self.lock:
+            self._live.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        with self.lock:  # out of the set before it is closed, so stop() never shuts a closed socket's number
+            self._live.discard(request)
+        super().shutdown_request(request)
+
     def stop(self) -> None:
+        """Stop serving; a kept-alive connection is shut down too, so its handler returns and it answers nothing."""
         self.shutdown()
+        with self.lock:
+            for request in self._live:
+                with contextlib.suppress(OSError):  # the client reset it meanwhile, say
+                    request.shutdown(socket.SHUT_RDWR)
         self.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5)

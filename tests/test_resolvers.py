@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import http.client
 import json
 import math
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -29,6 +31,8 @@ from sbcr.resolvers import (
     truncate_to_tokens,
     _post_json,
 )
+from sbcr.bench import run_benchmark
+from sbcr.corpus import bundled_sample_path, load_records
 from sbcr.router import FALLBACK_RESOLVER_ID, HybridResolver, RouteThresholds, hybrid_resolve
 from sbcr.search import SearchParams
 from sbcr.stub_server import StubServer
@@ -292,7 +296,7 @@ assert "requests" not in sys.modules
 
 @pytest.mark.parametrize("body", [b"[1, 2]", b"null"])
 def test_remote_error_reply_with_non_object_json_fails_cleanly(monkeypatch, body):
-    monkeypatch.setattr("sbcr.resolvers._post_json", lambda url, payload, timeout: (500, body))
+    monkeypatch.setattr("sbcr.resolvers._post_json", lambda url, payload, timeout, *args: (500, body))
     candidate = RemoteResolver("http://127.0.0.1:9").resolve(CHUNK)
     assert candidate.status is Status.FAILED
     assert candidate.detail == "HTTP 500: remote error"
@@ -527,8 +531,8 @@ def test_stub_server_logs_a_client_hang_up_only_when_verbose(capsys, verbose):
     assert ("client hung up before the reply" in err) is verbose
 
 
-def _reply(body: bytes) -> bytes:
-    return b"HTTP/1.0 200 OK\r\nContent-Length: %d\r\n\r\n" % len(body) + body
+def _reply(body: bytes, head: bytes = b"HTTP/1.0 200 OK") -> bytes:
+    return head + b"\r\nContent-Length: %d\r\n\r\n" % len(body) + body
 
 
 @contextlib.contextmanager
@@ -647,3 +651,140 @@ def test_no_reply_bytes_break_the_remote_client(status_line, headers, body):
     fields = reply.split(b"\n", 1)[0].decode("iso-8859-1").split(None, 2)
     if len(fields) < 2 or fields[1] not in ("200", "100"):
         assert candidate.status is Status.FAILED
+
+
+@pytest.mark.parametrize("path, headers", [("/nope", {}), ("/v1/resolve", {"Content-Length": "-1"})])
+def test_stub_server_ends_a_connection_whose_request_body_it_left_unread(echo_server, path, headers):
+    """On a kept-alive connection, a body the stub did not read would be read as the next request."""
+    connection = http.client.HTTPConnection(*echo_server.server_address, timeout=5)
+    try:
+        connection.request("POST", path, json.dumps({"v1": ["smuggled"], "v2": []}), headers)
+        reply = connection.getresponse()
+        reply.read()
+        assert reply.status in (400, 404)
+        connection.request("POST", "/v1/resolve", json.dumps({"v1": ["a"], "v2": []}))
+        reply = connection.getresponse()
+        assert (reply.status, json.loads(reply.read())["lines"]) == (200, ["a"])
+    finally:
+        connection.close()
+
+
+def test_a_stopped_stub_answers_nothing_on_a_kept_alive_connection():
+    server = StubServer(mode="echo-v1", port=0).start()
+    try:
+        resolver = RemoteResolver(server.url, deadline=2.0)
+        assert resolver.resolve(CHUNK).status is Status.OK
+        assert len(resolver._pool.idle) == 1
+    finally:
+        server.stop()
+    assert resolver.resolve(CHUNK).status is Status.FAILED
+
+
+def test_sequential_requests_share_one_connection():
+    server = StubServer(mode="echo-v1", port=0)
+    accepted = []
+    process_request = server.process_request
+
+    def count(request, client_address):
+        accepted.append(client_address)
+        process_request(request, client_address)
+
+    server.process_request = count
+    server.start()
+    try:
+        resolver = RemoteResolver(server.url)
+        assert [resolver.resolve(CHUNK).status for _ in range(20)] == [Status.OK] * 20
+    finally:
+        server.stop()
+    assert len(accepted) == 1
+
+
+def test_threads_sharing_a_pool_each_get_their_own_replies():
+    """A connection taken by two threads at once would cross their replies."""
+    server = StubServer(mode="echo-v1", port=0)
+    accepted = []
+    process_request = server.process_request
+
+    def count(request, client_address):
+        accepted.append(client_address)
+        process_request(request, client_address)
+
+    server.process_request = count
+    server.start()
+    resolver = RemoteResolver(server.url, deadline=5.0)
+    crossed = []
+
+    def call(k):
+        chunk = Chunk([f"thread {k}"], [])
+        for _ in range(25):
+            candidate = resolver.resolve(chunk)
+            if (candidate.status, candidate.lines) != (Status.OK, (f"thread {k}",)):
+                crossed.append((k, candidate))
+
+    threads = [threading.Thread(target=call, args=(k,)) for k in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30)
+    finally:
+        sys.setswitchinterval(interval)
+        server.stop()
+    assert not any(t.is_alive() for t in threads)
+    assert crossed == []
+    assert len(accepted) <= len(threads) and len(resolver._pool.idle) <= len(threads)
+
+
+def test_a_kept_alive_connection_the_server_closed_is_retried_once():
+    """The loopback server closes each connection after its reply, which a
+    kept-alive connection only finds out on its next request."""
+    with _loopback_server(_reply(_BODY, b"HTTP/1.1 200 OK"), connections=2) as url:
+        remote = RemoteResolver(url, deadline=5.0)
+        first = remote.resolve(CHUNK)
+        assert len(remote._pool.idle) == 1
+        second = remote.resolve(CHUNK)
+        del remote  # closes the second connection, which the server waits on
+    assert (first.status, first.lines, second.status, second.lines) == (Status.OK, ("a",), Status.OK, ("a",))
+
+
+@pytest.mark.parametrize(
+    "reply, status",
+    [
+        (_reply(_BODY), Status.OK),
+        (_reply(_BODY, b"HTTP/1.1 200 OK\r\nConnection: close"), Status.OK),
+        (_reply(_BODY.ljust(100), b"HTTP/1.1 200 OK")[: -100 + len(_BODY)], Status.FAILED),
+        (_reply(_BODY.ljust(MAX_BODY_BYTES + 4096), b"HTTP/1.1 200 OK"), Status.FAILED),
+    ],
+    ids=["http-1.0", "connection-close", "shorter-than-declared", "over-the-cap"],
+)
+def test_a_connection_is_kept_only_after_a_whole_kept_alive_reply(reply, status):
+    with _loopback_server(reply) as url:
+        remote = RemoteResolver(url, deadline=5.0)
+        assert remote.resolve(CHUNK).status is status
+        assert remote._pool.idle == []
+
+
+def test_a_large_request_on_a_reused_connection_does_not_stall(echo_server):
+    """A request or reply written as a head and then a body over one TCP segment
+    waited on the peer's delayed ACK (40 ms on Linux) unless Nagle is off."""
+    chunk = Chunk(v1_lines=["x" * 100] * 40, v2_lines=[])  # over 4 kB each way
+    resolver = RemoteResolver(echo_server.url)
+    assert resolver.resolve(chunk).status is Status.OK  # opens the connection the timed requests reuse
+    assert resolver._pool.idle[0].sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+    start = time.monotonic()
+    assert [resolver.resolve(chunk).status for _ in range(10)] == [Status.OK] * 10
+    assert time.monotonic() - start < 0.2
+
+
+def test_a_dropped_resolver_closes_its_kept_alive_connections(echo_server):
+    records, _ = load_records(bundled_sample_path())
+    resolver = RemoteResolver(echo_server.url)
+    rows = run_benchmark(records, resolver, jobs=4)
+    assert Status.FAILED.value not in {row.status for row in rows} and resolver._pool.idle
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        del resolver
+        gc.collect()
+    assert [w.message for w in caught if issubclass(w.category, ResourceWarning)] == []

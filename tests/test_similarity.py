@@ -2,9 +2,11 @@ import random
 import sys
 
 from conftest import lcs_oracle, lcs_row_dp
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+import sbcr.similarity as similarity_module
+from sbcr.search import position_masks
 from sbcr.similarity import Granularity, char_similarities, lcs_length, similarity
 
 
@@ -91,6 +93,35 @@ def test_lcs_equals_row_dp_on_duplicate_heavy_lines(pair):
 def test_lcs_equals_row_dp_on_strings(a, b):
     assert lcs_length(a, b) == lcs_row_dp(a, b)
     assert lcs_length(a, a + b) == len(a)
+
+
+_RUNS = st.lists(st.sampled_from(["", "a", "b", "ab", "\u00e9"]), max_size=10)
+
+
+@given(_RUNS, _RUNS, _RUNS, _RUNS, st.sampled_from(["two middles", "identical", "one-sided", "one empty"]))
+@example([], [], [], [], "two middles")
+@example(["a"], [], [], ["b"], "identical")
+def test_lcs_equals_row_dp_with_a_shared_prefix_and_suffix(prefix, middle1, middle2, suffix, shape):
+    """``lcs_length`` counts the shared ends whole and runs its bit-parallel pass on what is left between them."""
+    if shape == "identical":
+        middle2 = middle1
+    elif shape == "one-sided":
+        middle2 = []
+    a = prefix + middle1 + suffix
+    b = [] if shape == "one empty" else prefix + middle2 + suffix
+    for x, y in ((a, b), (b, a), (tuple(a), b), ("".join(a), "".join(b)), ("".join(b), "".join(a))):
+        assert lcs_length(x, y) == lcs_row_dp(x, y)
+    for granularity, x, y in ((Granularity.LINE, a, b), (Granularity.CHAR, "\n".join(a), "\n".join(b))):
+        total = len(x) + len(y)
+        assert similarity(a, b, granularity) == (1.0 if total == 0 else 2 * lcs_row_dp(x, y) / total)
+
+
+def test_lcs_builds_masks_only_between_the_shared_ends(monkeypatch):
+    built = []
+    monkeypatch.setattr(similarity_module, "position_masks", lambda b: built.append(list(b)) or position_masks(b))
+    assert lcs_length(("a", "x", "b"), ["a", "y", "y", "b"]) == 2  # a candidate's tuple against a truth's list
+    assert lcs_length("ab-cd", "ab+cd") == 4
+    assert built == [["x"], ["+"]]
 
 
 @given(st.one_of(st.text(max_size=30), st.lists(st.sampled_from(["x", "y"]), max_size=30)))
