@@ -13,6 +13,7 @@ import io
 import json
 import math
 import re
+import select
 import threading
 import time
 import urllib.parse
@@ -224,10 +225,13 @@ def _post_json(url: str, payload: dict, timeout: float, pool: _Pool | None = Non
 
     The request goes over a connection taken from ``pool``, or a new one, and a
     complete HTTP/1.1 reply without ``Connection: close`` gives the connection
-    back. A taken connection the peer closed before any reply byte is retried
-    once on a new one; the request is idempotent. ``timeout`` bounds the whole
-    request from taking a connection on, but not the host name lookup when one
-    opens; a reply body over ``MAX_BODY_BYTES`` raises ValueError."""
+    back. A taken connection with bytes or the peer's close already waiting
+    is closed, since nothing sent now is answered by those, and a new one
+    opened. One the peer closes after that check, before any reply byte, is
+    retried once on a new one; the request is idempotent. ``timeout`` bounds
+    the whole request from taking a connection on, but not the host name
+    lookup when one opens; a reply body over ``MAX_BODY_BYTES`` raises
+    ValueError."""
     end = time.monotonic() + timeout
     parts = urllib.parse.urlsplit(url)
     if parts.scheme not in ("http", "https") or not parts.netloc:
@@ -235,6 +239,9 @@ def _post_json(url: str, payload: dict, timeout: float, pool: _Pool | None = Non
     kind = http.client.HTTPSConnection if parts.scheme == "https" else http.client.HTTPConnection
     data = json.dumps(payload).encode("utf-8")
     connection = pool.take() if pool is not None else None
+    if connection is not None and select.select([connection.sock], [], [], 0)[0]:
+        connection.close()
+        connection = None
     while True:
         reused = connection is not None
         if not reused:

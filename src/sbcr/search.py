@@ -7,19 +7,13 @@ parent version, and the search walks the neighborhood induced by three
 operators (add a line, remove a line, swap two adjacent lines from different
 versions).
 
-``SourceLineRef`` tuples exist only at the API edge: the public functions
-take and return them, and ``rrhc_resolve`` returns them in its result. The
-engine itself works on int-coded candidates. Over a chunk with ``n1`` v1
-lines, ref ``r < n1`` is v1 line ``r`` and any other ref is v2 line
-``r - n1``, so the refs ``0 .. n - 1`` list v1 then v2 in the order of
-``concat_candidate``, and one version's lines keep their order exactly when
-their codes increase. The engine calls ``random_candidate`` with the
-chunk's ``_Coding`` and ``neighbor`` with a ``_Moves`` table in place of
-the chunk, and both then return codes: each operator has one int core, and
-the public calls only add the encoding and decoding around it. A ``_Moves``
-table holds what every draw from one climb position needs (its unused codes
-and exchange slots), so the engine builds it once per position, not once
-per draw.
+A candidate is a tuple of line codes. Over a chunk with ``n1`` v1 lines,
+code ``r < n1`` is v1 line ``r`` and any other code is v2 line ``r - n1``, so
+the codes ``0 .. n - 1`` list v1 then v2 in the order of ``concat_candidate``,
+and one version's lines keep their order exactly when their codes increase.
+``neighbor`` draws from the ``_Moves`` table of its candidate, which holds
+what every draw from one climb position needs (its unused codes and exchange
+slots), so the engine builds it once per position, not once per draw.
 
 The objective compares codes, not text. Per chunk, one ``_Table`` holds
 both parents: ``masks[r]`` sets bit ``i`` when v1 line ``i`` equals chunk
@@ -39,25 +33,13 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from enum import IntEnum
 from heapq import nlargest
 from operator import itemgetter
 from typing import Callable, Hashable, NamedTuple, Protocol, Sequence
 
 
-class Version(IntEnum):
-    V1 = 1
-    V2 = 2
-
-
-class SourceLineRef(NamedTuple):
-    """A reference to one source line: which version it came from and its 0-based index there."""
-
-    version: Version
-    index: int
-
-
-Candidate = tuple[SourceLineRef, ...]
+# A candidate's line codes (see the module docstring).
+Candidate = tuple[int, ...]
 
 
 class ChunkLike(Protocol):
@@ -121,59 +103,29 @@ class SearchResult:
         return self.ranked[0].score
 
 
-def is_valid_candidate(candidate: Sequence[SourceLineRef], chunk: ChunkLike) -> bool:
-    """Check the candidate invariants: in-range refs, no duplicates, per-version index order."""
-    sizes = {Version.V1: len(chunk.v1_lines), Version.V2: len(chunk.v2_lines)}
-    last = {Version.V1: -1, Version.V2: -1}
-    for ref in candidate:
-        if not 0 <= ref.index < sizes[ref.version]:
+def is_valid_candidate(candidate: Sequence[int], chunk: ChunkLike) -> bool:
+    """Check the candidate invariants: in-range codes, and each version's codes increasing,
+    which also rules out duplicates."""
+    n1 = len(chunk.v1_lines)
+    n = n1 + len(chunk.v2_lines)
+    last = [-1, -1]  # the last v1 and v2 code so far
+    for r in candidate:
+        v2 = r >= n1
+        if r >= n or r <= last[v2]:
             return False
-        if ref.index <= last[ref.version]:
-            return False
-        last[ref.version] = ref.index
+        last[v2] = r
     return True
 
 
-def candidate_lines(candidate: Sequence[SourceLineRef], chunk: ChunkLike) -> list[str]:
+def candidate_lines(candidate: Sequence[int], chunk: ChunkLike) -> list[str]:
     """Materialize the candidate's text lines in candidate order."""
-    return [
-        chunk.v1_lines[ref.index] if ref.version is Version.V1 else chunk.v2_lines[ref.index]
-        for ref in candidate
-    ]
+    lines = [*chunk.v1_lines, *chunk.v2_lines]
+    return [lines[r] for r in candidate]
 
 
 def concat_candidate(chunk: ChunkLike) -> Candidate:
     """All of v1 followed by all of v2; the trivial concatenation resolution."""
-    return tuple(
-        [SourceLineRef(Version.V1, i) for i in range(len(chunk.v1_lines))]
-        + [SourceLineRef(Version.V2, j) for j in range(len(chunk.v2_lines))]
-    )
-
-
-# An int-coded candidate (see the module docstring).
-Coded = tuple[int, ...]
-
-
-def _encode(candidate: Sequence[SourceLineRef], n1: int) -> Coded:
-    return tuple([ref.index if ref.version is Version.V1 else n1 + ref.index for ref in candidate])
-
-
-def _decode(coded: Coded, refs: Candidate) -> Candidate:
-    """``refs`` is the chunk's ``concat_candidate``: the decode table of every code."""
-    return tuple([refs[r] for r in coded])
-
-
-class _Coding(NamedTuple):
-    """A chunk's int coding: ``n1`` v1 lines, ``n`` lines in all, and the decode table."""
-
-    n1: int
-    n: int
-    refs: Candidate
-
-
-def _coding(chunk: ChunkLike) -> _Coding:
-    refs = concat_candidate(chunk)
-    return _Coding(len(chunk.v1_lines), len(refs), refs)
+    return tuple(range(len(chunk.v1_lines) + len(chunk.v2_lines)))
 
 
 def position_masks(seq: Sequence[Hashable]) -> dict[Hashable, int]:
@@ -202,8 +154,8 @@ def _table(chunk: ChunkLike) -> _Table:
     return _Table(tuple([masks[line] for line in lines]), len(chunk.v1_lines), len(chunk.v2_lines))
 
 
-def lcs_length(coded: Coded, table: _Table) -> tuple[int, int]:
-    """LCS lengths of an int-coded candidate's lines with v1 and with v2, in one pass.
+def lcs_length(candidate: Sequence[int], table: _Table) -> tuple[int, int]:
+    """LCS lengths of a candidate's lines with v1 and with v2, in one pass.
 
     The engine's objective over match masks (see the module docstring), not
     ``sbcr.similarity.lcs_length``, the text and char LCS the benchmark metric uses.
@@ -214,29 +166,39 @@ def lcs_length(coded: Coded, table: _Table) -> tuple[int, int]:
     low = (1 << size1) - 1
     full = low | ((1 << size2) - 1) << (size1 + 1)
     v = full
-    for r in coded:
+    for r in candidate:
         u = v & masks[r]
         v = ((v + u) | (v - u)) & full
     return size1 - (v & low).bit_count(), size2 - (v >> (size1 + 1)).bit_count()
 
 
-def _score(coded: Coded, table: _Table) -> float:
+def _score(candidate: Sequence[int], table: _Table) -> float:
     """Mean of the candidate's LCS ratio to each parent; 1.0 for an empty pair."""
-    k = len(coded)
-    l1, l2 = lcs_length(coded, table)
+    k = len(candidate)
+    l1, l2 = lcs_length(candidate, table)
     s1 = 1.0 if k + table.size1 == 0 else 2.0 * l1 / (k + table.size1)
     s2 = 1.0 if k + table.size2 == 0 else 2.0 * l2 / (k + table.size2)
     return (s1 + s2) / 2.0
 
 
-def evaluate(candidate: Sequence[SourceLineRef], chunk: ChunkLike) -> float:
+def evaluate(candidate: Sequence[int], chunk: ChunkLike) -> float:
     """Score a candidate: mean of its line-level similarity to each parent version."""
     if not is_valid_candidate(candidate, chunk):
         raise ValueError("invalid candidate for this chunk")
-    return _score(_encode(candidate, len(chunk.v1_lines)), _table(chunk))
+    return _score(candidate, _table(chunk))
 
 
-def _random_coded(n1: int, n: int, draw: Callable[[], float]) -> Coded:
+def random_candidate(chunk: ChunkLike, rng: random.Random) -> Candidate:
+    """Draw a uniformly interleaved candidate over an independent 1/2 line selection.
+
+    Each source line is kept with probability 1/2; the kept lines of the two
+    versions are merged by repeatedly taking the next line from a side with
+    probability proportional to its remaining count, which makes every valid
+    interleaving of the chosen subsets equally likely.
+    """
+    n1 = len(chunk.v1_lines)
+    n = n1 + len(chunk.v2_lines)
+    draw = rng.random
     take1 = [r for r in range(n1) if draw() < 0.5]
     take2 = [r for r in range(n1, n) if draw() < 0.5]
     merged: list[int] = []
@@ -255,32 +217,17 @@ def _random_coded(n1: int, n: int, draw: Callable[[], float]) -> Coded:
     return tuple(merged)
 
 
-def random_candidate(chunk: ChunkLike | _Coding, rng: random.Random) -> Candidate | Coded:
-    """Draw a uniformly interleaved candidate over an independent 1/2 line selection.
-
-    Each source line is kept with probability 1/2; the kept lines of the two
-    versions are merged by repeatedly taking the next line from a side with
-    probability proportional to its remaining count, which makes every valid
-    interleaving of the chosen subsets equally likely. Given a ``_Coding``,
-    returns an int-coded candidate.
-    """
-    if type(chunk) is _Coding:
-        return _random_coded(chunk.n1, chunk.n, rng.random)
-    coding = _coding(chunk)
-    return _decode(_random_coded(coding.n1, coding.n, rng.random), coding.refs)
-
-
-def _coded_window(coded: Coded, r: int, n1: int) -> tuple[int, int]:
+def _window(candidate: Candidate, r: int, n1: int) -> tuple[int, int]:
     """Inclusive slot range where the unused code ``r`` may be inserted without
-    breaking version order; a version's codes increase along ``coded``."""
+    breaking version order; a version's codes increase along ``candidate``."""
     lo = 0
     v1 = r < n1
-    for pos, x in enumerate(coded):
+    for pos, x in enumerate(candidate):
         if (x < n1) is v1:
             if x > r:
                 return lo, pos
             lo = pos + 1
-    return lo, len(coded)
+    return lo, len(candidate)
 
 
 def _below(getrandbits: Callable[[int], int], n: int) -> int:
@@ -304,10 +251,9 @@ class _Moves(NamedTuple):
     """One climb position's move table, built once and drawn from until the
     climb moves: ``count`` applicable operators, ``shift`` when the candidate
     is full (so has no ADD), its ``unused`` codes in increasing order and its
-    exchange ``slots``, the positions ``p`` where ``coded[p]`` and
-    ``coded[p + 1]`` come from different versions."""
+    exchange ``slots``, the positions ``p`` where ``candidate[p]`` and
+    ``candidate[p + 1]`` come from different versions."""
 
-    coded: Coded
     n1: int
     count: int
     shift: bool
@@ -315,36 +261,20 @@ class _Moves(NamedTuple):
     slots: tuple[int, ...]
 
 
-def _moves(coded: Coded, n1: int, n: int) -> _Moves:
-    size = len(coded)
-    used = set(coded)
+def _moves(candidate: Candidate, n1: int, n: int) -> _Moves:
+    size = len(candidate)
+    used = set(candidate)
     unused = tuple([r for r in range(n) if r not in used])
-    slots = tuple([p for p in range(size - 1) if (coded[p] < n1) is not (coded[p + 1] < n1)])
+    slots = tuple([p for p in range(size - 1) if (candidate[p] < n1) is not (candidate[p + 1] < n1)])
     # Applicable operators in the order ADD, REMOVE, EXCHANGE; a full candidate
     # has no ADD, so its draws shift up by one. EXCHANGE applies when both
     # versions are present, which is exactly when a slot exists.
-    return _Moves(coded, n1, (size < n) + (size > 0) + bool(slots), size == n, unused, slots)
+    return _Moves(n1, (size < n) + (size > 0) + bool(slots), size == n, unused, slots)
 
 
-def _draw(moves: _Moves, getrandbits: Callable[[int], int]) -> Coded:
-    coded, n1, count, shift, unused, slots = moves
-    if not count:
-        return coded
-    op = _below(getrandbits, count) + shift
-    if op == 0:  # ADD
-        r = unused[_below(getrandbits, len(unused))]
-        lo, hi = _coded_window(coded, r, n1)
-        slot = lo + _below(getrandbits, hi - lo + 1)
-        return coded[:slot] + (r,) + coded[slot:]
-    if op == 1:  # REMOVE
-        pos = _below(getrandbits, len(coded))
-        return coded[:pos] + coded[pos + 1 :]
-    p = slots[_below(getrandbits, len(slots))]  # EXCHANGE
-    return coded[:p] + (coded[p + 1], coded[p]) + coded[p + 2 :]
-
-
-def neighbor(candidate: Candidate | Coded, chunk: ChunkLike | _Moves, rng: random.Random) -> Candidate | Coded:
-    """Apply one uniformly chosen applicable operator; always returns a valid candidate.
+def neighbor(candidate: Candidate, moves: _Moves, rng: random.Random) -> Candidate:
+    """Apply one uniformly chosen applicable operator to ``candidate``, drawn from
+    ``moves``, its table from ``_moves``; always returns a valid candidate.
 
     ADD inserts a uniformly drawn unused line at a uniform slot that keeps its
     version in order; REMOVE drops a uniformly drawn line; EXCHANGE swaps a
@@ -355,14 +285,23 @@ def neighbor(candidate: Candidate | Coded, chunk: ChunkLike | _Moves, rng: rando
     applies when the candidate holds lines of both versions.
 
     Returns the input unchanged only when no operator applies, which happens
-    exactly when both versions are empty. Given the ``_Moves`` table of the
-    int-coded ``candidate``, draws from that table and returns codes.
+    exactly when both versions are empty.
     """
-    if type(chunk) is _Moves:
-        return _draw(chunk, rng.getrandbits)
-    coding = _coding(chunk)
-    moved = _draw(_moves(_encode(candidate, coding.n1), coding.n1, coding.n), rng.getrandbits)
-    return _decode(moved, coding.refs)
+    n1, count, shift, unused, slots = moves
+    if not count:
+        return candidate
+    getrandbits = rng.getrandbits
+    op = _below(getrandbits, count) + shift
+    if op == 0:  # ADD
+        r = unused[_below(getrandbits, len(unused))]
+        lo, hi = _window(candidate, r, n1)
+        slot = lo + _below(getrandbits, hi - lo + 1)
+        return candidate[:slot] + (r,) + candidate[slot:]
+    if op == 1:  # REMOVE
+        pos = _below(getrandbits, len(candidate))
+        return candidate[:pos] + candidate[pos + 1 :]
+    p = slots[_below(getrandbits, len(slots))]  # EXCHANGE
+    return candidate[:p] + (candidate[p + 1], candidate[p]) + candidate[p + 2 :]
 
 
 # Entries the score memo of one search may hold beyond the ranked list before
@@ -392,14 +331,12 @@ def rrhc_resolve(
     search restarts from a random candidate. ``ranked`` holds the ``top_n`` best
     distinct candidates, ties in discovery order, with ``best`` at its head.
 
-    The climb and the score memo hold int-coded candidates (see the module
-    docstring), scored in one pass against the chunk's ``_Table``, built once
-    here. Restarts come from ``random_candidate`` given the chunk's
-    ``_Coding``; neighbours come from ``neighbor`` given the ``_Moves`` table
-    of the current position, rebuilt only when the climb moves or restarts.
-    ``ranked`` is the memo's top ``top_n``, decoded to ``SourceLineRef``
-    tuples once, on return. ``check_invariants`` decodes each scored
-    candidate and asserts ``is_valid_candidate`` on it.
+    Each candidate is scored in one pass against the chunk's ``_Table``,
+    built once here. Restarts come from ``random_candidate``; neighbours come
+    from ``neighbor`` given the ``_Moves`` table of the current position,
+    rebuilt only when the climb moves or restarts. ``ranked`` is the memo's
+    top ``top_n``. ``check_invariants`` asserts ``is_valid_candidate`` on
+    each scored candidate.
 
     ``clock`` supplies wall time. With an evaluation budget it defaults to
     a constant clock so results (elapsed included) are bit-for-bit
@@ -410,24 +347,25 @@ def rrhc_resolve(
     if clock is None:
         clock = time.monotonic if params.max_execution_time is not None else lambda: 0.0
 
-    coding = _coding(chunk)
+    n1 = len(chunk.v1_lines)
+    n = n1 + len(chunk.v2_lines)
     table = _table(chunk)
     rng = random.Random(params.seed)
-    memo_cap = params.top_n + min(_MEMO_LIMIT, _MEMO_CODES // coding.n)
+    memo_cap = params.top_n + min(_MEMO_LIMIT, _MEMO_CODES // n)
     # Score memo in discovery order: nlargest keeps input order among equal
     # scores, so ties rank in discovery order, also across memo cuts.
-    scores: dict[Coded, float] = {}
+    scores: dict[Candidate, float] = {}
     start = clock()
     evaluations = 0
     restarts = 0
 
-    def evaluate_budgeted(candidate: Coded) -> float:
+    def evaluate_budgeted(candidate: Candidate) -> float:
         nonlocal evaluations, scores
         if evaluations == params.max_evaluations:
             raise _BudgetSpent
         evaluations += 1
         if check_invariants:
-            assert is_valid_candidate(_decode(candidate, coding.refs), chunk), "engine produced an invalid candidate"
+            assert is_valid_candidate(candidate, chunk), "engine produced an invalid candidate"
         score = scores.get(candidate)
         if score is None:
             score = _score(candidate, table)
@@ -436,14 +374,14 @@ def rrhc_resolve(
             scores[candidate] = score
         return score
 
-    current = tuple(range(coding.n))  # the v1+v2 concatenation
-    moves = _moves(current, coding.n1, coding.n)
+    current = concat_candidate(chunk)
+    moves = _moves(current, n1, n)
     stagnation = 0
 
     try:
         current_score = evaluate_budgeted(current)
         while params.max_execution_time is None or clock() - start < params.max_execution_time:
-            best_neighbor: Coded | None = None
+            best_neighbor: Candidate | None = None
             best_neighbor_score = -1.0
             for _ in range(params.neighbors_per_iteration):
                 moved = neighbor(current, moves, rng)
@@ -452,22 +390,22 @@ def rrhc_resolve(
                     best_neighbor, best_neighbor_score = moved, score
             if best_neighbor_score > current_score:
                 current, current_score = best_neighbor, best_neighbor_score
-                moves = _moves(current, coding.n1, coding.n)
+                moves = _moves(current, n1, n)
                 stagnation = 0
             else:
                 stagnation += 1
             if stagnation >= params.max_stagnation_iterations:
                 restarts += 1
                 stagnation = 0
-                current = random_candidate(coding, rng)
-                moves = _moves(current, coding.n1, coding.n)
+                current = random_candidate(chunk, rng)
+                moves = _moves(current, n1, n)
                 current_score = evaluate_budgeted(current)
     except _BudgetSpent:
         pass
 
     ranked = nlargest(params.top_n, scores.items(), key=itemgetter(1))
     return SearchResult(
-        ranked=tuple(ScoredCandidate(_decode(coded, coding.refs), s) for coded, s in ranked),
+        ranked=tuple(ScoredCandidate(candidate, s) for candidate, s in ranked),
         evaluations=evaluations,
         restarts=restarts,
         elapsed=clock() - start,

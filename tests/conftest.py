@@ -9,7 +9,8 @@ from typing import Iterator, Sequence
 
 from hypothesis import settings
 
-from sbcr.search import SourceLineRef, Version, evaluate
+from sbcr import search
+from sbcr.search import evaluate
 
 # Property tests replay the same examples on every run and never time out.
 settings.register_profile("tier1", derandomize=True, deadline=None, max_examples=200, database=None)
@@ -49,15 +50,23 @@ def interleavings(xs: Sequence, ys: Sequence) -> Iterator[tuple]:
         yield (ys[0],) + rest
 
 
-def all_candidates(chunk: Chunk) -> Iterator[tuple[SourceLineRef, ...]]:
-    """Every valid candidate: each subset pair of the versions, every interleaving."""
-    refs1 = [SourceLineRef(Version.V1, i) for i in range(len(chunk.v1_lines))]
-    refs2 = [SourceLineRef(Version.V2, j) for j in range(len(chunk.v2_lines))]
-    for size1 in range(len(refs1) + 1):
-        for subset1 in combinations(refs1, size1):
-            for size2 in range(len(refs2) + 1):
-                for subset2 in combinations(refs2, size2):
+def all_candidates(chunk: Chunk) -> Iterator[tuple[int, ...]]:
+    """Every valid candidate: each subset pair of the versions, every interleaving.
+    Code ``r < n1`` is v1 line ``r`` and any other code is v2 line ``r - n1``."""
+    n1 = len(chunk.v1_lines)
+    codes1 = range(n1)
+    codes2 = range(n1, n1 + len(chunk.v2_lines))
+    for size1 in range(len(codes1) + 1):
+        for subset1 in combinations(codes1, size1):
+            for size2 in range(len(codes2) + 1):
+                for subset2 in combinations(codes2, size2):
                     yield from interleavings(subset1, subset2)
+
+
+def draw_neighbor(candidate: tuple[int, ...], chunk: Chunk, rng: random.Random) -> tuple[int, ...]:
+    """One ``search.neighbor`` draw from a move table built for this draw alone."""
+    n1 = len(chunk.v1_lines)
+    return search.neighbor(candidate, search._moves(candidate, n1, n1 + len(chunk.v2_lines)), rng)
 
 
 def brute_force_optimum(chunk: Chunk) -> float:
@@ -127,16 +136,8 @@ def exact_best_score(v1: Sequence[str], v2: Sequence[str]) -> float:
 
 def achievable_sequences(v1: Sequence[str], v2: Sequence[str]) -> set[tuple[str, ...]]:
     """All line sequences reachable by deleting within each version and interleaving."""
-    chunk = Chunk(v1_lines=list(v1), v2_lines=list(v2))
-    out: set[tuple[str, ...]] = set()
-    for candidate in all_candidates(chunk):
-        out.add(
-            tuple(
-                (v1 if ref.version is Version.V1 else v2)[ref.index]
-                for ref in candidate
-            )
-        )
-    return out
+    lines = [*v1, *v2]
+    return {tuple(lines[r] for r in candidate) for candidate in all_candidates(Chunk(list(v1), list(v2)))}
 
 
 CONTENT_POOL = [

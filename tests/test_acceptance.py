@@ -15,6 +15,7 @@ from conftest import (
     Chunk,
     achievable_sequences,
     brute_force_optimum,
+    draw_neighbor,
     lcs_oracle,
     make_conflicted_file,
     random_chunk,
@@ -33,7 +34,7 @@ from sbcr.resolvers import (
     TrivialStrategy,
 )
 from sbcr.router import RouteRule, RouteTarget, RouteThresholds, extract_features, hybrid_resolve, route
-from sbcr.search import SearchParams, is_valid_candidate, neighbor, random_candidate, rrhc_resolve
+from sbcr.search import SearchParams, is_valid_candidate, random_candidate, rrhc_resolve
 from sbcr.similarity import Granularity, lcs_length, similarity
 from sbcr.stats import cles, wilcoxon_signed_rank
 
@@ -71,7 +72,7 @@ def test_c2_operator_soundness_fuzz():
     for _ in range(100_000):
         chunk = random_chunk(rng, max_side=5)
         current = random_candidate(chunk, rng)
-        moved = neighbor(current, chunk, rng)
+        moved = draw_neighbor(current, chunk, rng)
         if not is_valid_candidate(moved, chunk) or len(set(moved)) != len(moved):
             violations += 1
     report("C2 operator soundness fuzz", violations == 0, f"{violations} violations in 100000")

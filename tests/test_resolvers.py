@@ -4,6 +4,7 @@ import http.client
 import json
 import math
 import os
+import select
 import socket
 import subprocess
 import sys
@@ -536,9 +537,11 @@ def _reply(body: bytes, head: bytes = b"HTTP/1.0 200 OK") -> bytes:
 
 
 @contextlib.contextmanager
-def _loopback_server(reply: bytes, *, drip: float = 0.0, connections: int = 1):
+def _loopback_server(reply: bytes, *, drip: float = 0.0, connections: int = 1, stray: bytes = b""):
     """Answer ``connections`` requests from one thread with ``reply``, sent
-    whole or, when ``drip`` is set, one byte every ``drip`` seconds."""
+    whole or, when ``drip`` is set, one byte every ``drip`` seconds. With
+    ``stray``, each reply is followed 50 ms later by those bytes, and the
+    connection stays open for more requests until the client hangs up."""
     listener = socket.create_server(("127.0.0.1", 0))
     listener.settimeout(5)
 
@@ -551,10 +554,14 @@ def _loopback_server(reply: bytes, *, drip: float = 0.0, connections: int = 1):
             with conn:
                 conn.settimeout(5)
                 try:
-                    conn.recv(1 << 16)
-                    for piece in [reply[k : k + 1] for k in range(len(reply))] if drip else [reply]:
-                        conn.sendall(piece)
-                        time.sleep(drip)
+                    while conn.recv(1 << 16):
+                        for piece in [reply[k : k + 1] for k in range(len(reply))] if drip else [reply]:
+                            conn.sendall(piece)
+                            time.sleep(drip)
+                        if not stray:
+                            break
+                        time.sleep(0.05)
+                        conn.sendall(stray)
                     # read the rest of the request until the client hangs up, so closing sends no reset
                     conn.shutdown(socket.SHUT_WR)
                     while conn.recv(1 << 16):
@@ -738,8 +745,8 @@ def test_threads_sharing_a_pool_each_get_their_own_replies():
 
 
 def test_a_kept_alive_connection_the_server_closed_is_retried_once():
-    """The loopback server closes each connection after its reply, which a
-    kept-alive connection only finds out on its next request."""
+    """The loopback server closes each connection after its reply, which the
+    client sees before it reuses the connection."""
     with _loopback_server(_reply(_BODY, b"HTTP/1.1 200 OK"), connections=2) as url:
         remote = RemoteResolver(url, deadline=5.0)
         first = remote.resolve(CHUNK)
@@ -747,6 +754,26 @@ def test_a_kept_alive_connection_the_server_closed_is_retried_once():
         second = remote.resolve(CHUNK)
         del remote  # closes the second connection, which the server waits on
     assert (first.status, first.lines, second.status, second.lines) == (Status.OK, ("a",), Status.OK, ("a",))
+
+
+def test_a_close_that_arrives_after_the_idle_check_is_retried_once(monkeypatch):
+    """The check before reuse cannot see a close still on its way; that request
+    finds it before any reply byte and is retried once on a new connection."""
+    monkeypatch.setattr(select, "select", lambda *args: ([], [], []))  # the check sees nothing waiting
+    test_a_kept_alive_connection_the_server_closed_is_retried_once()
+
+
+def test_a_kept_alive_connection_with_stray_bytes_waiting_is_not_reused():
+    """Bytes a server sent after the reply's Content-Length used to be read as
+    the start of the next reply on that connection, which failed it."""
+    with _loopback_server(_reply(_BODY, b"HTTP/1.1 200 OK"), connections=2, stray=b"junk") as url:
+        remote = RemoteResolver(url, deadline=5.0)
+        first = remote.resolve(CHUNK)
+        assert len(remote._pool.idle) == 1
+        time.sleep(0.3)  # the stray bytes arrive 50 ms after the reply
+        second = remote.resolve(CHUNK)
+        del remote  # closes the second connection, which the server waits on
+    assert (first.status, second.status, second.detail, second.lines) == (Status.OK, Status.OK, "", ("a",))
 
 
 @pytest.mark.parametrize(

@@ -7,37 +7,38 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from conftest import Chunk, all_candidates, brute_force_optimum, exact_best_score, lcs_row_dp, random_chunk
-from hypothesis import given
+from conftest import (
+    Chunk,
+    all_candidates,
+    brute_force_optimum,
+    draw_neighbor,
+    exact_best_score,
+    lcs_row_dp,
+    random_chunk,
+)
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from sbcr import search
 from sbcr.corpus import bundled_sample_path, load_records
 from sbcr.search import (
     SearchParams,
-    SourceLineRef,
-    Version,
     _below,
     candidate_lines,
     concat_candidate,
     evaluate,
     is_valid_candidate,
-    neighbor,
     random_candidate,
     rrhc_resolve,
 )
 
 
-def ref(version: int, index: int) -> SourceLineRef:
-    return SourceLineRef(Version.V1 if version == 1 else Version.V2, index)
-
-
 def test_evaluate_spec_examples():
     chunk = Chunk(["x"], ["y"])
-    assert abs(evaluate((ref(1, 0), ref(2, 0)), chunk) - 2 / 3) < 1e-9
+    assert abs(evaluate((0, 1), chunk) - 2 / 3) < 1e-9  # v1 line 0, then v2 line 0
 
     chunk = Chunk(["a", "b"], ["c", "d"])
-    full_v1 = (ref(1, 0), ref(1, 1))
+    full_v1 = (0, 1)
     assert evaluate(full_v1, chunk) == 0.5
     assert evaluate((), chunk) == 0.0
 
@@ -45,11 +46,11 @@ def test_evaluate_spec_examples():
 def test_evaluate_rejects_invalid_candidates():
     chunk = Chunk(["a"], ["b"])
     with pytest.raises(ValueError):
-        evaluate((ref(1, 0), ref(1, 0)), chunk)  # duplicate ref
+        evaluate((0, 0), chunk)  # duplicate code
     with pytest.raises(ValueError):
-        evaluate((ref(1, 5),), chunk)  # out of range
+        evaluate((5,), chunk)  # out of range
     with pytest.raises(ValueError):
-        evaluate((ref(1, 1), ref(1, 0)), Chunk(["a", "b"], []))  # reordered
+        evaluate((1, 0), Chunk(["a", "b"], []))  # reordered
 
 
 def test_evaluate_perfect_score_only_when_versions_equal():
@@ -65,7 +66,7 @@ def test_random_candidate_one_sided():
     chunk = Chunk([], ["y"])
     rng = random.Random(0)
     seen = Counter(random_candidate(chunk, rng) for _ in range(10_000))
-    assert set(seen) == {(), (ref(2, 0),)}
+    assert set(seen) == {(), (0,)}  # v1 is empty, so code 0 is v2 line 0
     assert abs(seen[()] / 10_000 - 0.5) < 0.02
 
 
@@ -81,7 +82,7 @@ def test_random_candidate_uniform_interleaving():
     draws = [random_candidate(chunk, rng) for _ in range(40_000)]
     both = [d for d in draws if len(d) == 2]
     assert len(both) >= 9000
-    first_v1 = sum(1 for d in both if d[0].version is Version.V1)
+    first_v1 = sum(1 for d in both if d[0] == 0)
     assert abs(first_v1 / len(both) - 0.5) < 0.02
 
 
@@ -127,7 +128,7 @@ def test_random_candidate_exact_distribution(sides):
         by_subset.setdefault(frozenset(candidate), []).append(p)
     assert len(by_subset) == 8
     for subset, probabilities in by_subset.items():
-        orders = math.comb(len(subset), sum(r.version is Version.V1 for r in subset))
+        orders = math.comb(len(subset), sum(r < sides[0] for r in subset))
         assert probabilities == [Fraction(1, 8 * orders)] * orders, subset
     assert set(dist) == set(all_candidates(chunk))
 
@@ -136,7 +137,7 @@ def test_neighbor_empty_candidate_only_addition():
     chunk = Chunk(["a", "b"], ["c"])
     rng = random.Random(1)
     for _ in range(50):
-        moved = neighbor((), chunk, rng)
+        moved = draw_neighbor((), chunk, rng)
         assert len(moved) == 1
         assert is_valid_candidate(moved, chunk)
 
@@ -146,7 +147,7 @@ def test_neighbor_full_candidate_no_addition():
     full = concat_candidate(chunk)
     rng = random.Random(4)
     for _ in range(200):
-        moved = neighbor(full, chunk, rng)
+        moved = draw_neighbor(full, chunk, rng)
         assert moved != full
         assert len(moved) <= len(full)  # removal or exchange, never addition
         assert is_valid_candidate(moved, chunk)
@@ -154,7 +155,7 @@ def test_neighbor_full_candidate_no_addition():
 
 def test_neighbor_no_operator_applicable_returns_input():
     chunk = Chunk([], [])
-    assert neighbor((), chunk, random.Random(0)) == ()
+    assert draw_neighbor((), chunk, random.Random(0)) == ()
 
 
 def test_neighbor_fuzz_validity():
@@ -162,7 +163,7 @@ def test_neighbor_fuzz_validity():
     for _ in range(20_000):
         chunk = random_chunk(rng, max_side=5)
         current = random_candidate(chunk, rng)
-        moved = neighbor(current, chunk, rng)
+        moved = draw_neighbor(current, chunk, rng)
         assert is_valid_candidate(moved, chunk), (chunk, current, moved)
         assert len(set(moved)) == len(moved)
         if chunk.v1_lines or chunk.v2_lines:
@@ -182,14 +183,15 @@ def test_neighbor_fuzz_validity():
 def test_neighbor_walks_stay_valid_and_always_move(sides, start, seed):
     chunk = Chunk(*sides)
     rng = random.Random(seed)
+    n1 = len(chunk.v1_lines)
     current = {
         "random": random_candidate(chunk, rng),
         "concat": concat_candidate(chunk),
-        "v1": tuple(ref(1, i) for i in range(len(chunk.v1_lines))),
-        "v2": tuple(ref(2, j) for j in range(len(chunk.v2_lines))),
+        "v1": tuple(range(n1)),
+        "v2": tuple(range(n1, n1 + len(chunk.v2_lines))),
     }[start]
     for _ in range(30):
-        moved = neighbor(current, chunk, rng)
+        moved = draw_neighbor(current, chunk, rng)
         assert is_valid_candidate(moved, chunk), (chunk, current, moved)
         assert len(set(moved)) == len(moved)
         if chunk.v1_lines or chunk.v2_lines:
@@ -364,6 +366,55 @@ def test_rrhc_restarts_counted():
     assert result.best_score == 0.5
 
 
+def test_the_engine_draws_through_the_operators_the_benchmark_traces(monkeypatch):
+    """The benchmark's tracer wraps ``search.neighbor`` and ``search.random_candidate``
+    and tells a neighbour's operator from its first argument and its result, so the
+    engine calls both through the module globals, ``neighbor`` with the code tuple
+    of the climb's current position first."""
+    chunk = Chunk(["a", "b", "c", "d"], ["a", "x", "c", "y"])
+    params = eval_params(max_evaluations=600, max_stagnation_iterations=3, seed=5)
+    real_neighbor, real_random_candidate = search.neighbor, search.random_candidate
+    calls = []  # ("neighbor", candidate, result) and ("restart", result), in call order
+
+    def recording_neighbor(candidate, moves, rng):
+        assert moves == search._moves(candidate, 4, 8)
+        moved = real_neighbor(candidate, moves, rng)
+        calls.append(("neighbor", candidate, moved))
+        return moved
+
+    def recording_random_candidate(*args):
+        assert len(args) == 2 and args[0] is chunk and type(args[1]) is random.Random
+        drawn = real_random_candidate(*args)
+        calls.append(("restart", drawn))
+        return drawn
+
+    monkeypatch.setattr(search, "neighbor", recording_neighbor)
+    monkeypatch.setattr(search, "random_candidate", recording_random_candidate)
+    result = rrhc_resolve(chunk, params)
+    # Each iteration draws neighbors_per_iteration neighbours of one position: the
+    # concatenation first, then the last restart, or the position or one of the
+    # neighbours of the iteration before.
+    allowed = {concat_candidate(chunk)}
+    ops = Counter()
+    drawn = 0
+    for call in calls:
+        if call[0] == "restart":
+            allowed = {call[1]}
+            continue
+        _, candidate, moved = call
+        assert type(candidate) is tuple and all(type(r) is int for r in candidate), candidate
+        if drawn % params.neighbors_per_iteration == 0:
+            assert candidate in allowed, (drawn, candidate)
+            position, allowed = candidate, {candidate}
+        assert candidate == position, drawn
+        allowed.add(moved)
+        drawn += 1
+        grown = len(moved) - len(candidate)
+        ops["add" if grown > 0 else "remove" if grown < 0 else "exchange" if moved != candidate else "unchanged"] += 1
+    assert drawn > 0 and min(ops["add"], ops["remove"], ops["exchange"]) > 0 and ops["unchanged"] == 0, ops
+    assert sum(call[0] == "restart" for call in calls) == result.restarts > 0
+
+
 def test_rrhc_evaluation_budget_never_reads_the_clock(monkeypatch):
     def no_clock():
         raise AssertionError("an evaluation-budget search read the wall clock")
@@ -464,9 +515,8 @@ def test_masked_objective_equals_row_dp(case):
     row DP on the candidate's text."""
     chunk, candidate = case
     lines = candidate_lines(candidate, chunk)
-    coded = search._encode(candidate, len(chunk.v1_lines))
     commons = (lcs_row_dp(lines, chunk.v1_lines), lcs_row_dp(lines, chunk.v2_lines))
-    assert search.lcs_length(coded, search._table(chunk)) == commons
+    assert search.lcs_length(candidate, search._table(chunk)) == commons
     ratios = []
     for parent, common in zip((chunk.v1_lines, chunk.v2_lines), commons):
         total = len(lines) + len(parent)
@@ -490,7 +540,7 @@ def test_one_pass_objective_keeps_the_parents_apart(size1):
         candidates = [(), concat_candidate(chunk)] + [random_candidate(chunk, rng) for _ in range(4)]
         for candidate in candidates:
             lines = candidate_lines(candidate, chunk)
-            assert search.lcs_length(search._encode(candidate, size1), table) == (
+            assert search.lcs_length(candidate, table) == (
                 lcs_row_dp(lines, chunk.v1_lines),
                 lcs_row_dp(lines, chunk.v2_lines),
             ), (size1, size2, candidate)
@@ -498,6 +548,38 @@ def test_one_pass_objective_keeps_the_parents_apart(size1):
 
 _SMALL_SIDE = st.lists(st.sampled_from(["a", "b", "c"]), max_size=4)
 SMALL_CHUNKS = st.builds(Chunk, _SMALL_SIDE, _SMALL_SIDE)
+
+
+@st.composite
+def code_tuples(draw):
+    """A chunk of up to 4 lines a side and a tuple of codes: one of its candidates
+    as it is, with a code repeated, with two codes swapped or with a code out of
+    range put in, or any short tuple of codes in and around its range."""
+    chunk = draw(SMALL_CHUNKS)
+    n = len(chunk.v1_lines) + len(chunk.v2_lines)
+    kind = draw(st.sampled_from(["candidate", "repeat", "swap", "outside", "any"]))
+    if kind == "any":
+        return chunk, tuple(draw(st.lists(st.integers(-2, n + 1), max_size=n + 2)))
+    codes = list(draw(st.sampled_from(list(all_candidates(chunk)))))
+    if kind == "repeat" and codes:
+        codes.insert(draw(st.integers(0, len(codes))), draw(st.sampled_from(codes)))
+    elif kind == "swap" and len(codes) > 1:
+        i, j = draw(st.lists(st.integers(0, len(codes) - 1), min_size=2, max_size=2, unique=True))
+        codes[i], codes[j] = codes[j], codes[i]
+    elif kind == "outside":
+        codes.insert(draw(st.integers(0, len(codes))), draw(st.sampled_from([-2, -1, n, n + 1])))
+    return chunk, tuple(codes)
+
+
+@example((Chunk(["a"], ["b"]), (0, 0)))  # a repeated code
+@example((Chunk(["a", "b"], ["c"]), (1, 2, 0)))  # v1 codes out of order
+@example((Chunk(["a"], ["b", "c"]), (2, 0, 1)))  # v2 codes out of order
+@example((Chunk(["a"], ["b"]), (0, 2)))  # past the last line
+@example((Chunk(["a"], ["b"]), (-1, 1)))  # below the first line
+@given(code_tuples())
+def test_a_code_tuple_is_valid_exactly_when_it_is_a_candidate(case):
+    chunk, codes = case
+    assert is_valid_candidate(codes, chunk) is (codes in set(all_candidates(chunk)))
 
 
 @given(SMALL_CHUNKS)

@@ -3,16 +3,18 @@ candidates as the straightforward implementation below, whose exchange tries
 every position pair and re-checks the whole version order after each trial
 swap. The rejection sampler the engine used before is kept as a historical
 reference: its successful swaps have the same distribution as the engine's.
-The engine, which climbs on int-coded candidates, returns the same result as
-a reference loop that climbs on ``SourceLineRef`` tuples through the public
-operators."""
+The engine returns the same result as a reference loop built on the public
+operators, which keeps its ranked list in a heap and builds a fresh move
+table for every draw. Candidates are line codes throughout: over a chunk
+with ``n1`` v1 lines, code ``r < n1`` is v1 line ``r`` and any other code is
+v2 line ``r - n1``."""
 
 import itertools
 import random
 from collections import Counter
 from heapq import heappop, heappush
 
-from conftest import Chunk, random_chunk
+from conftest import Chunk, draw_neighbor, random_chunk
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -21,11 +23,6 @@ from sbcr.search import (
     ScoredCandidate,
     SearchParams,
     SearchResult,
-    SourceLineRef,
-    Version,
-    _decode,
-    _draw,
-    _encode,
     _moves,
     concat_candidate,
     evaluate,
@@ -35,38 +32,30 @@ from sbcr.search import (
 )
 
 
-def reference_order_ok(refs):
-    last1 = last2 = -1
-    for ref in refs:
-        if ref.version is Version.V1:
-            if ref.index <= last1:
-                return False
-            last1 = ref.index
-        else:
-            if ref.index <= last2:
-                return False
-            last2 = ref.index
-    return True
+def reference_order_ok(codes, n1):
+    v1 = [r for r in codes if r < n1]
+    v2 = [r for r in codes if r >= n1]
+    return v1 == sorted(set(v1)) and v2 == sorted(set(v2))
 
 
-def reference_exchange(candidate, rng):
+def reference_exchange(candidate, n1, rng):
     legal = []
     for p in range(len(candidate)):
         for q in range(p + 1, len(candidate)):
             swapped = list(candidate)
             swapped[p], swapped[q] = swapped[q], swapped[p]
-            if reference_order_ok(swapped):
+            if reference_order_ok(swapped, n1):
                 legal.append(tuple(swapped))
     return legal[rng.randrange(len(legal))]
 
 
-def reference_try_exchange(candidate, rng):
+def reference_try_exchange(candidate, n1, rng):
     """The engine's former exchange: draw position pairs until one keeps both
     versions in order, giving up (None) after len(candidate)**2 draws."""
     n = len(candidate)
     if n < 2:
         return None
-    if len({ref.version for ref in candidate}) < 2:
+    if len({r < n1 for r in candidate}) < 2:
         return None
     for _ in range(n * n):
         p = rng.randrange(n)
@@ -75,42 +64,42 @@ def reference_try_exchange(candidate, rng):
             continue
         swapped = list(candidate)
         swapped[p], swapped[q] = swapped[q], swapped[p]
-        if reference_order_ok(swapped):
+        if reference_order_ok(swapped, n1):
             return tuple(swapped)
     return None
 
 
 def reference_neighbor(candidate, chunk, rng):
+    n1 = len(chunk.v1_lines)
     used = set(candidate)
-    refs = [SourceLineRef(Version.V1, i) for i in range(len(chunk.v1_lines))]
-    refs += [SourceLineRef(Version.V2, j) for j in range(len(chunk.v2_lines))]
-    unused = [r for r in refs if r not in used]
+    unused = [r for r in range(n1 + len(chunk.v2_lines)) if r not in used]
     operators = []
     if unused:
         operators.append("add")
     if candidate:
         operators.append("remove")
-    if len(candidate) >= 2 and len({ref.version for ref in candidate}) == 2:
+    if len(candidate) >= 2 and len({r < n1 for r in candidate}) == 2:
         operators.append("exchange")
     if not operators:
         return candidate
     op = operators[rng.randrange(len(operators))]
     if op == "add":
-        ref = unused[rng.randrange(len(unused))]
-        legal = [s for s in range(len(candidate) + 1) if reference_order_ok(candidate[:s] + (ref,) + candidate[s:])]
+        r = unused[rng.randrange(len(unused))]
+        legal = [s for s in range(len(candidate) + 1) if reference_order_ok(candidate[:s] + (r,) + candidate[s:], n1)]
         slot = rng.randint(legal[0], legal[-1])
-        return candidate[:slot] + (ref,) + candidate[slot:]
+        return candidate[:slot] + (r,) + candidate[slot:]
     if op == "remove":
         pos = rng.randrange(len(candidate))
         return candidate[:pos] + candidate[pos + 1 :]
-    return reference_exchange(candidate, rng)
+    return reference_exchange(candidate, n1, rng)
 
 
 def start_candidates(chunk, rng):
     """A random candidate, the v1+v2 concatenation (one legal swap) and each
     one-sided candidate (no exchange applies)."""
-    v1_only = tuple(SourceLineRef(Version.V1, i) for i in range(len(chunk.v1_lines)))
-    v2_only = tuple(SourceLineRef(Version.V2, j) for j in range(len(chunk.v2_lines)))
+    n1 = len(chunk.v1_lines)
+    v1_only = tuple(range(n1))
+    v2_only = tuple(range(n1, n1 + len(chunk.v2_lines)))
     return [random_candidate(chunk, rng), concat_candidate(chunk), v1_only, v2_only]
 
 
@@ -124,7 +113,7 @@ def test_neighbor_matches_reference_draw_for_draw():
             ours, theirs = random.Random(seed), random.Random(seed)
             current = start
             for _ in range(25):
-                moved = neighbor(current, chunk, ours)
+                moved = draw_neighbor(current, chunk, ours)
                 assert moved == reference_neighbor(current, chunk, theirs), (chunk, current)
                 assert ours.getstate() == theirs.getstate(), (chunk, current)
                 current = moved
@@ -135,9 +124,11 @@ def test_neighbor_matches_reference_draw_for_draw():
 def exchange_outcomes(candidate, chunk, rng, draws):
     """Counts of the swapped candidates ``neighbor`` returns, over ``draws``
     exchanges; ADD and REMOVE change the length, so they are skipped."""
+    n1 = len(chunk.v1_lines)
+    moves = _moves(candidate, n1, n1 + len(chunk.v2_lines))
     counts = Counter()
     while sum(counts.values()) < draws:
-        moved = neighbor(candidate, chunk, rng)
+        moved = neighbor(candidate, moves, rng)
         if len(moved) == len(candidate):
             counts[moved] += 1
     return counts
@@ -153,13 +144,14 @@ def test_exchange_distribution_matches_rejection_sampler():
     while compared < 12:
         chunk = random_chunk(rng, max_side=5, alphabet=("a", "b", "c"))
         candidate = random_candidate(chunk, rng) if compared % 2 else concat_candidate(chunk)
-        if len({ref.version for ref in candidate}) < 2:
+        n1 = len(chunk.v1_lines)
+        if len({r < n1 for r in candidate}) < 2:
             continue
         ours = exchange_outcomes(candidate, chunk, random.Random(rng.getrandbits(64)), draws)
         sampler = random.Random(rng.getrandbits(64))
         theirs = Counter()
         while sum(theirs.values()) < draws:
-            swapped = reference_try_exchange(candidate, sampler)
+            swapped = reference_try_exchange(candidate, n1, sampler)
             if swapped is not None:
                 theirs[swapped] += 1
         assert set(ours) == set(theirs), candidate
@@ -176,8 +168,9 @@ class _Spent(Exception):
 
 
 def reference_rrhc(chunk, params, clock):
-    """The engine's climb as it stood on ``SourceLineRef`` tuples, built on the
-    public ``neighbor``, ``random_candidate`` and ``evaluate``."""
+    """The engine's climb built on the public ``neighbor``, ``random_candidate``
+    and ``evaluate``, with a heap for the ranked list and a fresh move table for
+    every draw."""
     rng = random.Random(params.seed)
     heap = []
     scores = {}
@@ -208,7 +201,7 @@ def reference_rrhc(chunk, params, clock):
         while params.max_execution_time is None or clock() - start < params.max_execution_time:
             best_neighbor, best_neighbor_score = None, -1.0
             for _ in range(params.neighbors_per_iteration):
-                moved = neighbor(current, chunk, rng)
+                moved = draw_neighbor(current, chunk, rng)
                 score = evaluate_budgeted(moved)
                 if score > best_neighbor_score:
                     best_neighbor, best_neighbor_score = moved, score
@@ -270,20 +263,6 @@ def chunks_and_candidates(draw):
     return chunk, random_candidate(chunk, random.Random(draw(st.integers(0, 2**64 - 1))))
 
 
-@given(chunks_and_candidates(), st.integers(0, 2**64 - 1))
-def test_coding_round_trips_and_neighbor_is_the_coded_core(chunk_and_candidate, seed):
-    chunk, candidate = chunk_and_candidate
-    n1 = len(chunk.v1_lines)
-    n = n1 + len(chunk.v2_lines)
-    refs = concat_candidate(chunk)
-    coded = _encode(candidate, n1)
-    assert _decode(coded, refs) == candidate
-    assert all(type(r) is int and 0 <= r < n for r in coded)
-    ours, theirs = random.Random(seed), random.Random(seed)
-    assert neighbor(candidate, chunk, ours) == _decode(_draw(_moves(coded, n1, n), theirs.getrandbits), refs)
-    assert ours.getstate() == theirs.getstate()
-
-
 @given(chunks_and_candidates(), st.integers(0, 2**64 - 1), st.integers(1, 8))
 def test_a_reused_move_table_draws_what_fresh_neighbor_calls_draw(chunk_and_candidate, seed, k):
     """The engine builds one ``_Moves`` table per climb position and draws every
@@ -291,15 +270,13 @@ def test_a_reused_move_table_draws_what_fresh_neighbor_calls_draw(chunk_and_cand
     chunk, candidate = chunk_and_candidate
     n1 = len(chunk.v1_lines)
     n = n1 + len(chunk.v2_lines)
-    coded = _encode(candidate, n1)
-    moves = _moves(coded, n1, n)
-    assert moves.unused == tuple(sorted(set(range(n)) - set(coded)))
-    cross = [p for p in range(len(candidate) - 1) if candidate[p].version is not candidate[p + 1].version]
+    moves = _moves(candidate, n1, n)
+    assert moves.unused == tuple(sorted(set(range(n)) - set(candidate)))
+    cross = [p for p in range(len(candidate) - 1) if (candidate[p] < n1) is not (candidate[p + 1] < n1)]
     assert moves.slots == tuple(cross)
-    both_versions = len({ref.version for ref in candidate}) == 2
-    assert moves.count == (len(coded) < n) + (len(coded) > 0) + both_versions
-    refs = concat_candidate(chunk)
+    both_versions = len({r < n1 for r in candidate}) == 2
+    assert moves.count == (len(candidate) < n) + (len(candidate) > 0) + both_versions
     ours, theirs = random.Random(seed), random.Random(seed)
     for _ in range(k):
-        assert _decode(neighbor(coded, moves, ours), refs) == neighbor(candidate, chunk, theirs)
+        assert neighbor(candidate, moves, ours) == draw_neighbor(candidate, chunk, theirs)
     assert ours.getstate() == theirs.getstate()
