@@ -13,7 +13,7 @@ import io
 import json
 import math
 import re
-import select
+import selectors
 import threading
 import time
 import urllib.parse
@@ -196,94 +196,30 @@ class _DeadlineReader(io.RawIOBase):
         return io.BufferedReader(self)
 
 
-class _Pool:
-    """Idle kept-alive connections to one endpoint, taken and given back under a lock.
-    A request opens a connection only when none is idle, so the pool never holds
-    more than the most requests that ran at once."""
-
-    def __init__(self):
-        self.idle: list[http.client.HTTPConnection] = []
-        self.lock = threading.Lock()
-
-    def take(self) -> http.client.HTTPConnection | None:
-        with self.lock:
-            return self.idle.pop() if self.idle else None
-
-    def give(self, connection: http.client.HTTPConnection) -> None:
-        with self.lock:
-            self.idle.append(connection)
-
-    def close(self) -> None:
-        with self.lock:
-            idle, self.idle = self.idle, []
-        for connection in idle:
-            connection.close()
+def _waiting(sock) -> bool:
+    """Whether bytes, the peer's close or a reset wait on ``sock``. Unlike
+    ``select.select``, a selector takes a descriptor of any number."""
+    with selectors.DefaultSelector() as selector:
+        selector.register(sock, selectors.EVENT_READ)
+        return bool(selector.select(0))
 
 
-def _post_json(url: str, payload: dict, timeout: float, pool: _Pool | None = None) -> tuple[int, bytes]:
-    """POST ``payload`` as JSON and return the status code and body of the reply, error replies included.
-
-    The request goes over a connection taken from ``pool``, or a new one, and a
-    complete HTTP/1.1 reply without ``Connection: close`` gives the connection
-    back. A taken connection with bytes or the peer's close already waiting
-    is closed, since nothing sent now is answered by those, and a new one
-    opened. One the peer closes after that check, before any reply byte, is
-    retried once on a new one; the request is idempotent. ``timeout`` bounds
-    the whole request from taking a connection on, but not the host name
-    lookup when one opens; a reply body over ``MAX_BODY_BYTES`` raises
-    ValueError."""
-    end = time.monotonic() + timeout
-    parts = urllib.parse.urlsplit(url)
-    if parts.scheme not in ("http", "https") or not parts.netloc:
-        raise ValueError(f"not an http or https URL: {url!r}")
-    kind = http.client.HTTPSConnection if parts.scheme == "https" else http.client.HTTPConnection
-    data = json.dumps(payload).encode("utf-8")
-    connection = pool.take() if pool is not None else None
-    if connection is not None and select.select([connection.sock], [], [], 0)[0]:
+def _close_all(connections: list[http.client.HTTPConnection]) -> None:
+    for connection in connections:
         connection.close()
-        connection = None
-    while True:
-        reused = connection is not None
-        if not reused:
-            connection = kind(parts.netloc, timeout=_time_left(end))
-        try:
-            if not reused:
-                connection.connect()  # http.client turns Nagle's algorithm off here, so a body never waits on an ACK
-            connection.sock.settimeout(_time_left(end))  # the send gets what is left, after a connect too
-            with _DeadlineReader(connection.sock, end) as reader:
-                connection.response_class = lambda sock, **kwargs: http.client.HTTPResponse(reader, **kwargs)
-                connection.request("POST", parts.path, data, {"Content-Type": "application/json"})
-                with connection.getresponse() as response:
-                    body = response.read(MAX_BODY_BYTES + 1)  # in pieces, each read bounded by the deadline
-                    if len(body) > MAX_BODY_BYTES:
-                        raise ValueError(f"reply body over {MAX_BODY_BYTES} bytes")
-                    if response.length:  # the server closed before sending the Content-Length it declared
-                        raise http.client.IncompleteRead(body, response.length)
-                    keep = response.isclosed() and response.version == 11 and not response.will_close
-        except ConnectionError:
-            connection.close()
-            if reused and not reader.received:  # a stale connection: the peer closed it while it was idle
-                connection = None
-                continue
-            raise
-        except BaseException:
-            connection.close()
-            raise
-        if keep and pool is not None:
-            pool.give(connection)
-        else:
-            connection.close()
-        return response.status, body
 
 
 class RemoteResolver(Resolver):
     """HTTP client for an external generative resolver speaking the /v1/resolve protocol.
 
     Requests are idempotent (a pure POST of the chunk content) and bounded by
-    a deadline. A deadline outside (0, ``threading.TIMEOUT_MAX``] fails every
-    request, so it is refused. The caller's ``jobs`` bounds how many requests
-    run at once. Connections are kept alive in a pool between requests, and
-    the idle ones are closed when the resolver is collected.
+    a deadline. The endpoint is an http or https base URL with a host and no
+    user, query or fragment, checked here once. A deadline outside (0, ``threading.TIMEOUT_MAX``]
+    or a negative output token limit fails every request, so each is refused
+    too. The caller's ``jobs`` bounds how many requests run at once. A request
+    opens a connection only when none is idle, so the resolver never keeps
+    more than the most requests that ran at once; the idle ones are closed
+    when it is collected.
     """
 
     resolver_id = "remote"
@@ -291,12 +227,21 @@ class RemoteResolver(Resolver):
     def __init__(self, endpoint: str, limits: TokenLimits = TokenLimits(), deadline: float = DEFAULT_DEADLINE):
         if not 0 < deadline <= threading.TIMEOUT_MAX:
             raise ValueError(f"deadline must be in (0, {threading.TIMEOUT_MAX}] seconds, got {deadline}")
+        if limits.output_limit < 0:
+            raise ValueError(f"output token limit must be non-negative, got {limits.output_limit}")
+        parts = urllib.parse.urlsplit(endpoint)
+        if parts.scheme not in ("http", "https") or not parts.hostname or "@" in parts.netloc or parts.query or parts.fragment:
+            raise ValueError(f"endpoint must be an http or https URL with a host and no user, query or fragment, got {endpoint!r}")
+        parts.port  # raises ValueError for a port that is not a number from 0 to 65535
         super().__init__()
-        self.endpoint = endpoint.rstrip("/")
         self.limits = limits
         self.deadline = deadline
-        self._pool = _Pool()
-        weakref.finalize(self, self._pool.close)
+        self._connection_class = http.client.HTTPSConnection if parts.scheme == "https" else http.client.HTTPConnection
+        self._host = parts.netloc
+        self._path = parts.path.rstrip("/") + "/v1/resolve"
+        self._idle: list[http.client.HTTPConnection] = []
+        self._idle_lock = threading.Lock()
+        weakref.finalize(self, _close_all, self._idle)
 
     def _generate(self, chunk) -> Sequence[str]:
         payload = {
@@ -330,7 +275,58 @@ class RemoteResolver(Resolver):
         return lines
 
     def _post(self, payload: dict) -> tuple[int, bytes]:
-        return _post_json(f"{self.endpoint}/v1/resolve", payload, self.deadline, self._pool)
+        """POST ``payload`` as JSON and return the status code and body of the reply, error replies included.
+
+        The request goes over an idle connection, or a new one, and a complete
+        HTTP/1.1 reply without ``Connection: close`` gives the connection back.
+        An idle connection with bytes or the peer's close already waiting is
+        closed, since nothing sent now is answered by those, and a new one
+        opened. One the peer closes after that check, before any reply byte, is
+        retried once on a new one; the request is idempotent. The deadline
+        bounds the whole request from taking a connection on, but not the host
+        name lookup when one opens; a reply body over ``MAX_BODY_BYTES`` raises
+        ValueError."""
+        end = time.monotonic() + self.deadline
+        data = json.dumps(payload).encode("utf-8")
+        with self._idle_lock:
+            connection = self._idle.pop() if self._idle else None
+        while True:
+            reused = connection is not None
+            if not reused:
+                connection = self._connection_class(self._host, timeout=_time_left(end))
+            try:
+                if not reused:
+                    connection.connect()  # http.client turns Nagle's algorithm off here, so a body never waits on an ACK
+                elif _waiting(connection.sock):
+                    connection.close()
+                    connection = None
+                    continue
+                connection.sock.settimeout(_time_left(end))  # the send gets what is left, after a connect too
+                with _DeadlineReader(connection.sock, end) as reader:
+                    connection.response_class = lambda sock, **kwargs: http.client.HTTPResponse(reader, **kwargs)
+                    connection.request("POST", self._path, data, {"Content-Type": "application/json"})
+                    with connection.getresponse() as response:
+                        body = response.read(MAX_BODY_BYTES + 1)  # in pieces, each read bounded by the deadline
+                        if len(body) > MAX_BODY_BYTES:
+                            raise ValueError(f"reply body over {MAX_BODY_BYTES} bytes")
+                        if response.length:  # the server closed before sending the Content-Length it declared
+                            raise http.client.IncompleteRead(body, response.length)
+                        keep = response.isclosed() and response.version == 11 and not response.will_close
+            except ConnectionError:
+                connection.close()
+                if reused and not reader.received:  # a stale connection: the peer closed it while it was idle
+                    connection = None
+                    continue
+                raise
+            except BaseException:
+                connection.close()
+                raise
+            if keep:
+                with self._idle_lock:
+                    self._idle.append(connection)
+            else:
+                connection.close()
+            return response.status, body
 
 
 # Every stub mode: whether it sleeps before replying, and its (lines, truncated)
@@ -396,7 +392,7 @@ class StubGenerativeResolver(RemoteResolver):
         slow_delay: float = 0.05,
     ):
         check_stub(mode, slow_delay)
-        super().__init__("", limits)  # _post never reads the endpoint
+        super().__init__("http://stub.invalid", limits)  # a placeholder under a reserved domain: _post never dials it
         self.mode = mode
         self.slow_delay = slow_delay
         self.calls = 0

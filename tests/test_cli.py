@@ -805,6 +805,28 @@ def test_deadline_that_fails_every_request_is_usage_error(tmp_path, capsys, engi
     assert "sbcr: error: deadline" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("engine", ["remote", "hybrid"])
+@pytest.mark.parametrize("command", ["bench", "resolve"])
+@pytest.mark.parametrize("endpoint", ["notaurl", "ftp://h/x", "http://", "http://h/api?key=1", "http://h/api#f"])
+def test_bad_endpoint_is_usage_error_before_reading(tmp_path, capsys, endpoint, command, engine):
+    """A hybrid run used to fall back to search on every generative-routed
+    record and exit 0, and a remote one to exit 0 with every row failed."""
+    out = tmp_path / "out"
+    argv = [command, str(tmp_path / "missing"), "--engine", engine, "--endpoint", endpoint, "--out", str(out)]
+    assert main(argv) == 1
+    assert not out.exists()
+    assert "sbcr: error: endpoint" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("engine", ["remote", "hybrid"])
+def test_negative_output_token_limit_is_usage_error(tmp_path, capsys, engine):
+    out = tmp_path / "rows.jsonl"
+    argv = ["bench", str(tmp_path / "missing"), "--engine", engine, "--endpoint", "http://127.0.0.1:9"]
+    assert main([*argv, "--output-token-limit", "-5", "--out", str(out)]) == 1
+    assert not out.exists()
+    assert "sbcr: error: output token limit" in capsys.readouterr().err
+
+
 def test_compare_negative_extremes_is_usage_error_before_reading(tmp_path, capsys):
     rows = tmp_path / "rows.jsonl"
     assert main(["bench", sample_args(), "--engine", "trivial:take-v1", "--out", str(rows)]) == 0

@@ -4,7 +4,6 @@ import http.client
 import json
 import math
 import os
-import select
 import socket
 import subprocess
 import sys
@@ -30,7 +29,6 @@ from sbcr.resolvers import (
     estimate_tokens,
     stub_response,
     truncate_to_tokens,
-    _post_json,
 )
 from sbcr.bench import run_benchmark
 from sbcr.corpus import bundled_sample_path, load_records
@@ -297,7 +295,7 @@ assert "requests" not in sys.modules
 
 @pytest.mark.parametrize("body", [b"[1, 2]", b"null"])
 def test_remote_error_reply_with_non_object_json_fails_cleanly(monkeypatch, body):
-    monkeypatch.setattr("sbcr.resolvers._post_json", lambda url, payload, timeout, *args: (500, body))
+    monkeypatch.setattr(RemoteResolver, "_post", lambda self, payload: (500, body))
     candidate = RemoteResolver("http://127.0.0.1:9").resolve(CHUNK)
     assert candidate.status is Status.FAILED
     assert candidate.detail == "HTTP 500: remote error"
@@ -446,7 +444,7 @@ def test_stub_accepts_an_integral_float_limit():
 def test_stub_server_answers_a_malformed_side_with_400_not_a_reset():
     server = StubServer(mode="echo-v1", port=0).start()
     try:
-        code, body = _post_json(f"{server.url}/v1/resolve", {"v1": 5, "v2": []}, 5.0)
+        code, body = RemoteResolver(server.url)._post({"v1": 5, "v2": []})
     finally:
         server.stop()
     assert code == 400
@@ -457,6 +455,41 @@ def test_stub_server_answers_a_malformed_side_with_400_not_a_reset():
 def test_remote_resolver_refuses_a_deadline_that_fails_every_request(deadline):
     with pytest.raises(ValueError, match="deadline"):
         RemoteResolver("http://127.0.0.1:9", deadline=deadline)
+
+
+@pytest.mark.parametrize(
+    "endpoint",
+    ["notaurl", "ftp://h/x", "http://", "http://:8731", "http://u:p@h/", "http://h/api?key=1", "http://h/api#f", "http://h:x/"],
+)
+def test_remote_resolver_refuses_an_endpoint_it_cannot_post_to(endpoint):
+    """A query or a fragment used to be dropped with the path's /v1/resolve, and
+    the rest (a user's too, taken for part of the host name) failed every
+    request while a hybrid run fell back to search."""
+    with pytest.raises(ValueError, match="endpoint|[Pp]ort"):
+        RemoteResolver(endpoint)
+
+
+def test_an_endpoint_with_a_trailing_slash_posts_to_v1_resolve(echo_server):
+    assert RemoteResolver(echo_server.url + "/").resolve(CHUNK).status is Status.OK
+
+
+def test_remote_resolver_refuses_a_negative_output_limit():
+    """The stub answered each such request with 400, so every request failed.
+    A negative input limit only routes every chunk to search, so it stays."""
+    with pytest.raises(ValueError, match="output token limit"):
+        RemoteResolver("http://127.0.0.1:9", limits=TokenLimits(output_limit=-5))
+    RemoteResolver("http://127.0.0.1:9", limits=TokenLimits(input_limit=-5, output_limit=0))
+
+
+def test_the_in_process_stub_never_dials(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the in-process stub opened a socket")
+
+    monkeypatch.setattr(socket, "socket", refuse)
+    monkeypatch.setattr(socket, "create_connection", refuse)
+    stub = StubGenerativeResolver("echo-v1")
+    assert stub.resolve(CHUNK).status is Status.OK
+    assert stub.calls == 1
 
 
 def test_remote_resolver_takes_the_longest_deadline_a_socket_accepts(echo_server):
@@ -681,7 +714,7 @@ def test_a_stopped_stub_answers_nothing_on_a_kept_alive_connection():
     try:
         resolver = RemoteResolver(server.url, deadline=2.0)
         assert resolver.resolve(CHUNK).status is Status.OK
-        assert len(resolver._pool.idle) == 1
+        assert len(resolver._idle) == 1
     finally:
         server.stop()
     assert resolver.resolve(CHUNK).status is Status.FAILED
@@ -741,7 +774,7 @@ def test_threads_sharing_a_pool_each_get_their_own_replies():
         server.stop()
     assert not any(t.is_alive() for t in threads)
     assert crossed == []
-    assert len(accepted) <= len(threads) and len(resolver._pool.idle) <= len(threads)
+    assert len(accepted) <= len(threads) and len(resolver._idle) <= len(threads)
 
 
 def test_a_kept_alive_connection_the_server_closed_is_retried_once():
@@ -750,7 +783,7 @@ def test_a_kept_alive_connection_the_server_closed_is_retried_once():
     with _loopback_server(_reply(_BODY, b"HTTP/1.1 200 OK"), connections=2) as url:
         remote = RemoteResolver(url, deadline=5.0)
         first = remote.resolve(CHUNK)
-        assert len(remote._pool.idle) == 1
+        assert len(remote._idle) == 1
         second = remote.resolve(CHUNK)
         del remote  # closes the second connection, which the server waits on
     assert (first.status, first.lines, second.status, second.lines) == (Status.OK, ("a",), Status.OK, ("a",))
@@ -759,8 +792,10 @@ def test_a_kept_alive_connection_the_server_closed_is_retried_once():
 def test_a_close_that_arrives_after_the_idle_check_is_retried_once(monkeypatch):
     """The check before reuse cannot see a close still on its way; that request
     finds it before any reply byte and is retried once on a new connection."""
-    monkeypatch.setattr(select, "select", lambda *args: ([], [], []))  # the check sees nothing waiting
+    checked = []
+    monkeypatch.setattr("sbcr.resolvers._waiting", lambda sock: checked.append(sock))  # sees nothing waiting
     test_a_kept_alive_connection_the_server_closed_is_retried_once()
+    assert len(checked) == 1  # the second request checked its connection, so the retry is what caught the close
 
 
 def test_a_kept_alive_connection_with_stray_bytes_waiting_is_not_reused():
@@ -769,7 +804,7 @@ def test_a_kept_alive_connection_with_stray_bytes_waiting_is_not_reused():
     with _loopback_server(_reply(_BODY, b"HTTP/1.1 200 OK"), connections=2, stray=b"junk") as url:
         remote = RemoteResolver(url, deadline=5.0)
         first = remote.resolve(CHUNK)
-        assert len(remote._pool.idle) == 1
+        assert len(remote._idle) == 1
         time.sleep(0.3)  # the stray bytes arrive 50 ms after the reply
         second = remote.resolve(CHUNK)
         del remote  # closes the second connection, which the server waits on
@@ -790,7 +825,7 @@ def test_a_connection_is_kept_only_after_a_whole_kept_alive_reply(reply, status)
     with _loopback_server(reply) as url:
         remote = RemoteResolver(url, deadline=5.0)
         assert remote.resolve(CHUNK).status is status
-        assert remote._pool.idle == []
+        assert remote._idle == []
 
 
 def test_a_large_request_on_a_reused_connection_does_not_stall(echo_server):
@@ -799,17 +834,44 @@ def test_a_large_request_on_a_reused_connection_does_not_stall(echo_server):
     chunk = Chunk(v1_lines=["x" * 100] * 40, v2_lines=[])  # over 4 kB each way
     resolver = RemoteResolver(echo_server.url)
     assert resolver.resolve(chunk).status is Status.OK  # opens the connection the timed requests reuse
-    assert resolver._pool.idle[0].sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+    assert resolver._idle[0].sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
     start = time.monotonic()
     assert [resolver.resolve(chunk).status for _ in range(10)] == [Status.OK] * 10
     assert time.monotonic() - start < 0.2
+
+
+def test_a_kept_alive_connection_above_descriptor_1023_is_reused(echo_server):
+    """``select.select`` refuses a descriptor of 1024 or more, which failed the
+    request that reused such a connection and leaked its socket."""
+    resource = pytest.importorskip("resource")
+    soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+    limit = 4096 if hard == resource.RLIM_INFINITY else min(hard, 4096)
+    if limit < 1100:
+        pytest.skip(f"the descriptor limit {hard} allows no descriptor above 1023")
+    resource.setrlimit(resource.RLIMIT_NOFILE, (max(soft, limit), hard))
+    opened = []
+    try:
+        while not opened or opened[-1] < 1030:  # each open takes the lowest free descriptor
+            opened.append(os.open(os.devnull, os.O_RDONLY))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            resolver = RemoteResolver(echo_server.url)
+            statuses = [resolver.resolve(CHUNK).status for _ in range(3)]
+            del resolver
+            gc.collect()
+    finally:
+        for fd in opened:
+            os.close(fd)
+        resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
+    assert statuses == [Status.OK] * 3
+    assert [w.message for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_a_dropped_resolver_closes_its_kept_alive_connections(echo_server):
     records, _ = load_records(bundled_sample_path())
     resolver = RemoteResolver(echo_server.url)
     rows = run_benchmark(records, resolver, jobs=4)
-    assert Status.FAILED.value not in {row.status for row in rows} and resolver._pool.idle
+    assert Status.FAILED.value not in {row.status for row in rows} and resolver._idle
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         del resolver
