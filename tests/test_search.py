@@ -251,6 +251,26 @@ def test_rrhc_rejects_empty_chunk_and_bad_params():
         SearchParams()  # no budget at all
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("max_evaluations", 2.5),
+        ("max_evaluations", math.nan),
+        ("max_evaluations", True),
+        ("top_n", 2.5),
+        ("neighbors_per_iteration", 2.5),
+        ("max_stagnation_iterations", 3.0),
+        ("top_n", True),
+    ],
+)
+def test_search_params_reject_counts_that_are_not_ints(name, value):
+    """A float evaluation budget never equals the evaluation count, so its search
+    never ended, and a float ``top_n`` or neighbour count raised ``TypeError``
+    midway; like the CLI's config check, a bool is not an int here."""
+    with pytest.raises(ValueError, match=name):
+        SearchParams(**{"max_evaluations": 10, name: value})
+
+
 @pytest.mark.parametrize("seconds", [math.inf, math.nan])
 def test_search_params_reject_a_non_finite_time_budget(seconds):
     """An infinite budget never ends a search, and a NaN one ends it after one evaluation."""
@@ -370,14 +390,20 @@ def test_the_engine_draws_through_the_operators_the_benchmark_traces(monkeypatch
     """The benchmark's tracer wraps ``search.neighbor`` and ``search.random_candidate``
     and tells a neighbour's operator from its first argument and its result, so the
     engine calls both through the module globals, ``neighbor`` with the code tuple
-    of the climb's current position first."""
+    of the climb's current position first, and its own move table second: the
+    table's fields and the ADD windows its draws cached are that position's."""
     chunk = Chunk(["a", "b", "c", "d"], ["a", "x", "c", "y"])
     params = eval_params(max_evaluations=600, max_stagnation_iterations=3, seed=5)
     real_neighbor, real_random_candidate = search.neighbor, search.random_candidate
     calls = []  # ("neighbor", candidate, result) and ("restart", result), in call order
 
+    def fields(moves):
+        return moves.n1, moves.count, moves.shift, moves.unused, moves.slots
+
     def recording_neighbor(candidate, moves, rng):
-        assert moves == search._moves(candidate, 4, 8)
+        assert fields(moves) == fields(search._moves(candidate, 4, 8))
+        for r, window in zip(moves.unused, moves.windows):
+            assert window in (None, search._window(candidate, r, 4)), (candidate, r)
         moved = real_neighbor(candidate, moves, rng)
         calls.append(("neighbor", candidate, moved))
         return moved
@@ -434,10 +460,10 @@ def test_rrhc_memo_limit_changes_no_result(monkeypatch):
     scored = 0
     real_lcs = search.lcs_length
 
-    def counting_lcs(a, b):
+    def counting_lcs(*args):
         nonlocal scored
         scored += 1
-        return real_lcs(a, b)
+        return real_lcs(*args)
 
     monkeypatch.setattr(search, "lcs_length", counting_lcs)
     default = [rrhc_resolve(chunk, params) for chunk, params in cases]
@@ -447,13 +473,21 @@ def test_rrhc_memo_limit_changes_no_result(monkeypatch):
     assert scored > scored_default  # the emptied memo rescored candidates it had seen
 
 
+def length_only(candidate, table, states=None, edit=0):
+    """A stand-in objective, half the candidate's length for each parent. It
+    grows ``states`` as far as ``search.lcs_length`` would, with zeros."""
+    if states is not None:
+        states.extend([0] * (edit + 1 - len(states)))
+    return len(candidate) // 2, len(candidate) // 2
+
+
 def test_rrhc_memory_stays_bounded_under_a_wall_clock_budget(monkeypatch):
     """A long wall-clock search holds at most the ranked list and _MEMO_LIMIT
     more memo entries. The objective is a length-only stand-in: the memo and
     the heap hold candidates, not lines, and tracemalloc would make the real
     LCS about fifteen times slower."""
     monkeypatch.setattr(search, "_MEMO_LIMIT", 64)
-    monkeypatch.setattr(search, "lcs_length", lambda a, b: (len(a) // 2, len(a) // 2))
+    monkeypatch.setattr(search, "lcs_length", length_only)
     rng = random.Random(30)
     words = [f"line {i}" for i in range(12)]
     chunk = Chunk([rng.choice(words) for _ in range(30)], [rng.choice(words) for _ in range(30)])
@@ -475,7 +509,7 @@ def test_rrhc_memo_cap_counts_codes_on_a_long_chunk(monkeypatch):
     at most n codes. The objective is the same length-only stand-in."""
     cap = 64
     monkeypatch.setattr(search, "_MEMO_CODES", 600 * cap)
-    monkeypatch.setattr(search, "lcs_length", lambda a, b: (len(a) // 2, len(a) // 2))
+    monkeypatch.setattr(search, "lcs_length", length_only)
     rng = random.Random(30)
     words = [f"line {i}" for i in range(40)]
     chunk = Chunk([rng.choice(words) for _ in range(300)], [rng.choice(words) for _ in range(300)])
@@ -522,6 +556,47 @@ def test_masked_objective_equals_row_dp(case):
         total = len(lines) + len(parent)
         ratios.append(1.0 if total == 0 else 2.0 * common / total)
     assert evaluate(candidate, chunk) == (ratios[0] + ratios[1]) / 2.0
+
+
+def one_edit_neighbours(candidate, chunk):
+    """Every candidate one ADD, REMOVE or EXCHANGE away from ``candidate``, with
+    the index of its edit: the ADD slot, the REMOVE position or the EXCHANGE's
+    first position. Built by trying every edit, not from the engine's tables."""
+    n = len(chunk.v1_lines) + len(chunk.v2_lines)
+    for r in sorted(set(range(n)) - set(candidate)):
+        for slot in range(len(candidate) + 1):
+            yield candidate[:slot] + (r,) + candidate[slot:], slot
+    for pos in range(len(candidate)):
+        yield candidate[:pos] + candidate[pos + 1 :], pos
+    for p in range(len(candidate) - 1):
+        yield candidate[:p] + (candidate[p + 1], candidate[p]) + candidate[p + 2 :], p
+
+
+@given(objective_cases())
+def test_resumed_objective_equals_row_dp_on_every_one_edit_neighbour(case):
+    """A neighbour's pass resumed from its position's prefix states at the edit
+    index, whether the states were all recorded or are recorded up to that index
+    by the pass itself, against the row DP on the neighbour's text."""
+    chunk, candidate = case
+    table = search._table(chunk)
+    states = [table.full]
+    search.lcs_length(candidate, table, states, len(candidate))
+    assert len(states) == len(candidate) + 1
+    recorded = list(states)
+    resumed = 0
+    for moved, edit in one_edit_neighbours(candidate, chunk):
+        if not is_valid_candidate(moved, chunk):
+            continue
+        lines = candidate_lines(moved, chunk)
+        commons = (lcs_row_dp(lines, chunk.v1_lines), lcs_row_dp(lines, chunk.v2_lines))
+        assert search.lcs_length(moved, table, states, edit) == commons, (moved, edit)
+        assert states == recorded  # a pass reads the recorded states and does not change them
+        fresh = [table.full]
+        assert search.lcs_length(moved, table, fresh, edit) == commons, (moved, edit)
+        assert fresh == recorded[: edit + 1]
+        resumed += 1
+    n = len(chunk.v1_lines) + len(chunk.v2_lines)
+    assert resumed > 0 or n == 0
 
 
 _GUARD_SIZES = (0, 1, 29, 30, 31, 59, 60, 61, 63, 64, 65)

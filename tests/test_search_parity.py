@@ -266,7 +266,9 @@ def chunks_and_candidates(draw):
 @given(chunks_and_candidates(), st.integers(0, 2**64 - 1), st.integers(1, 8))
 def test_a_reused_move_table_draws_what_fresh_neighbor_calls_draw(chunk_and_candidate, seed, k):
     """The engine builds one ``_Moves`` table per climb position and draws every
-    neighbour of that position from it; the table keeps no state between draws."""
+    neighbour of that position from it; the ADD windows it caches between draws
+    change no draw. Each draw leaves in ``moves.edit`` the first index at which
+    its neighbour differs from the position."""
     chunk, candidate = chunk_and_candidate
     n1 = len(chunk.v1_lines)
     n = n1 + len(chunk.v2_lines)
@@ -278,5 +280,43 @@ def test_a_reused_move_table_draws_what_fresh_neighbor_calls_draw(chunk_and_cand
     assert moves.count == (len(candidate) < n) + (len(candidate) > 0) + both_versions
     ours, theirs = random.Random(seed), random.Random(seed)
     for _ in range(k):
-        assert neighbor(candidate, moves, ours) == draw_neighbor(candidate, chunk, theirs)
+        moved = neighbor(candidate, moves, ours)
+        assert moved == draw_neighbor(candidate, chunk, theirs)
+        shared = itertools.takewhile(lambda pair: pair[0] == pair[1], zip(moved, candidate))
+        assert moves.edit == sum(1 for _ in shared), (candidate, moved)
     assert ours.getstate() == theirs.getstate()
+
+
+def test_rrhc_matches_reference_engine_on_both_sides_of_the_prefix_state_gate(monkeypatch):
+    """Chunks one line short of ``_PREFIX_STATES_LINES`` score every memo miss in
+    full, and chunks at it resume from the climb position's prefix states; both
+    equal the reference loop, with and without ``check_invariants``, under memo
+    cuts too."""
+    real_lcs_length = search.lcs_length
+    resumed = Counter()
+
+    def recording_lcs_length(candidate, table, *rest):
+        resumed[table.size1 + table.size2, bool(rest) and rest[0] is not None] += 1
+        return real_lcs_length(candidate, table, *rest)
+
+    cut = search._PREFIX_STATES_LINES
+    rng = random.Random(cut)
+    for case in range(80):
+        monkeypatch.setattr(search, "_MEMO_LIMIT", (DEFAULT_MEMO_LIMIT, 4, 1)[case % 3])
+        lines = cut - case % 2
+        n1 = rng.randint(0, lines)
+        alphabet = rng.choice([("a", "b"), ("a", "b", "c", "d", "e", "f")])
+        chunk = Chunk([rng.choice(alphabet) for _ in range(n1)], [rng.choice(alphabet) for _ in range(lines - n1)])
+        params = SearchParams(
+            neighbors_per_iteration=rng.randint(1, 6),
+            max_stagnation_iterations=rng.randint(1, 8),
+            max_evaluations=rng.randint(1, 400),
+            top_n=rng.choice([1, 3, 100]),
+            seed=rng.getrandbits(64),
+        )
+        with monkeypatch.context() as patch:
+            patch.setattr(search, "lcs_length", recording_lcs_length)
+            ours = rrhc_resolve(chunk, params)
+        assert ours == reference_rrhc(chunk, params, lambda: 0.0), (case, chunk, params)
+        assert rrhc_resolve(chunk, params, check_invariants=True) == ours, (case, chunk, params)
+    assert set(resumed) == {(cut - 1, False), (cut, True)}, resumed
