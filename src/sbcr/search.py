@@ -13,9 +13,11 @@ the codes ``0 .. n - 1`` list v1 then v2 in the order of ``concat_candidate``,
 and one version's lines keep their order exactly when their codes increase.
 ``neighbor`` draws from the ``_Moves`` table of its candidate, which holds
 what every draw from one climb position needs (its unused codes and exchange
-slots, and the ADD windows drawn so far), so the engine builds it once per
-position, not once per draw. It returns the neighbour's codes and leaves the
-index of its edit in the table.
+slots, each draw's bound with that bound's bit length, and the ADD windows
+drawn so far), so the engine builds it once per position, not once per draw.
+Each draw consumes the generator exactly as ``random.Random.randrange`` would,
+so seeded output does not depend on how it is drawn. ``neighbor`` returns the
+neighbour's codes and leaves the index of its edit in the table.
 
 The objective compares codes, not text. Per chunk, one ``_Table`` holds
 both parents: ``masks[r]`` sets bit ``i`` when v1 line ``i`` equals chunk
@@ -69,9 +71,10 @@ class SearchParams:
     seed: int = 0
 
     def __post_init__(self):
-        # A float budget never equals the evaluation count, so the search would never end.
-        counts = ("neighbors_per_iteration", "max_stagnation_iterations", "top_n", "max_evaluations")
-        for name in counts:
+        # A float budget never equals the evaluation count, so the search would never end;
+        # a float seed would seed the generator from its hash, and True would run as seed 1.
+        ints = ("neighbors_per_iteration", "max_stagnation_iterations", "top_n", "max_evaluations", "seed")
+        for name in ints:
             value = getattr(self, name)
             if type(value) is not int and not (name == "max_evaluations" and value is None):
                 raise ValueError(f"{name} must be an int, got {value!r}")
@@ -87,7 +90,10 @@ class SearchParams:
         has_evals = self.max_evaluations is not None
         if has_time == has_evals:
             raise ValueError("exactly one of max_execution_time / max_evaluations must be set")
-        if has_time and not 0 < self.max_execution_time < math.inf:
+        seconds = self.max_execution_time
+        if has_time and (type(seconds) is bool or not isinstance(seconds, (int, float))):
+            raise ValueError(f"max_execution_time must be a number of seconds, got {seconds!r}")
+        if has_time and not 0 < seconds < math.inf:
             raise ValueError("max_execution_time must be finite and positive")
         if has_evals and self.max_evaluations < 1:
             raise ValueError("max_evaluations must be >= 1")
@@ -264,38 +270,31 @@ def _window(candidate: Candidate, r: int, n1: int) -> tuple[int, int]:
     return lo, len(candidate)
 
 
-def _below(getrandbits: Callable[[int], int], n: int) -> int:
-    """A uniform int in [0, n), drawn exactly as ``random.Random.randrange(n)`` draws it.
-
-    CPython's ``randrange(n)`` goes through ``_randbelow_with_getrandbits``:
-    it takes ``k = n.bit_length()`` bits and redraws while the value is >= n.
-    Doing the same here consumes the same generator words and returns the
-    same value, so seeded results stay byte-identical, without randrange's
-    argument checks and two extra call frames per draw. ``randint(lo, hi)``
-    is ``lo + _below(getrandbits, hi - lo + 1)``.
-    """
-    k = n.bit_length()
-    r = getrandbits(k)
-    while r >= n:
-        r = getrandbits(k)
-    return r
-
-
 @dataclass(eq=False, slots=True)
 class _Moves:
     """One climb position's move table, built once and drawn from until the
-    climb moves: ``count`` applicable operators, ``shift`` when the candidate
-    is full (so has no ADD), its ``unused`` codes in increasing order and its
-    exchange ``slots``, the positions ``p`` where ``candidate[p]`` and
+    climb moves. It holds the bound of each draw ``neighbor`` makes with that
+    bound's bit length (the ``_k`` fields): ``count`` applicable operators,
+    ``unused_count`` unused codes, the candidate's ``size`` and ``slot_count``
+    exchange slots. Beside them: ``shift`` when the candidate is full (so has
+    no ADD), its ``unused`` codes in increasing order and its exchange
+    ``slots``, the positions ``p`` where ``candidate[p]`` and
     ``candidate[p + 1]`` come from different versions. Draws write the rest:
     ``windows[i]``, the ADD window of ``unused[i]`` once drawn, and ``edit``,
     the last draw's edit index, up to which its neighbour shares the codes."""
 
     n1: int
     count: int
+    count_k: int
     shift: bool
     unused: tuple[int, ...]
+    unused_count: int
+    unused_k: int
+    size: int
+    size_k: int
     slots: tuple[int, ...]
+    slot_count: int
+    slot_k: int
     windows: list[tuple[int, int] | None]
     edit: int = 0  # a candidate with no operator is empty
 
@@ -308,7 +307,15 @@ def _moves(candidate: Candidate, n1: int, n: int) -> _Moves:
     # Applicable operators in the order ADD, REMOVE, EXCHANGE; a full candidate
     # has no ADD, so its draws shift up by one. EXCHANGE applies when both
     # versions are present, which is exactly when a slot exists.
-    return _Moves(n1, (size < n) + (size > 0) + bool(slots), size == n, unused, slots, [None] * len(unused))
+    count = (size < n) + (size > 0) + bool(slots)
+    unused_count, slot_count = len(unused), len(slots)
+    return _Moves(
+        n1, count, count.bit_length(), size == n,
+        unused, unused_count, unused_count.bit_length(),
+        size, size.bit_length(),
+        slots, slot_count, slot_count.bit_length(),
+        [None] * unused_count,
+    )
 
 
 def neighbor(candidate: Candidate, moves: _Moves, rng: random.Random) -> Candidate:
@@ -324,6 +331,17 @@ def neighbor(candidate: Candidate, moves: _Moves, rng: random.Random) -> Candida
     version with one of them, which would be moved across it. EXCHANGE
     applies when the candidate holds lines of both versions.
 
+    Each draw is uniform below a bound ``m`` and is drawn exactly as
+    ``random.Random.randrange(m)`` draws it. CPython's ``randrange(m)`` goes
+    through ``_randbelow_with_getrandbits``: it takes ``k = m.bit_length()``
+    bits and redraws while the value is >= m, also at ``m == 1``. Drawing the
+    same way here consumes the same generator words and returns the same
+    value, so seeded results stay byte-identical, without randrange's argument
+    checks and two extra call frames per draw. The table holds each bound and
+    its ``k``, but for the ADD slot, drawn below the span ``hi - lo + 1`` of
+    its cached window, as ``randint(lo, hi)`` draws it. The neighbour is one
+    edit of the candidate's codes as a list.
+
     Returns the input unchanged only when no operator applies, which happens
     exactly when both versions are empty.
     """
@@ -331,23 +349,44 @@ def neighbor(candidate: Candidate, moves: _Moves, rng: random.Random) -> Candida
     if not count:
         return candidate
     getrandbits = rng.getrandbits
-    op = _below(getrandbits, count) + moves.shift
+    k = moves.count_k
+    op = getrandbits(k)
+    while op >= count:
+        op = getrandbits(k)
+    op += moves.shift
+    codes = list(candidate)
     if op == 0:  # ADD
-        unused, windows = moves.unused, moves.windows
-        i = _below(getrandbits, len(unused))
-        r = unused[i]
-        window = windows[i]
+        m, k = moves.unused_count, moves.unused_k
+        i = getrandbits(k)
+        while i >= m:
+            i = getrandbits(k)
+        r = moves.unused[i]
+        window = moves.windows[i]
         if window is None:
-            window = windows[i] = _window(candidate, r, moves.n1)
+            window = moves.windows[i] = _window(candidate, r, moves.n1)
         lo, hi = window
-        slot = moves.edit = lo + _below(getrandbits, hi - lo + 1)
-        return candidate[:slot] + (r,) + candidate[slot:]
-    if op == 1:  # REMOVE
-        pos = moves.edit = _below(getrandbits, len(candidate))
-        return candidate[:pos] + candidate[pos + 1 :]
-    slots = moves.slots  # EXCHANGE
-    p = moves.edit = slots[_below(getrandbits, len(slots))]
-    return candidate[:p] + (candidate[p + 1], candidate[p]) + candidate[p + 2 :]
+        m = hi - lo + 1
+        k = m.bit_length()
+        slot = getrandbits(k)
+        while slot >= m:
+            slot = getrandbits(k)
+        slot = moves.edit = lo + slot
+        codes.insert(slot, r)
+    elif op == 1:  # REMOVE
+        m, k = moves.size, moves.size_k
+        pos = getrandbits(k)
+        while pos >= m:
+            pos = getrandbits(k)
+        moves.edit = pos
+        del codes[pos]
+    else:  # EXCHANGE
+        m, k = moves.slot_count, moves.slot_k
+        j = getrandbits(k)
+        while j >= m:
+            j = getrandbits(k)
+        p = moves.edit = moves.slots[j]
+        codes[p], codes[p + 1] = candidate[p + 1], candidate[p]
+    return tuple(codes)
 
 
 # Entries the score memo of one search may hold beyond the ranked list before

@@ -23,7 +23,6 @@ from sbcr import search
 from sbcr.corpus import bundled_sample_path, load_records
 from sbcr.search import (
     SearchParams,
-    _below,
     candidate_lines,
     concat_candidate,
     evaluate,
@@ -201,19 +200,6 @@ def test_neighbor_walks_stay_valid_and_always_move(sides, start, seed):
         current = moved
 
 
-def test_below_draws_exactly_as_randrange_and_randint():
-    # powers of two and their neighbours, plus sizes past one 32-bit generator word
-    sizes = [1, 2, 3] + [2**e + d for e in (2, 3, 5, 8, 16, 31, 32, 33) for d in (-1, 0, 1)]
-    sizes += [2**32 + 1, 2**40]
-    for seed in range(200):
-        ours, theirs = random.Random(seed), random.Random(seed)
-        lo = seed - 100
-        for n in sizes:
-            assert _below(ours.getrandbits, n) == theirs.randrange(n), (seed, n)
-            assert lo + _below(ours.getrandbits, n) == theirs.randint(lo, lo + n - 1), (seed, n)
-            assert ours.getstate() == theirs.getstate(), (seed, n)
-
-
 def eval_params(**kwargs) -> SearchParams:
     defaults = dict(neighbors_per_iteration=5, max_stagnation_iterations=10, max_evaluations=2000, seed=0)
     defaults.update(kwargs)
@@ -269,6 +255,18 @@ def test_search_params_reject_counts_that_are_not_ints(name, value):
     midway; like the CLI's config check, a bool is not an int here."""
     with pytest.raises(ValueError, match=name):
         SearchParams(**{"max_evaluations": 10, name: value})
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("seed", 0.5), ("seed", 1e19), ("seed", True), ("max_execution_time", True), ("max_execution_time", "5")],
+)
+def test_search_params_reject_a_seed_or_time_budget_of_the_wrong_type(name, value):
+    """A float seed seeded the generator from its hash and ``True`` ran as seed 1; a bool
+    time budget ran as one second, and a string one raised ``TypeError``."""
+    budget = {} if name == "max_execution_time" else {"max_evaluations": 10}
+    with pytest.raises(ValueError, match=name):
+        SearchParams(**budget, **{name: value})
 
 
 @pytest.mark.parametrize("seconds", [math.inf, math.nan])

@@ -320,3 +320,50 @@ def test_rrhc_matches_reference_engine_on_both_sides_of_the_prefix_state_gate(mo
         assert ours == reference_rrhc(chunk, params, lambda: 0.0), (case, chunk, params)
         assert rrhc_resolve(chunk, params, check_invariants=True) == ours, (case, chunk, params)
     assert set(resumed) == {(cut - 1, False), (cut, True)}, resumed
+
+
+# Draw bounds at, just below and just above powers of two, where a bit length or
+# redraw test that is off by one takes a different number of generator words.
+DRAW_BOUNDS = (1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 31, 32, 33, 64, 65)
+
+
+def bound_positions(m):
+    """Climb positions ``(n1, n2, candidate)`` whose move tables hold the bound ``m``:
+    all three operators over ``m`` exchange slots and over ``m`` unused codes, ADD and
+    REMOVE with one ADD window of span ``m`` and with ``m`` unused codes, ADD alone
+    over ``m`` unused codes and REMOVE alone over ``m`` codes. The tables with every
+    operator come first: an operator draw that lets its bound through picks EXCHANGE
+    there, and a wrong neighbour fails the test, where a table without that operator
+    would loop forever on its empty bound."""
+    n1, n2 = (m + 2) // 2, (m + 1) // 2  # m + 1 alternating codes, and one v1 line unused
+    yield n1 + 1, n2, tuple(i // 2 if i % 2 == 0 else n1 + 1 + i // 2 for i in range(m + 1))
+    yield m + 1, 1, (0, m + 1)
+    yield m - 1, 1, tuple(range(m - 1))  # the one v2 line may go in any of m slots
+    yield m + 1, 0, (0,)
+    yield m, 0, ()
+    yield m, 0, tuple(range(m))
+
+
+def test_draws_at_power_of_two_bounds_match_randrange():
+    """Every draw bound the move table holds, and the ADD window span, takes each of
+    ``DRAW_BOUNDS``; 200 neighbours drawn from each table equal ``reference_neighbor``'s,
+    which draws with ``randrange`` and ``randint``, and consume the same generator words."""
+    seen = {"count": set(), "unused": set(), "size": set(), "slots": set(), "span": set()}
+    rng = random.Random(64)
+    for m in DRAW_BOUNDS:
+        for n1, n2, candidate in bound_positions(m):
+            chunk = Chunk(["a"] * n1, ["b"] * n2)
+            moves = _moves(candidate, n1, n1 + n2)
+            seed = rng.getrandbits(64)
+            ours, theirs = random.Random(seed), random.Random(seed)
+            for _ in range(200):
+                assert neighbor(candidate, moves, ours) == reference_neighbor(candidate, chunk, theirs), (m, candidate)
+            assert ours.getstate() == theirs.getstate(), (m, candidate)
+            seen["count"].add(moves.count)
+            seen["unused"].add(len(moves.unused))
+            seen["size"].add(len(candidate))
+            seen["slots"].add(len(moves.slots))
+            seen["span"].update(hi - lo + 1 for lo, hi in filter(None, moves.windows))
+    assert seen["count"] == {1, 2, 3}
+    for name in ("unused", "size", "slots", "span"):
+        assert seen[name] >= set(DRAW_BOUNDS), name
