@@ -281,7 +281,7 @@ class _Moves:
     ``slots``, the positions ``p`` where ``candidate[p]`` and
     ``candidate[p + 1]`` come from different versions. Draws write the rest:
     ``windows[i]``, the ADD window of ``unused[i]`` once drawn, and ``edit``,
-    the last draw's edit index, up to which its neighbour shares the codes."""
+    up to which the last draw's neighbour shares the codes, ``size`` until a draw."""
 
     n1: int
     count: int
@@ -296,7 +296,7 @@ class _Moves:
     slot_count: int
     slot_k: int
     windows: list[tuple[int, int] | None]
-    edit: int = 0  # a candidate with no operator is empty
+    edit: int
 
 
 def _moves(candidate: Candidate, n1: int, n: int) -> _Moves:
@@ -314,7 +314,7 @@ def _moves(candidate: Candidate, n1: int, n: int) -> _Moves:
         unused, unused_count, unused_count.bit_length(),
         size, size.bit_length(),
         slots, slot_count, slot_count.bit_length(),
-        [None] * unused_count,
+        [None] * unused_count, size,
     )
 
 
@@ -407,16 +407,11 @@ _MEMO_CODES = 1 << 22
 _PREFIX_STATES_LINES = 20
 
 
-class _BudgetSpent(Exception):
-    """Raised when a search's evaluation budget is used up; ends the search."""
-
-
 def rrhc_resolve(
     chunk: ChunkLike,
     params: SearchParams,
     *,
     clock: Callable[[], float] | None = None,
-    check_invariants: bool = False,
 ) -> SearchResult:
     """Run Random Restart Hill Climbing on one conflict chunk.
 
@@ -425,13 +420,13 @@ def rrhc_resolve(
     search restarts from a random candidate. ``ranked`` holds the ``top_n`` best
     distinct candidates, ties in discovery order, with ``best`` at its head.
 
-    Each candidate is scored in one pass against the chunk's ``_Table``,
-    built once here, and only on a miss in the score memo, which the climb
-    loop reads itself. Restarts come from ``random_candidate``; neighbours come
-    from ``neighbor`` given the ``_Moves`` table of the current position,
-    rebuilt only when the climb moves or restarts. ``ranked`` is the memo's
-    top ``top_n``. ``check_invariants`` asserts ``is_valid_candidate`` on
-    each scored candidate.
+    Every candidate, the start, each restart and each neighbour, is scored at
+    one site of the climb loop: one budget check, one evaluation count, a
+    look-up in the score memo, which the loop reads itself, and on a miss one
+    pass against the chunk's ``_Table``, built once here. Restarts come from
+    ``random_candidate``; neighbours come from ``neighbor`` given the ``_Moves``
+    table of the current position, rebuilt only when the climb moves or
+    restarts. ``ranked`` is the memo's top ``top_n``.
 
     On a chunk of at least ``_PREFIX_STATES_LINES`` lines, ``states[i]`` is
     the fused vector after the position's first ``i`` codes. A start or
@@ -440,14 +435,15 @@ def rrhc_resolve(
     two share their codes. A miss resumes ``lcs_length`` from the state at
     its edit index and records the missing states up to it on the way.
 
-    ``clock`` supplies wall time. With an evaluation budget it defaults to
-    a constant clock so results (elapsed included) are bit-for-bit
-    reproducible; with a time budget it defaults to time.monotonic.
+    ``clock`` supplies wall time, read before each iteration. With an evaluation
+    budget it defaults to a constant clock so results (elapsed included) are
+    bit-for-bit reproducible; with a time budget it defaults to time.monotonic.
     """
     if not chunk.v1_lines and not chunk.v2_lines:
         raise ValueError("chunk has no content on either side")
+    seconds = params.max_execution_time
     if clock is None:
-        clock = time.monotonic if params.max_execution_time is not None else lambda: 0.0
+        clock = time.monotonic if seconds is not None else lambda: 0.0
 
     n1 = len(chunk.v1_lines)
     n = n1 + len(chunk.v2_lines)
@@ -464,66 +460,50 @@ def rrhc_resolve(
     evaluations = 0
     restarts = 0
 
-    def score_miss(candidate: Candidate, edit: int) -> float:
-        nonlocal scores
-        score = _score(candidate, table, states, edit)
-        if len(scores) >= memo_cap:
-            scores = dict(nlargest(params.top_n, scores.items(), key=itemgetter(1)))
-        scores[candidate] = score
-        return score
-
-    def evaluate_position(candidate: Candidate) -> float:
-        """Budget, count and score a start or restart candidate, the climb's new position."""
-        nonlocal evaluations
+    candidate = concat_candidate(chunk)
+    moves = _moves(candidate, n1, n)  # edit is its size, so a start's score records all its prefix states
+    current: Candidate | None = None  # None while ``candidate`` is a start or restart
+    per_iteration = params.neighbors_per_iteration
+    stagnation = drawn = 0
+    while True:
+        if current is not None:
+            if seconds is not None and not drawn and not clock() - start < seconds:
+                break
+            candidate = neighbor(current, moves, rng)
+            drawn += 1
         if evaluations == budget:
-            raise _BudgetSpent
+            break
         evaluations += 1
-        if check_invariants:
-            assert is_valid_candidate(candidate, chunk), "engine produced an invalid candidate"
-        if states is not None:
-            del states[1:]
         score = scores.get(candidate)
-        return score_miss(candidate, len(candidate)) if score is None else score
-
-    current = concat_candidate(chunk)
-    moves = _moves(current, n1, n)
-    stagnation = 0
-
-    try:
-        current_score = evaluate_position(current)
-        while params.max_execution_time is None or clock() - start < params.max_execution_time:
-            best_neighbor: Candidate | None = None
-            best_neighbor_score = -1.0
-            best_edit = 0
-            for _ in range(params.neighbors_per_iteration):
-                moved = neighbor(current, moves, rng)
-                # evaluate_position's steps, inline, as they run once per neighbour
-                if evaluations == budget:
-                    raise _BudgetSpent
-                evaluations += 1
-                if check_invariants:
-                    assert is_valid_candidate(moved, chunk), "engine produced an invalid candidate"
-                score = scores.get(moved)
-                if score is None:
-                    score = score_miss(moved, moves.edit)
-                if score > best_neighbor_score:
-                    best_neighbor, best_neighbor_score, best_edit = moved, score, moves.edit
-            if best_neighbor_score > current_score:
-                current, current_score = best_neighbor, best_neighbor_score
-                moves = _moves(current, n1, n)
-                if states is not None:
-                    del states[best_edit + 1 :]  # the new position shares its first best_edit codes
-                stagnation = 0
-            else:
-                stagnation += 1
-            if stagnation >= params.max_stagnation_iterations:
-                restarts += 1
-                stagnation = 0
-                current = random_candidate(chunk, rng)
-                moves = _moves(current, n1, n)
-                current_score = evaluate_position(current)
-    except _BudgetSpent:
-        pass
+        if score is None:
+            score = _score(candidate, table, states, moves.edit)
+            if len(scores) >= memo_cap:
+                scores = dict(nlargest(params.top_n, scores.items(), key=itemgetter(1)))
+            scores[candidate] = score
+        if current is None:
+            current, current_score = candidate, score
+            continue
+        if drawn == 1 or score > best_neighbor_score:
+            best_neighbor, best_neighbor_score, best_edit = candidate, score, moves.edit
+        if drawn < per_iteration:
+            continue
+        drawn = 0
+        if best_neighbor_score > current_score:
+            current, current_score = best_neighbor, best_neighbor_score
+            moves = _moves(current, n1, n)
+            if states is not None:
+                del states[best_edit + 1 :]  # the new position shares its first best_edit codes
+            stagnation = 0
+            continue
+        stagnation += 1
+        if stagnation >= params.max_stagnation_iterations:
+            restarts += 1
+            stagnation = 0
+            current = None
+            candidate = random_candidate(chunk, rng)
+            moves = _moves(candidate, n1, n)
+            if states is not None:
+                del states[1:]
 
     ranked = nlargest(params.top_n, scores.items(), key=itemgetter(1))
     return SearchResult(

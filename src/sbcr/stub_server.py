@@ -106,12 +106,13 @@ class StubServer(ThreadingHTTPServer):
         super().shutdown_request(request)
 
     def stop(self) -> None:
-        """Stop serving; a kept-alive connection is shut down too, so its handler returns and it answers nothing."""
-        self.shutdown()
+        """Stop serving, also on a stub never started; a kept-alive connection is shut down too,
+        so its handler returns and it answers nothing."""
+        if self._thread is not None:  # shutdown() waits for a serve_forever() that only start() runs
+            self.shutdown()
+            self._thread.join(timeout=5)
         with self.lock:
             for request in self._live:
                 with contextlib.suppress(OSError):  # the client reset it meanwhile, say
                     request.shutdown(socket.SHUT_RDWR)
         self.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)

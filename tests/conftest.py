@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Sequence
 
+import pytest
 from hypothesis import settings
 
 from sbcr import search
@@ -67,6 +69,29 @@ def draw_neighbor(candidate: tuple[int, ...], chunk: Chunk, rng: random.Random) 
     """One ``search.neighbor`` draw from a move table built for this draw alone."""
     n1 = len(chunk.v1_lines)
     return search.neighbor(candidate, search._moves(candidate, n1, n1 + len(chunk.v2_lines)), rng)
+
+
+@contextmanager
+def checked_draws(chunk: Chunk) -> Iterator[list[tuple[int, ...]]]:
+    """Assert ``is_valid_candidate`` for ``chunk`` on every candidate that ``search.neighbor`` and
+    ``search.random_candidate`` return while the block runs, and yield the list of them in draw
+    order. With ``concat_candidate``, valid by construction, they make every candidate the engine
+    scores; an evaluation-budget search draws one more, the draw that finds the budget spent."""
+    drawn: list[tuple[int, ...]] = []
+
+    def checked(draw):
+        def checked_draw(*args):
+            candidate = draw(*args)
+            assert search.is_valid_candidate(candidate, chunk), (draw.__name__, args[0], candidate)
+            drawn.append(candidate)
+            return candidate
+
+        return checked_draw
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search, "neighbor", checked(search.neighbor))
+        patch.setattr(search, "random_candidate", checked(search.random_candidate))
+        yield drawn
 
 
 def brute_force_optimum(chunk: Chunk) -> float:

@@ -720,6 +720,17 @@ def test_a_stopped_stub_answers_nothing_on_a_kept_alive_connection():
     assert resolver.resolve(CHUNK).status is Status.FAILED
 
 
+def test_stop_returns_on_a_stub_never_started_and_closes_its_socket():
+    """shutdown() waits for a serve_forever() that only start() runs; stop() runs in a
+    thread so that a hung stop() fails the test rather than hanging the suite."""
+    server = StubServer(mode="echo-v1", port=0)
+    stopper = threading.Thread(target=server.stop, daemon=True)
+    stopper.start()
+    stopper.join(timeout=5)
+    assert not stopper.is_alive(), "stop() hung"
+    assert server.socket.fileno() == -1
+
+
 def test_sequential_requests_share_one_connection():
     server = StubServer(mode="echo-v1", port=0)
     accepted = []

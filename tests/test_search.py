@@ -11,6 +11,7 @@ from conftest import (
     Chunk,
     all_candidates,
     brute_force_optimum,
+    checked_draws,
     draw_neighbor,
     exact_best_score,
     lcs_row_dp,
@@ -335,14 +336,6 @@ def test_rrhc_ranked_head_is_best(top_n):
 def test_rrhc_ranked_is_top_n_distinct_scored_in_discovery_order(monkeypatch, top_n, memo_limit):
     """``ranked`` is the ``top_n`` best distinct candidates scored, ties in discovery order."""
     monkeypatch.setattr(search, "_MEMO_LIMIT", memo_limit)
-    real_is_valid = search.is_valid_candidate
-    scored = []
-
-    def recording_is_valid(candidate, chunk):
-        scored.append(candidate)
-        return real_is_valid(candidate, chunk)
-
-    monkeypatch.setattr(search, "is_valid_candidate", recording_is_valid)
     rng = random.Random(40 + top_n)
     for _ in range(25):
         chunk = random_chunk(rng, max_side=5, alphabet=("a", "b", "c"))
@@ -352,19 +345,25 @@ def test_rrhc_ranked_is_top_n_distinct_scored_in_discovery_order(monkeypatch, to
             max_stagnation_iterations=rng.randint(1, 6),
             top_n=top_n,
         )
-        scored.clear()
-        result = rrhc_resolve(chunk, params, check_invariants=True)
-        distinct = list(dict.fromkeys(scored))  # snapshot: evaluate below also calls is_valid_candidate
+        with checked_draws(chunk) as drawn:
+            result = rrhc_resolve(chunk, params)
+        scored = [concat_candidate(chunk), *drawn[:-1]]  # the last draw found the budget spent
         assert result.evaluations == len(scored)
+        distinct = list(dict.fromkeys(scored))
         by_score = sorted(((c, evaluate(c, chunk)) for c in distinct), key=lambda entry: -entry[1])
         assert result.ranked == tuple(by_score[:top_n])
 
 
 def test_rrhc_validity_closure_debug_mode():
+    """Every neighbour and restart candidate the engine draws is valid."""
     rng = random.Random(21)
+    restarts = 0
     for _ in range(5):
         chunk = random_chunk(rng, max_side=4)
-        rrhc_resolve(chunk, eval_params(seed=1, max_evaluations=2000), check_invariants=True)
+        with checked_draws(chunk) as drawn:
+            restarts += rrhc_resolve(chunk, eval_params(seed=1, max_evaluations=2000)).restarts
+        assert len(drawn) == 2000
+    assert restarts > 0  # so random_candidate's draws were checked too
 
 
 def test_rrhc_time_budget_with_fake_clock():

@@ -14,7 +14,7 @@ import random
 from collections import Counter
 from heapq import heappop, heappush
 
-from conftest import Chunk, draw_neighbor, random_chunk
+from conftest import Chunk, checked_draws, draw_neighbor, random_chunk
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -290,8 +290,8 @@ def test_a_reused_move_table_draws_what_fresh_neighbor_calls_draw(chunk_and_cand
 def test_rrhc_matches_reference_engine_on_both_sides_of_the_prefix_state_gate(monkeypatch):
     """Chunks one line short of ``_PREFIX_STATES_LINES`` score every memo miss in
     full, and chunks at it resume from the climb position's prefix states; both
-    equal the reference loop, with and without ``check_invariants``, under memo
-    cuts too."""
+    equal the reference loop, with every drawn candidate checked valid, under
+    memo cuts too."""
     real_lcs_length = search.lcs_length
     resumed = Counter()
 
@@ -318,7 +318,9 @@ def test_rrhc_matches_reference_engine_on_both_sides_of_the_prefix_state_gate(mo
             patch.setattr(search, "lcs_length", recording_lcs_length)
             ours = rrhc_resolve(chunk, params)
         assert ours == reference_rrhc(chunk, params, lambda: 0.0), (case, chunk, params)
-        assert rrhc_resolve(chunk, params, check_invariants=True) == ours, (case, chunk, params)
+        with checked_draws(chunk) as drawn:
+            assert rrhc_resolve(chunk, params) == ours, (case, chunk, params)
+        assert len(drawn) == ours.evaluations  # one draw finds the budget spent; the start is not drawn
     assert set(resumed) == {(cut - 1, False), (cut, True)}, resumed
 
 
