@@ -1,13 +1,20 @@
+import gc
 import importlib.util
 import json
 import math
 import random
+import string
+import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from conftest import achievable_sequences
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sbcr.corpus import (
+    ConflictRecord,
     Language,
     bundled_sample_path,
     ingest_records,
@@ -96,6 +103,86 @@ def test_ingest_idempotent_on_accepted_records():
     records, _ = ingest_records(lines)
     again, rejects = ingest_records(json.dumps(r.to_json()) for r in records)
     assert again == records and not rejects
+
+
+LINE_FIELDS = ("base", "v1", "v2", "resolution")
+# multi-character texts, so equal lines decode to separate objects (CPython
+# keeps one object for the empty string and for each one-character string)
+_LINE = st.sampled_from(["", "x", "left();", "right();", "    return;", "  }"])
+_FIELD = st.one_of(st.lists(_LINE, max_size=6), st.lists(st.one_of(_LINE, st.integers()), max_size=3))
+_RECORD = st.fixed_dictionaries(
+    {
+        "id": st.sampled_from(["r1", "r2", "r3"]),
+        "project": st.just("proj"),
+        "commit": st.text("0123456789abcdefABCDEFg-", max_size=4),
+        "path": st.just("src/File.java"),
+        "language": st.sampled_from([language.value for language in Language]),
+        **{key: _FIELD for key in LINE_FIELDS},
+    }
+)
+
+
+def _expected_verdict(obj: dict, seen_ids: set[str]) -> str | None:
+    """The rejection reason the corpus spec gives ``obj``, or None if it is accepted."""
+    if not obj["commit"] or not set(obj["commit"]) <= set(string.hexdigits):
+        return "malformed"
+    if not all(isinstance(line, str) for key in LINE_FIELDS for line in obj[key]):
+        return "malformed"
+    if obj["id"] in seen_ids:
+        return "duplicate-id"
+    seen_ids.add(obj["id"])
+    if not obj["v1"] and not obj["v2"]:
+        return "empty-both-sides"
+    if Counter(obj["resolution"]) - Counter(obj["v1"] + obj["v2"]):
+        return "not-combination"
+    return None
+
+
+@given(st.lists(_RECORD, max_size=6))
+def test_ingest_holds_each_distinct_line_of_a_record_once(objs):
+    records, rejects = ingest_records([json.dumps(obj) for obj in objs])
+    seen_ids: set[str] = set()
+    verdicts = [_expected_verdict(obj, seen_ids) for obj in objs]
+    assert [(r.line, r.id, r.reason) for r in rejects] == [
+        (line_no, obj["id"], verdict) for line_no, (obj, verdict) in enumerate(zip(objs, verdicts), start=1) if verdict
+    ]
+    assert [record.to_json() for record in records] == [obj for obj, verdict in zip(objs, verdicts) if not verdict]
+    for record in records:
+        lines = [*record.base_lines, *record.v1_lines, *record.v2_lines, *record.resolution_lines]
+        assert len({id(line) for line in lines}) == len(set(lines)), record
+
+
+def _unshared_record(raw: str) -> ConflictRecord:
+    """The record ``raw`` holds, each line its own decoded object."""
+    obj = json.loads(raw)
+    return ConflictRecord(
+        obj["id"], obj["project"], obj["commit"], obj["path"], parse_language(obj["language"]),
+        *(tuple(obj[key]) for key in LINE_FIELDS),
+    )
+
+
+def _traced_bytes(build):
+    """Bytes still allocated once ``build()`` returns, with its result kept alive."""
+    gc.collect()  # empties the free lists, so every tuple built is an allocation tracemalloc sees
+    tracemalloc.start()
+    try:
+        kept = build()
+        return tracemalloc.get_traced_memory()[0], kept
+    finally:
+        tracemalloc.stop()
+
+
+def test_ingested_records_take_less_memory_than_unshared_lines():
+    """61% of the bundled sample's line strings repeat a line of their own record;
+    holding each once takes about 40% off the records' traced bytes. The bound is
+    relative, so it holds whatever a str or a tuple costs on this Python."""
+    raw = bundled_sample_path().read_text(encoding="utf-8").splitlines()
+    builds = (lambda: ingest_records(raw)[0], lambda: [_unshared_record(line) for line in raw])
+    for build in builds:
+        build()  # a first run fills caches that would count as the records' bytes
+    (shared, records), (unshared, copies) = map(_traced_bytes, builds)
+    assert records == copies and len(records) == 50
+    assert shared < 0.75 * unshared, (shared, unshared)
 
 
 def test_parse_language_aliases():

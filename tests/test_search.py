@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import sys
+import threading
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -366,12 +367,32 @@ def test_rrhc_validity_closure_debug_mode():
     assert restarts > 0  # so random_candidate's draws were checked too
 
 
+def search_on_fake_clock(chunk, params, ticks, timeout=30.0):
+    """``rrhc_resolve`` under a time budget, with ``next(ticks)`` as its clock,
+    run on a daemon thread: an engine that never reads its clock never ends,
+    and fails the test after ``timeout`` seconds rather than hanging the run."""
+    outcome = []  # the result, or what the search raised
+
+    def search_in_thread():
+        try:
+            outcome.append(rrhc_resolve(chunk, params, clock=lambda: next(ticks)))
+        except Exception as exc:  # re-raised below, on the test's own thread
+            outcome.append(exc)
+
+    worker = threading.Thread(target=search_in_thread, daemon=True)
+    worker.start()
+    worker.join(timeout)
+    assert not worker.is_alive(), f"the search did not end within {timeout} s: the engine does not read its clock"
+    if isinstance(outcome[0], Exception):
+        raise outcome[0]
+    return outcome[0]
+
+
 def test_rrhc_time_budget_with_fake_clock():
-    ticks = iter(range(1000))
     params = SearchParams(
         neighbors_per_iteration=2, max_stagnation_iterations=3, max_execution_time=10.0, seed=0
     )
-    result = rrhc_resolve(Chunk(["a", "b"], ["c"]), params, clock=lambda: next(ticks))
+    result = search_on_fake_clock(Chunk(["a", "b"], ["c"]), params, iter(range(1000)))
     assert result.elapsed >= 10.0
     assert result.evaluations > 0
 
@@ -489,10 +510,9 @@ def test_rrhc_memory_stays_bounded_under_a_wall_clock_budget(monkeypatch):
     words = [f"line {i}" for i in range(12)]
     chunk = Chunk([rng.choice(words) for _ in range(30)], [rng.choice(words) for _ in range(30)])
     params = SearchParams(max_execution_time=4001.0, seed=3)
-    ticks = itertools.count()
     tracemalloc.start()
     try:
-        result = rrhc_resolve(chunk, params, clock=lambda: next(ticks))
+        result = search_on_fake_clock(chunk, params, itertools.count())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -511,10 +531,9 @@ def test_rrhc_memo_cap_counts_codes_on_a_long_chunk(monkeypatch):
     words = [f"line {i}" for i in range(40)]
     chunk = Chunk([rng.choice(words) for _ in range(300)], [rng.choice(words) for _ in range(300)])
     params = SearchParams(max_execution_time=2001.0, top_n=1, seed=3)
-    ticks = itertools.count()
     tracemalloc.start()
     try:
-        result = rrhc_resolve(chunk, params, clock=lambda: next(ticks))
+        result = search_on_fake_clock(chunk, params, itertools.count())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
