@@ -7,11 +7,9 @@ external plotting; the CLI writes result rows.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import math
 from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Literal, Sequence, TextIO
@@ -106,6 +104,8 @@ def run_benchmark(
         )
 
     if jobs > 1:
+        from concurrent.futures import ThreadPoolExecutor  # only --jobs above 1 needs it; it pulls logging
+
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(score, records))
     else:
@@ -271,6 +271,8 @@ def read_result_rows(path: str | Path) -> list[ResultRow]:
 
 def dump_sim_diff_csv(report: ComparisonReport, out: TextIO) -> None:
     """CSV of the per-conflict sim_char difference, a minus b, to a stream opened with newline=""."""
+    import csv  # only the CSV writers use it; it loads a shared library no other command needs
+
     writer = csv.writer(out)
     writer.writerow(["conflict_id", "sim_diff"])
     for cid, diff in report.sim_diff:
@@ -279,6 +281,8 @@ def dump_sim_diff_csv(report: ComparisonReport, out: TextIO) -> None:
 
 def dump_balance_histogram_csv(report: ComparisonReport, out: TextIO) -> None:
     """CSV of wins and ties per balance bucket, to a stream opened with newline=""."""
+    import csv  # as in dump_sim_diff_csv
+
     writer = csv.writer(out)
     writer.writerow(["bucket_low_edge", *_OUTCOMES])
     for i, edge in enumerate(_BUCKET_LOW_EDGES):
@@ -287,6 +291,8 @@ def dump_balance_histogram_csv(report: ComparisonReport, out: TextIO) -> None:
 
 def dump_tuning_csv(rows: Sequence[TuningRow], out: TextIO) -> None:
     """CSV with one row per configuration and the four tuning metric columns, to a stream opened with newline=""."""
+    import csv  # as in dump_sim_diff_csv
+
     writer = csv.writer(out)
     writer.writerow(
         ["configuration", "budget_kind", "top1_similarity_count", "average_ranking", "average_similarity", "average_time"]

@@ -21,6 +21,7 @@ from . import bench as bench_mod
 from . import corpus, parsing
 from .resolvers import (
     DEFAULT_DEADLINE,
+    DEFAULT_SLOW_DELAY,
     DEFAULT_STUB_MODE,
     STUB_MODES,
     RemoteResolver,
@@ -33,7 +34,6 @@ from .resolvers import (
 )
 from .router import HybridResolver, RouteThresholds, extract_features, route
 from .search import SearchParams
-from .stub_server import DEFAULT_SLOW_DELAY, StubServer
 
 ENDPOINT_ENV_VAR = "SBCR_REMOTE_URL"
 JOBS_HELP = "records run at once on threads; remote requests overlap, searches run one at a time with their whole budget"
@@ -479,6 +479,8 @@ def _cmd_route(args, config) -> int:
 
 
 def _cmd_serve_stub(args, config) -> int:
+    from .stub_server import StubServer  # only this command runs the server; it pulls http.server and socketserver
+
     try:
         server = StubServer(mode=args.mode, port=args.port, slow_delay=args.delay, verbose=args.verbose)
     except (ValueError, OSError, OverflowError) as exc:  # OverflowError: a port outside 0-65535

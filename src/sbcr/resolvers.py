@@ -8,12 +8,10 @@ only holds a lock around it, so searches run one at a time.
 
 from __future__ import annotations
 
-import http.client
 import io
 import json
 import math
 import re
-import selectors
 import threading
 import time
 import urllib.parse
@@ -199,12 +197,14 @@ class _DeadlineReader(io.RawIOBase):
 def _waiting(sock) -> bool:
     """Whether bytes, the peer's close or a reset wait on ``sock``. Unlike
     ``select.select``, a selector takes a descriptor of any number."""
+    import selectors  # only the check of an idle connection before its reuse needs it
+
     with selectors.DefaultSelector() as selector:
         selector.register(sock, selectors.EVENT_READ)
         return bool(selector.select(0))
 
 
-def _close_all(connections: list[http.client.HTTPConnection]) -> None:
+def _close_all(connections: list) -> None:
     for connection in connections:
         connection.close()
 
@@ -233,6 +233,7 @@ class RemoteResolver(Resolver):
         if parts.scheme not in ("http", "https") or not parts.hostname or "@" in parts.netloc or parts.query or parts.fragment:
             raise ValueError(f"endpoint must be an http or https URL with a host and no user, query or fragment, got {endpoint!r}")
         parts.port  # raises ValueError for a port that is not a number from 0 to 65535
+        import http.client  # only the remote client uses it; it pulls ssl and email, which a local run never needs
         super().__init__()
         self.limits = limits
         self.deadline = deadline
@@ -286,6 +287,8 @@ class RemoteResolver(Resolver):
         bounds the whole request from taking a connection on, but not the host
         name lookup when one opens; a reply body over ``MAX_BODY_BYTES`` raises
         ValueError."""
+        import http.client  # __init__ loaded it already, so this only binds the name
+
         end = time.monotonic() + self.deadline
         data = json.dumps(payload).encode("utf-8")
         with self._idle_lock:
@@ -341,6 +344,7 @@ _STUB_TABLE: dict[str, tuple[bool, Callable]] = {
 }
 STUB_MODES = tuple(_STUB_TABLE)
 DEFAULT_STUB_MODE = "echo-v1"
+DEFAULT_SLOW_DELAY = 2.0  # seconds a slow-mode reply of the HTTP stub waits
 
 
 def check_stub(mode: str, slow_delay: float) -> None:

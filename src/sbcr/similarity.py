@@ -59,6 +59,8 @@ def lcs_length(a: Sequence[Hashable], b: Sequence[Hashable]) -> int:
     a, b = a[: len(a) - tail], b[: len(b) - tail]
     if len(a) < len(b):
         a, b = b, a
+    if not b:  # the shared ends hold all of the shorter side
+        return head + tail
     masks = position_masks(b)
     full = (1 << len(b)) - 1
     v = full

@@ -4,7 +4,9 @@ Speaks the wire protocol of RemoteResolver: POST /v1/resolve with
 {"base", "v1", "v2", "input_token_limit", "output_token_limit"} returning
 {"lines": [...], "truncated": bool}, over HTTP/1.1 connections kept open
 between requests. The configured mode selects one of the canned behaviors
-(echo-v1, echo-v2, empty, truncate, slow, garbage).
+(echo-v1, echo-v2, empty, truncate, slow, garbage). The slow mode's default
+delay, ``DEFAULT_SLOW_DELAY``, is stated in ``sbcr.resolvers`` and re-exported
+here, so the CLI's parser reads it without loading this module's HTTP server.
 """
 
 from __future__ import annotations
@@ -15,9 +17,7 @@ import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from .resolvers import DEFAULT_STUB_MODE, MAX_BODY_BYTES, check_stub, stub_response
-
-DEFAULT_SLOW_DELAY = 2.0  # seconds a slow-mode reply waits
+from .resolvers import DEFAULT_SLOW_DELAY, DEFAULT_STUB_MODE, MAX_BODY_BYTES, check_stub, stub_response
 
 
 class _StubHandler(BaseHTTPRequestHandler):

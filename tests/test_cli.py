@@ -1001,6 +1001,8 @@ def test_parser_defaults_are_the_library_defaults():
     """serve-stub and compare read their defaults from the library's constants instead of restating them."""
     import inspect
 
+    import sbcr.resolvers
+    import sbcr.stub_server
     from sbcr.bench import DEFAULT_EXTREMES, compare_results
     from sbcr.resolvers import DEFAULT_STUB_MODE, StubGenerativeResolver
     from sbcr.stub_server import DEFAULT_SLOW_DELAY
@@ -1012,3 +1014,4 @@ def test_parser_defaults_are_the_library_defaults():
     assert (server["mode"].default, server["slow_delay"].default) == (DEFAULT_STUB_MODE, DEFAULT_SLOW_DELAY)
     assert inspect.signature(StubGenerativeResolver).parameters["mode"].default == DEFAULT_STUB_MODE
     assert inspect.signature(compare_results).parameters["m"].default == DEFAULT_EXTREMES
+    assert sbcr.stub_server.DEFAULT_SLOW_DELAY is sbcr.resolvers.DEFAULT_SLOW_DELAY  # stated once, re-exported

@@ -293,6 +293,31 @@ assert "requests" not in sys.modules
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
+def test_local_commands_load_no_http_or_thread_pool():
+    """route loads neither the HTTP client, the stub's server nor the thread pool; a remote
+    request the process makes after that loads the client itself and fails as data."""
+    import sbcr
+
+    src = str(Path(sbcr.__file__).resolve().parent.parent)
+    env = {key: value for key, value in os.environ.items() if key != "SBCR_REMOTE_URL"}
+    code = """
+import os, socket, sys
+import sbcr.bench, sbcr.cli, sbcr.router
+from sbcr.corpus import bundled_sample_path, load_records
+from sbcr.resolvers import RemoteResolver, Status
+
+assert sbcr.cli.main(["route", str(bundled_sample_path()), "--decisions", os.devnull]) == 0
+loaded = [name for name in ("http.client", "http.server", "concurrent.futures") if name in sys.modules]
+assert not loaded, loaded
+with socket.socket() as sock:
+    sock.bind(("127.0.0.1", 0))  # bound but not listening: a connect to it is refused
+    remote = RemoteResolver("http://127.0.0.1:%d" % sock.getsockname()[1], deadline=5.0)
+    candidate = remote.resolve(load_records(bundled_sample_path())[0][0])
+assert candidate.status is Status.FAILED and "Connection refused" in candidate.detail, candidate
+"""
+    subprocess.run([sys.executable, "-c", code], env={**env, "PYTHONPATH": src}, check=True, timeout=60)
+
+
 @pytest.mark.parametrize("body", [b"[1, 2]", b"null"])
 def test_remote_error_reply_with_non_object_json_fails_cleanly(monkeypatch, body):
     monkeypatch.setattr(RemoteResolver, "_post", lambda self, payload: (500, body))

@@ -121,6 +121,9 @@ def test_lcs_builds_masks_only_between_the_shared_ends(monkeypatch):
     monkeypatch.setattr(similarity_module, "position_masks", lambda b: built.append(list(b)) or position_masks(b))
     assert lcs_length(("a", "x", "b"), ["a", "y", "y", "b"]) == 2  # a candidate's tuple against a truth's list
     assert lcs_length("ab-cd", "ab+cd") == 4
+    # the shared ends hold all of one side, so nothing is left to build masks for
+    assert lcs_length("abcd", "abxcd") == 4
+    assert lcs_length(["a", "x", "b"], ("a", "b")) == 2
     assert built == [["x"], ["+"]]
 
 
