@@ -33,7 +33,7 @@ from .resolvers import (
     TrivialStrategy,
 )
 from .router import HybridResolver, RouteThresholds, extract_features, route
-from .search import SearchParams
+from .search import SearchParams, check_seed
 
 ENDPOINT_ENV_VAR = "SBCR_REMOTE_URL"
 JOBS_HELP = "records run at once on threads; remote requests overlap, searches run one at a time with their whole budget"
@@ -86,13 +86,6 @@ class _RemoteError(_Failure):
     exit_code, label = EXIT_REMOTE, "remote error"
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-
-
 def _add_flags(parser: argparse.ArgumentParser, keys) -> None:
     """A flag for each settings key; one left unset is None, so the layers below it show through."""
     for key in keys:
@@ -100,8 +93,8 @@ def _add_flags(parser: argparse.ArgumentParser, keys) -> None:
         parser.add_argument("--" + key.replace("_", "-"), type=kind, default=None, help=help_text)
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="sbcr", description="Search-based merge conflict resolution toolkit")
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="sbcr", description="Search-based merge conflict resolution toolkit")
     parser.add_argument("--config", default=None, help="JSON config file merged under the flags")
     parser.add_argument("--show-config", action="store_true", help="print the effective config and exit")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
@@ -349,6 +342,10 @@ def _cmd_split(args, config) -> int:
         ratios = corpus.check_ratios([float(x) for x in args.ratios.split(",")])
     except ValueError as exc:  # a ratio that is not a number, or ratios check_ratios refuses
         raise _UsageError(f"bad --ratios: {exc}")
+    try:
+        check_seed(config["seed"])
+    except ValueError as exc:
+        raise _UsageError(str(exc))
     records = _load_dataset(args.records)
     split = corpus.split_dataset([r.id for r in records], config["seed"], ratios)
     by_id = {r.id: r for r in records}
@@ -511,8 +508,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse --help exits 0; usage errors exit 1
-        return int(exc.code or 0)
+    except SystemExit as exc:  # argparse exits 0 after --help and 2 on a usage error
+        return EXIT_USAGE if exc.code == 2 else int(exc.code or 0)
     try:
         config = _effective_config(args)
         if args.show_config:

@@ -29,6 +29,8 @@ from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .search import check_seed
+
 
 class Language(str, Enum):
     JAVA = "Java"
@@ -45,13 +47,15 @@ _LANGUAGE_ALIASES = {
     "cs": Language.CSHARP,
     "javascript": Language.JAVASCRIPT,
     "js": Language.JAVASCRIPT,
+    "jsx": Language.JAVASCRIPT,
     "typescript": Language.TYPESCRIPT,
     "ts": Language.TYPESCRIPT,
+    "tsx": Language.TYPESCRIPT,
 }
 
 
 def parse_language(name: str) -> Language:
-    """Map a language tag to the enum; unknown tags become OTHER."""
+    """Map a language tag or file extension, in any case, to the enum; unknown names become OTHER."""
     return _LANGUAGE_ALIASES.get(name.strip().lower(), Language.OTHER)
 
 
@@ -273,11 +277,11 @@ def split_dataset(
 
     Cut points are floor(n * r + RATIO_TOLERANCE) for r = r_train and r_train + r_valid,
     so decimal ratios cut at their decimal value: 10 ids at 0.1,0.7,0.2 split 1/7/2;
-    the remainder goes to test. The ratios must pass ``check_ratios``.
+    the remainder goes to test. The ratios must pass ``check_ratios``, and the seed ``check_seed``.
     """
     ratios = check_ratios(ratios)
     shuffled = list(ids)
-    random.Random(seed).shuffle(shuffled)
+    random.Random(check_seed(seed)).shuffle(shuffled)
     n = len(shuffled)
     cut1 = math.floor(n * ratios[0] + RATIO_TOLERANCE)
     cut2 = math.floor(n * (ratios[0] + ratios[1]) + RATIO_TOLERANCE)

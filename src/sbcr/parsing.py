@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .corpus import ConflictRecord, Language
+from .corpus import ConflictRecord, Language, parse_language
 
 MARKER_V1 = "<" * 7
 MARKER_BASE = "|" * 7
@@ -161,15 +161,6 @@ def render_resolved(file: ConflictedFile, resolutions: Sequence[Sequence[str]]) 
     return "".join(pieces)
 
 
-_EXTENSION_LANGUAGES = {
-    ".java": Language.JAVA,
-    ".cs": Language.CSHARP,
-    ".js": Language.JAVASCRIPT,
-    ".jsx": Language.JAVASCRIPT,
-    ".ts": Language.TYPESCRIPT,
-    ".tsx": Language.TYPESCRIPT,
-}
-
 _NULL_COMMIT = "0" * 40
 
 
@@ -177,10 +168,9 @@ def extract_records(file: ConflictedFile, path: str = "") -> list[dict]:
     """Emit one corpus-schema JSON object per chunk (resolution left empty).
 
     Synthesized metadata: the id is path#index, the commit is the null hash,
-    and the language comes from the file extension when recognizable.
+    and the language is the one ``parse_language`` names by the file extension.
     """
-    suffix = "." + path.rsplit(".", 1)[-1] if "." in path else ""
-    language = _EXTENSION_LANGUAGES.get(suffix.lower(), Language.OTHER)
+    language = parse_language(path.rsplit(".", 1)[1]) if "." in path else Language.OTHER
     return [
         ConflictRecord(
             id=f"{path or 'conflict'}#{k}",

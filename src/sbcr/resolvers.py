@@ -233,14 +233,13 @@ class RemoteResolver(Resolver):
         if parts.scheme not in ("http", "https") or not parts.hostname or "@" in parts.netloc or parts.query or parts.fragment:
             raise ValueError(f"endpoint must be an http or https URL with a host and no user, query or fragment, got {endpoint!r}")
         parts.port  # raises ValueError for a port that is not a number from 0 to 65535
-        import http.client  # only the remote client uses it; it pulls ssl and email, which a local run never needs
         super().__init__()
         self.limits = limits
         self.deadline = deadline
-        self._connection_class = http.client.HTTPSConnection if parts.scheme == "https" else http.client.HTTPConnection
+        self._https = parts.scheme == "https"
         self._host = parts.netloc
         self._path = parts.path.rstrip("/") + "/v1/resolve"
-        self._idle: list[http.client.HTTPConnection] = []
+        self._idle: list = []  # the connections a whole kept-alive reply left open, each one not in use
         self._idle_lock = threading.Lock()
         weakref.finalize(self, _close_all, self._idle)
 
@@ -264,10 +263,11 @@ class RemoteResolver(Resolver):
             raise RuntimeError(f"HTTP {code}: {error or 'remote error'}")
         try:
             body = json.loads(raw)
-            lines = body["lines"]
-            truncated = bool(body.get("truncated", False))
+            lines, truncated = body["lines"], body.get("truncated", False)
             if not isinstance(lines, list) or any(not isinstance(x, str) for x in lines):
                 raise ValueError("lines is not a list of strings")
+            if not isinstance(truncated, bool):
+                raise ValueError(f"truncated is not true or false: {truncated!r}")
             "".join(lines).encode("utf-8")  # a lone surrogate escape yields lines no file can hold
         except Exception as exc:
             raise ValueError(f"bad response body: {exc}") from exc
@@ -287,16 +287,17 @@ class RemoteResolver(Resolver):
         bounds the whole request from taking a connection on, but not the host
         name lookup when one opens; a reply body over ``MAX_BODY_BYTES`` raises
         ValueError."""
-        import http.client  # __init__ loaded it already, so this only binds the name
+        import http.client  # only a request going out needs it; it pulls ssl and email, which a local run never needs
 
         end = time.monotonic() + self.deadline
         data = json.dumps(payload).encode("utf-8")
+        connection_class = http.client.HTTPSConnection if self._https else http.client.HTTPConnection
         with self._idle_lock:
             connection = self._idle.pop() if self._idle else None
         while True:
             reused = connection is not None
             if not reused:
-                connection = self._connection_class(self._host, timeout=_time_left(end))
+                connection = connection_class(self._host, timeout=_time_left(end))
             try:
                 if not reused:
                     connection.connect()  # http.client turns Nagle's algorithm off here, so a body never waits on an ACK

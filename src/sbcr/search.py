@@ -55,6 +55,14 @@ class ChunkLike(Protocol):
     base_lines: Sequence[str] | None
 
 
+def check_seed(seed: int) -> int:
+    """``seed`` unchanged; ValueError unless it is an int from 0 to 2**64 - 1. ``random.Random``
+    seeds from an int's absolute value, so -5 would draw as 5, and from a float's hash."""
+    if type(seed) is not int or not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be an int from 0 to 2**64 - 1, got {seed!r}")
+    return seed
+
+
 @dataclass(frozen=True)
 class SearchParams:
     """Engine configuration.
@@ -72,8 +80,9 @@ class SearchParams:
 
     def __post_init__(self):
         # A float budget never equals the evaluation count, so the search would never end;
-        # a float seed would seed the generator from its hash, and True would run as seed 1.
-        ints = ("neighbors_per_iteration", "max_stagnation_iterations", "top_n", "max_evaluations", "seed")
+        # True would run as 1.
+        check_seed(self.seed)
+        ints = ("neighbors_per_iteration", "max_stagnation_iterations", "top_n", "max_evaluations")
         for name in ints:
             value = getattr(self, name)
             if type(value) is not int and not (name == "max_evaluations" and value is None):
@@ -84,8 +93,6 @@ class SearchParams:
             raise ValueError("max_stagnation_iterations must be >= 1")
         if self.top_n < 1:
             raise ValueError("top_n must be >= 1")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 unsigned bits")
         has_time = self.max_execution_time is not None
         has_evals = self.max_evaluations is not None
         if has_time == has_evals:

@@ -51,9 +51,7 @@ def _normal_two_sided_p(ranks: Sequence[float], w_plus: float) -> float:
     mean = n * (n + 1) / 4.0
     variance = n * (n + 1) * (2 * n + 1) / 24.0
     for t in Counter(ranks).values():
-        variance -= (t**3 - t) / 48.0
-    if variance <= 0:
-        return 1.0
+        variance -= (t**3 - t) / 48.0  # at least n(n+1)^2/16 > 0, since the tie sizes t sum to n
     delta = w_plus - mean
     if delta > 0.5:
         z = (delta - 0.5) / math.sqrt(variance)

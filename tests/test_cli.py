@@ -697,6 +697,29 @@ def test_split_needs_exactly_three_ratios(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("how", ["--seed -5", "--seed 18446744073709551616", 'config {"seed": -5}'])
+def test_split_refuses_a_seed_the_engine_refuses(tmp_path, capsys, how):
+    """``random.Random`` seeds from an int's absolute value, so seed -5 wrote seed 5's split under "seed": -5."""
+    out = tmp_path / "out"
+    argv = ["split", sample_args(), "--out-dir", str(out)]
+    if how.startswith("config"):
+        config = tmp_path / "conf.json"
+        config.write_text(how.split(" ", 1)[1], encoding="utf-8")
+        argv = ["--config", str(config), *argv]
+    else:
+        argv += how.split()
+    assert main(argv) == 1
+    assert "sbcr: error: seed must be an int from 0 to 2**64 - 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_argparse_usage_errors_keep_their_message_and_exit_1(capsys):
+    assert main(["bench", sample_args(), "--no-such-flag"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: sbcr ")
+    assert err.endswith("sbcr: error: unrecognized arguments: --no-such-flag\n")
+
+
 def test_compare_of_two_empty_result_files_is_input_error(tmp_path, capsys):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("", encoding="utf-8")
@@ -754,18 +777,20 @@ def test_non_utf8_stdin_is_input_error(monkeypatch, capsys):
 @pytest.mark.parametrize(
     "flags",
     [["--sample", "0"], ["--sample", "-1"], ["--grid-neighbors", ","], ["--grid-budgets", ","],
-     ["--grid-stagnation", ", ,"]],
+     ["--grid-stagnation", ", ,"], ["--grid-neighbors", "1,x"]],
     ids=lambda flags: " ".join(flags),
 )
 def test_tune_usage_errors_exit_1_before_reading(tmp_path, capsys, flags):
     assert main(["tune", str(tmp_path / "missing.jsonl"), *flags]) == 1
     assert main(["tune", sample_args(), *flags]) == 1
-    assert "sbcr: error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "sbcr: error:" in err
+    assert flags[0] in err
 
 
 @pytest.mark.parametrize(
     "case",
-    ["split --ratios 0.5,0.5", "bench --engine bogus", "bench --neighbors 0", "bench --engine remote",
+    ["split --ratios 0.5,0.5", "split --seed -5", "bench --engine bogus", "bench --neighbors 0", "bench --engine remote",
      "resolve --engine bogus"],
 )
 def test_flags_are_checked_before_the_input_is_read(tmp_path, capsys, monkeypatch, case):

@@ -98,6 +98,12 @@ def test_ingest_rejects_malformed_and_duplicates_without_aborting():
     assert rejects[1].line == 3
 
 
+def test_ingest_rejects_an_empty_id():
+    records, rejects = ingest_records([make_json(id="")])
+    assert not records
+    assert [(r.id, r.reason, r.detail) for r in rejects] == [("", "malformed", "empty id")]
+
+
 def test_ingest_idempotent_on_accepted_records():
     lines = [make_json(id=f"r{i}", v1=[f"l{i}"], resolution=[f"l{i}"]) for i in range(5)]
     records, _ = ingest_records(lines)
@@ -191,6 +197,12 @@ def test_parse_language_aliases():
     assert parse_language("COBOL") is Language.OTHER
 
 
+def test_ingest_maps_jsx_and_tsx_tags_to_their_languages():
+    """A conflicted file's .jsx or .tsx extension named its language; the same names as a record's tag did not."""
+    records, _ = ingest_records([make_json(id="a", language="jsx"), make_json(id="b", language="TSX")])
+    assert [r.language for r in records] == [Language.JAVASCRIPT, Language.TYPESCRIPT]
+
+
 def test_partial_order_spec_examples():
     assert preserves_partial_order(["a", "c", "b"], ["a", "b"], ["c"])
     assert not preserves_partial_order(["b", "a"], ["a", "b"], [])
@@ -266,6 +278,13 @@ def test_split_rejects_bad_ratios():
         split_dataset(["a"], 0, (0.5, 0.5, 0.5))
     with pytest.raises(ValueError):
         split_dataset(["a"], 0, (-0.1, 0.6, 0.5))
+
+
+@pytest.mark.parametrize("seed", [-5, 2**64, 1.5, True])
+def test_split_rejects_a_seed_the_engine_rejects(seed):
+    """``random.Random`` seeds from an int's absolute value, so seed -5 split as seed 5."""
+    with pytest.raises(ValueError, match="seed"):
+        split_dataset(["a", "b"], seed, (0.5, 0.5, 0.0))
 
 
 @pytest.mark.parametrize(

@@ -290,3 +290,14 @@ def test_extract_records_schema():
     assert record["v1"] == [] and len(record["v2"]) == 11
     assert record["resolution"] == []
     assert set(record) == {"id", "project", "commit", "path", "language", "base", "v1", "v2", "resolution"}
+
+
+@pytest.mark.parametrize(
+    "path, language",
+    [("A.java", "Java"), ("a/B.JAVA", "Java"), ("C.cs", "CSharp"), ("d.Js", "JavaScript"), ("e.jsx", "JavaScript"),
+     ("f.ts", "TypeScript"), ("g.TSX", "TypeScript"), ("Makefile", "Other"), ("h.py", "Other"), ("", "Other"),
+     ("i.", "Other"), ("dir.java/README", "Other")],
+)
+def test_extract_records_names_the_language_by_extension(path, language):
+    parsed = parse_conflicted_file("<<<<<<<\nx\n=======\ny\n>>>>>>>\n")
+    assert extract_records(parsed, path=path)[0]["language"] == language

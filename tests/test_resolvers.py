@@ -270,6 +270,7 @@ def test_stub_server_rejects_bad_route_and_body(echo_server):
     import requests
 
     assert requests.post(f"{echo_server.url}/nope", json={}, timeout=5).status_code == 404
+    assert requests.get(f"{echo_server.url}/nope", timeout=5).status_code == 404
     assert requests.post(f"{echo_server.url}/v1/resolve", data=b"{", timeout=5).status_code == 400
     stats = requests.get(f"{echo_server.url}/stats", timeout=5).json()
     assert stats["mode"] == "echo-v1" and stats["calls"] >= 1
@@ -316,6 +317,23 @@ with socket.socket() as sock:
 assert candidate.status is Status.FAILED and "Connection refused" in candidate.detail, candidate
 """
     subprocess.run([sys.executable, "-c", code], env={**env, "PYTHONPATH": src}, check=True, timeout=60)
+
+
+def test_the_in_process_stub_loads_no_http_client():
+    """The stub replaces the request itself, so resolving through it loads neither http.client nor ssl."""
+    import sbcr
+
+    src = str(Path(sbcr.__file__).resolve().parent.parent)
+    code = """
+import sys
+from sbcr.resolvers import Status, StubGenerativeResolver
+class Chunk:
+    v1_lines, v2_lines, base_lines = ["a"], ["b"], None
+assert StubGenerativeResolver().resolve(Chunk()).status is Status.OK
+loaded = [name for name in ("http.client", "ssl") if name in sys.modules]
+assert not loaded, loaded
+"""
+    subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60)
 
 
 @pytest.mark.parametrize("body", [b"[1, 2]", b"null"])
@@ -395,10 +413,28 @@ def test_remote_failure_details_name_their_stage():
     assert resolve_with((503, b'{"error": "busy"}')).detail == "HTTP 503: busy"
     assert resolve_with((503, DEEP_JSON)).detail == "HTTP 503: remote error"
     assert resolve_with((200, b'{"truncated": true}')).detail == "bad response body: 'lines'"
+    assert resolve_with((200, b'{"lines": "ab"}')).detail == "bad response body: lines is not a list of strings"
     lone = resolve_with((200, b'{"lines": ["\\ud800"]}'))
     assert lone.status is Status.FAILED and lone.detail.startswith("bad response body: 'utf-8' codec can't encode")
     deep = resolve_with((200, DEEP_JSON))
     assert deep.status is Status.FAILED and deep.detail.startswith("bad response body: maximum recursion depth")
+
+
+@pytest.mark.parametrize(
+    "flag, status",
+    [("true", Status.TRUNCATED), ("false", Status.OK), (None, Status.OK),
+     *((value, Status.FAILED) for value in ('"false"', "0", "1", "null", "[]"))],
+    ids=str,
+)
+def test_remote_truncated_flag_must_be_true_or_false(flag, status):
+    """``bool()`` read "false" as truncated and 0 or null as whole; an absent flag means false."""
+    body = '{"lines": ["a"]}' if flag is None else '{"lines": ["a"], "truncated": %s}' % flag
+    remote = RemoteResolver("http://127.0.0.1:9")
+    remote._post = lambda payload: (200, body.encode("utf-8"))
+    candidate = remote.resolve(CHUNK)
+    assert candidate.status is status
+    if status is Status.FAILED:
+        assert candidate.detail.startswith("bad response body: truncated is not true or false")
 
 
 def test_remote_truncation_travels_with_each_reply_across_threads():
@@ -718,7 +754,9 @@ def test_no_reply_bytes_break_the_remote_client(status_line, headers, body):
         assert candidate.status is Status.FAILED
 
 
-@pytest.mark.parametrize("path, headers", [("/nope", {}), ("/v1/resolve", {"Content-Length": "-1"})])
+@pytest.mark.parametrize(
+    "path, headers", [("/nope", {}), ("/v1/resolve", {"Content-Length": "-1"}), ("/v1/resolve", {"Content-Length": "x"})]
+)
 def test_stub_server_ends_a_connection_whose_request_body_it_left_unread(echo_server, path, headers):
     """On a kept-alive connection, a body the stub did not read would be read as the next request."""
     connection = http.client.HTTPConnection(*echo_server.server_address, timeout=5)

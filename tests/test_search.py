@@ -232,6 +232,10 @@ def test_rrhc_rejects_empty_chunk_and_bad_params():
     with pytest.raises(ValueError):
         SearchParams(max_evaluations=0)
     with pytest.raises(ValueError):
+        SearchParams(top_n=0, max_evaluations=1)
+    with pytest.raises(ValueError, match="seed"):
+        SearchParams(seed=-1, max_evaluations=1)
+    with pytest.raises(ValueError):
         SearchParams(max_execution_time=-1.0)
     with pytest.raises(ValueError):
         SearchParams(max_execution_time=5.0, max_evaluations=10)
