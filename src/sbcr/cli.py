@@ -32,7 +32,7 @@ from .resolvers import (
     TrivialResolver,
     TrivialStrategy,
 )
-from .router import HybridResolver, RouteThresholds, extract_features, route
+from .router import UNTRUSTED, HybridResolver, RouteThresholds, extract_features, route
 from .search import SearchParams, check_seed
 
 ENDPOINT_ENV_VAR = "SBCR_REMOTE_URL"
@@ -383,11 +383,14 @@ def _cmd_resolve(args, config) -> int:
             _write_jsonl(out, parsing.extract_records(parsed, path=args.file if args.file != "-" else ""))
         return EXIT_OK
     resolutions = []
-    for chunk in parsed.chunks:
+    for index, chunk in enumerate(parsed.chunks):
         candidate = resolver.resolve(chunk)
-        if candidate.status is Status.FAILED:
-            if engine == "remote":
-                raise _RemoteError(f"remote resolver failed: {candidate.detail}")
+        status = candidate.status
+        # nothing falls back here; an empty answer is right only where both sides deleted every line
+        if engine == "remote" and status in UNTRUSTED and (status is not Status.EMPTY or chunk.v1_lines or chunk.v2_lines):
+            detail = f": {candidate.detail}" if candidate.detail else ""
+            raise _RemoteError(f"chunk {index}: remote answer {status.value}{detail}")
+        if status is Status.FAILED:
             raise _InputError(f"resolver failed: {candidate.detail}")
         resolutions.append(list(candidate.lines))
     rendered = parsing.render_resolved(parsed, resolutions)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Sequence
 
-from .search import SearchParams, candidate_lines, rrhc_resolve
+from .search import SearchParams, candidate_lines, no_clock, rrhc_resolve
 
 DEFAULT_INPUT_TOKEN_LIMIT = 300
 DEFAULT_OUTPUT_TOKEN_LIMIT = 100
@@ -88,21 +88,21 @@ class TrivialStrategy(Enum):
 
 
 class Resolver:
-    """Base resolver; subclasses implement _generate and inherit timing, statuses and failure mapping."""
+    """Base resolver; subclasses implement _generate and inherit timing, statuses and failure mapping.
+    ``elapsed`` times ``_generate`` on ``clock``: wall time, but ``search.no_clock`` (0.0) for a trivial
+    strategy and a search under an evaluation budget. A hybrid reports the sum over the resolvers it ran."""
 
     resolver_id = "resolver"
-
-    def __init__(self, clock: Callable[[], float] | None = None):
-        self._clock = clock if clock is not None else time.perf_counter
+    clock: Callable[[], float] = time.perf_counter
 
     def resolve(self, chunk) -> ResolutionCandidate:
-        start = self._clock()
+        start = self.clock()
         try:
             lines = self._generate(chunk)
         except Exception as exc:  # totality: resolver failures are data, not crashes
-            return ResolutionCandidate((), self.resolver_id, self._clock() - start, Status.FAILED, str(exc))
+            return ResolutionCandidate((), self.resolver_id, self.clock() - start, Status.FAILED, str(exc))
         status = Status.TRUNCATED if isinstance(lines, _Truncated) else Status.OK if lines else Status.EMPTY
-        return ResolutionCandidate(tuple(lines), self.resolver_id, self._clock() - start, status)
+        return ResolutionCandidate(tuple(lines), self.resolver_id, self.clock() - start, status)
 
     def _generate(self, chunk) -> Sequence[str]:
         raise NotImplementedError
@@ -115,9 +115,9 @@ class SearchResolver(Resolver):
     resolver_id = "sbcr"
 
     def __init__(self, params: SearchParams):
-        # a constant clock under an evaluation budget keeps seeded rows byte-reproducible
-        super().__init__(None if params.max_execution_time is not None else lambda: 0.0)
         self.params = params
+        if params.max_evaluations is not None:
+            self.clock = no_clock  # seeded rows stay byte-reproducible, elapsed included
 
     def resolve(self, chunk) -> ResolutionCandidate:
         with _SEARCH_LOCK:  # taken before the clock starts, so elapsed counts no wait
@@ -133,8 +133,9 @@ class TrivialResolver(Resolver):
     """The classic one-step strategies: take one side, the base, or a concatenation.
     None reads the time, so every candidate reports ``elapsed`` 0.0."""
 
+    clock = staticmethod(no_clock)
+
     def __init__(self, strategy: TrivialStrategy):
-        super().__init__(lambda: 0.0)
         self.strategy = strategy
         self.resolver_id = f"trivial:{strategy.value}"
 
@@ -233,7 +234,6 @@ class RemoteResolver(Resolver):
         if parts.scheme not in ("http", "https") or not parts.hostname or "@" in parts.netloc or parts.query or parts.fragment:
             raise ValueError(f"endpoint must be an http or https URL with a host and no user, query or fragment, got {endpoint!r}")
         parts.port  # raises ValueError for a port that is not a number from 0 to 65535
-        super().__init__()
         self.limits = limits
         self.deadline = deadline
         self._https = parts.scheme == "https"

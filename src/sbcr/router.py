@@ -21,6 +21,8 @@ from .resolvers import (
 )
 
 FALLBACK_RESOLVER_ID = "generative→search-fallback"
+# Statuses of a generative answer the router does not trust: the hybrid falls back to search on them.
+UNTRUSTED = frozenset({Status.EMPTY, Status.TRUNCATED, Status.FAILED})
 
 
 @dataclass(frozen=True)
@@ -106,16 +108,15 @@ def hybrid_resolve(
 ) -> ResolutionCandidate:
     """Route the chunk, resolve it, and fall back to search on generative failure.
 
-    The fallback fires when the generative candidate is EMPTY, TRUNCATED, or
-    FAILED; the returned candidate is then re-labelled so downstream records
-    show the fallback path, and its detail names the search failure too when
-    the fallback also fails.
+    The fallback fires when the generative candidate's status is in ``UNTRUSTED``; the returned
+    candidate is then re-labelled so downstream records show the fallback path, and its detail
+    names the search failure too when the fallback also fails.
     """
     decision = route(extract_features(chunk), thresholds)
     if decision.target is RouteTarget.SEARCH:
         return search_resolver.resolve(chunk)
     candidate = generative_resolver.resolve(chunk)
-    if candidate.status in (Status.EMPTY, Status.TRUNCATED, Status.FAILED):
+    if candidate.status in UNTRUSTED:
         fallback = search_resolver.resolve(chunk)
         why = f"generative {candidate.status.value}"
         if candidate.detail:
@@ -143,7 +144,6 @@ class HybridResolver(Resolver):
         generative_resolver: Resolver,
         thresholds: RouteThresholds = RouteThresholds(),
     ):
-        super().__init__()
         self.search_resolver = search_resolver
         self.generative_resolver = generative_resolver
         self.thresholds = thresholds

@@ -55,6 +55,12 @@ class ChunkLike(Protocol):
     base_lines: Sequence[str] | None
 
 
+def no_clock() -> float:
+    """The clock of work no wall clock bounds: it always reads 0.0, so every
+    ``elapsed`` it times is 0.0 and seeded results stay byte-reproducible."""
+    return 0.0
+
+
 def check_seed(seed: int) -> int:
     """``seed`` unchanged; ValueError unless it is an int from 0 to 2**64 - 1. ``random.Random``
     seeds from an int's absolute value, so -5 would draw as 5, and from a float's hash."""
@@ -82,28 +88,16 @@ class SearchParams:
         # A float budget never equals the evaluation count, so the search would never end;
         # True would run as 1.
         check_seed(self.seed)
-        ints = ("neighbors_per_iteration", "max_stagnation_iterations", "top_n", "max_evaluations")
-        for name in ints:
+        for name in ("neighbors_per_iteration", "max_stagnation_iterations", "top_n", "max_evaluations"):
             value = getattr(self, name)
-            if type(value) is not int and not (name == "max_evaluations" and value is None):
-                raise ValueError(f"{name} must be an int, got {value!r}")
-        if self.neighbors_per_iteration < 1:
-            raise ValueError("neighbors_per_iteration must be >= 1")
-        if self.max_stagnation_iterations < 1:
-            raise ValueError("max_stagnation_iterations must be >= 1")
-        if self.top_n < 1:
-            raise ValueError("top_n must be >= 1")
-        has_time = self.max_execution_time is not None
-        has_evals = self.max_evaluations is not None
-        if has_time == has_evals:
-            raise ValueError("exactly one of max_execution_time / max_evaluations must be set")
+            if (type(value) is not int or value < 1) and not (name == "max_evaluations" and value is None):
+                raise ValueError(f"{name} must be an int >= 1, got {value!r}")
         seconds = self.max_execution_time
-        if has_time and (type(seconds) is bool or not isinstance(seconds, (int, float))):
-            raise ValueError(f"max_execution_time must be a number of seconds, got {seconds!r}")
-        if has_time and not 0 < seconds < math.inf:
-            raise ValueError("max_execution_time must be finite and positive")
-        if has_evals and self.max_evaluations < 1:
-            raise ValueError("max_evaluations must be >= 1")
+        if (seconds is None) == (self.max_evaluations is None):
+            raise ValueError("exactly one of max_execution_time / max_evaluations must be set")
+        number = type(seconds) is not bool and isinstance(seconds, (int, float))
+        if seconds is not None and not (number and 0 < seconds < math.inf):
+            raise ValueError(f"max_execution_time must be finite and positive seconds, got {seconds!r}")
 
 
 class ScoredCandidate(NamedTuple):
@@ -443,14 +437,14 @@ def rrhc_resolve(
     its edit index and records the missing states up to it on the way.
 
     ``clock`` supplies wall time, read before each iteration. With an evaluation
-    budget it defaults to a constant clock so results (elapsed included) are
+    budget it defaults to ``no_clock``, so results (elapsed included) are
     bit-for-bit reproducible; with a time budget it defaults to time.monotonic.
     """
     if not chunk.v1_lines and not chunk.v2_lines:
         raise ValueError("chunk has no content on either side")
     seconds = params.max_execution_time
     if clock is None:
-        clock = time.monotonic if seconds is not None else lambda: 0.0
+        clock = time.monotonic if seconds is not None else no_clock
 
     n1 = len(chunk.v1_lines)
     n = n1 + len(chunk.v2_lines)

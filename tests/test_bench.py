@@ -15,7 +15,7 @@ from sbcr.bench import (
 )
 from sbcr.corpus import ConflictRecord, Language, load_records, bundled_sample_path
 from sbcr.resolvers import Resolver, SearchResolver, TrivialResolver, TrivialStrategy
-from sbcr.search import SearchParams
+from sbcr.search import SearchParams, no_clock
 from sbcr.similarity import Granularity, similarity
 
 
@@ -36,8 +36,9 @@ def record(id="r1", v1=("a", "b"), v2=("c",), resolution=("a", "c", "b"), commit
 class ConstantResolver(Resolver):
     """Always returns the same lines; used to pin benchmark row values."""
 
+    clock = staticmethod(no_clock)
+
     def __init__(self, lines, resolver_id="constant"):
-        super().__init__(clock=lambda: 0.0)
         self.lines = list(lines)
         self.resolver_id = resolver_id
 

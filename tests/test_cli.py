@@ -49,6 +49,24 @@ def test_usage_error_exit_code_1(capsys, tmp_path):
     assert main(["resolve", str(clean), "--engine", "warp-drive"]) == 1
 
 
+def test_no_command_prints_usage_and_exits_1(capsys):
+    assert main([]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage: sbcr ")
+
+
+def test_a_closed_stdout_ends_the_run_quietly(capsys, monkeypatch):
+    """A reader that goes away (``sbcr route ... | head``) ends the run with exit 0 and no traceback."""
+
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["route", sample_args()]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_show_config_prints_effective_config(capsys, tmp_path):
     config = tmp_path / "conf.json"
     config.write_text(json.dumps({"neighbors": 9}), encoding="utf-8")
@@ -173,6 +191,33 @@ def test_resolve_remote_against_stub(conflicted_file, tmp_path):
         code = main(["resolve", str(conflicted_file), "--engine", "remote", "--endpoint", server.url, "--out", str(out)])
         assert code == 0
         assert "right line" in out.read_text(encoding="utf-8")
+    finally:
+        server.stop()
+
+
+@pytest.mark.parametrize("mode", ["truncate", "empty"])
+def test_resolve_remote_refuses_an_answer_the_router_would_not_trust(conflicted_file, tmp_path, capsys, mode):
+    """A truncated or empty reply to a chunk with lines used to be written with exit 0 and nothing on stderr."""
+    server = StubServer(mode=mode, port=0).start()
+    try:
+        out = tmp_path / "resolved.txt"
+        out.write_bytes(b"kept\r\n")
+        argv = ["resolve", str(conflicted_file), "--engine", "remote", "--endpoint", server.url, "--output-token-limit", "2"]
+        assert main([*argv, "--out", str(out)]) == 3
+        assert out.read_bytes() == b"kept\r\n"
+        assert capsys.readouterr().err == f"sbcr: remote error: chunk 0: remote answer {'truncated' if mode == 'truncate' else 'empty'}\n"
+    finally:
+        server.stop()
+
+
+def test_resolve_remote_writes_an_empty_answer_to_a_chunk_both_sides_deleted(tmp_path):
+    source = tmp_path / "deleted.txt"
+    source.write_text("a\n<<<<<<< ours\n||||||| base\nkept\n=======\n>>>>>>> theirs\nb\n", encoding="utf-8")
+    server = StubServer(mode="empty", port=0).start()
+    try:
+        out = tmp_path / "resolved.txt"
+        assert main(["resolve", str(source), "--engine", "remote", "--endpoint", server.url, "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == "a\nb\n"
     finally:
         server.stop()
 

@@ -4,6 +4,7 @@ import http.client
 import json
 import math
 import os
+import pickle
 import socket
 import subprocess
 import sys
@@ -124,6 +125,22 @@ def test_searches_run_one_at_a_time_under_jobs(monkeypatch):
     rows = run_benchmark(records, SearchResolver(SearchParams(max_evaluations=20)), jobs=4)
     assert [row.status for row in rows] == ["ok"] * 8
     assert max(seen) == 1
+
+
+@pytest.mark.parametrize(
+    "resolver",
+    [SearchResolver(SearchParams(max_evaluations=200)), SearchResolver(SearchParams(max_execution_time=0.1)),
+     *(TrivialResolver(strategy) for strategy in TrivialStrategy)],
+    ids=["sbcr-evaluations", "sbcr-seconds", *(strategy.value for strategy in TrivialStrategy)],
+)
+def test_search_and_trivial_resolvers_pickle(resolver):
+    """Each took its zero clock as a lambda, which no pickle can hold."""
+    copy = pickle.loads(pickle.dumps(resolver))
+    ours, theirs = resolver.resolve(CHUNK), copy.resolve(CHUNK)
+    if isinstance(resolver, SearchResolver) and resolver.params.max_execution_time is not None:
+        assert (theirs.status, theirs.lines) == (ours.status, ours.lines)  # its elapsed is wall time
+    else:
+        assert theirs == ours and theirs.elapsed == 0.0
 
 
 def test_search_resolver_total_on_bad_chunk():
@@ -704,6 +721,20 @@ def test_remote_deadline_bounds_the_connect_and_the_send_together(monkeypatch):
         elapsed = time.monotonic() - start
     assert (candidate.status, candidate.detail) == (Status.FAILED, "request failed: timed out")
     assert elapsed < 1.3
+
+
+def test_a_deadline_the_connect_spends_fails_the_request_before_the_send(monkeypatch):
+    """The send gets what the connect left of the deadline; with nothing left, the request fails there."""
+    connect = http.client.socket.create_connection
+
+    def slow_connect(*args, **kwargs):
+        time.sleep(0.3)
+        return connect(*args, **kwargs)
+
+    monkeypatch.setattr(http.client.socket, "create_connection", slow_connect)
+    with socket.create_server(("127.0.0.1", 0)) as listener:  # accepts nothing: the connect alone succeeds
+        candidate = RemoteResolver(f"http://127.0.0.1:{listener.getsockname()[1]}", deadline=0.1).resolve(CHUNK)
+    assert (candidate.status, candidate.detail) == (Status.FAILED, "request failed: timed out")
 
 
 _BODY = json.dumps({"lines": ["a"], "truncated": False}).encode("utf-8")

@@ -263,6 +263,14 @@ def test_search_params_reject_counts_that_are_not_ints(name, value):
         SearchParams(**{"max_evaluations": 10, name: value})
 
 
+@pytest.mark.parametrize("value", [0, -1, True, 1.5])
+@pytest.mark.parametrize("name", ["neighbors_per_iteration", "max_stagnation_iterations", "top_n", "max_evaluations"])
+def test_search_params_refuse_each_count_below_one(name, value):
+    """Each count is checked in one place: an int, and at least 1."""
+    with pytest.raises(ValueError, match=f"{name} must be an int >= 1"):
+        SearchParams(**{"max_evaluations": 10, name: value})
+
+
 @pytest.mark.parametrize(
     "name, value",
     [("seed", 0.5), ("seed", 1e19), ("seed", True), ("max_execution_time", True), ("max_execution_time", "5")],
