@@ -100,18 +100,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
     p = sub.add_parser("ingest", help="validate and filter a record stream")
+    p.set_defaults(handler=_cmd_ingest)
     p.add_argument("records", help="line-delimited JSON records ('-' for stdin)")
     p.add_argument("--out", default="-", help="accepted records output (default stdout)")
     p.add_argument("--rejects", default=None, help="rejection report sidecar file")
     p.add_argument("--no-combination-filter", action="store_true", help="keep resolutions that add new lines")
 
     p = sub.add_parser("split", help="deterministically split records into train/valid/test")
+    p.set_defaults(handler=_cmd_split)
     p.add_argument("records", help="line-delimited JSON records")
     _add_flags(p, ["seed"])
     p.add_argument("--ratios", default="0.8,0.1,0.1", help="train,valid,test ratios summing to 1")
     p.add_argument("--out-dir", default=".", help="directory for train/valid/test.jsonl and split.json")
 
     p = sub.add_parser("resolve", help="resolve a conflicted file (or extract its chunks)")
+    p.set_defaults(handler=_cmd_resolve)
     p.add_argument("file", help="conflicted text file")
     p.add_argument("--engine", choices=ENGINES, default=None, help="resolver (default sbcr)")  # None, so --records can refuse it
     p.add_argument("--out", default="-", help="resolved file output (default stdout)")
@@ -119,6 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(p, _ENGINE_KEYS)
 
     p = sub.add_parser("bench", help="run a resolver over a dataset and write result rows")
+    p.set_defaults(handler=_cmd_bench)
     p.add_argument("records", help="line-delimited JSON records with ground truth")
     p.add_argument("--engine", choices=ENGINES, default="sbcr", help="resolver (default sbcr)")
     p.add_argument("--out", default="-", help="result rows output (default stdout)")
@@ -127,6 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(p, _ENGINE_KEYS)
 
     p = sub.add_parser("tune", help="grid-search engine parameters on a sample")
+    p.set_defaults(handler=_cmd_tune)
     p.add_argument("records", help="line-delimited JSON records with ground truth")
     p.add_argument("--sample", type=int, default=100, help="sample size drawn with --seed")
     p.add_argument("--grid-neighbors", default="1,5,9", help="comma-separated neighbor counts")
@@ -138,6 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(p, ["top_n", "seed"])  # neighbors, stagnation and the budget come from the --grid-* flags
 
     p = sub.add_parser("compare", help="paired comparison of two result files")
+    p.set_defaults(handler=_cmd_compare)
     p.add_argument("results_a")
     p.add_argument("results_b")
     p.add_argument("--extremes", type=int, default=bench_mod.DEFAULT_EXTREMES, help="ids to keep from each tail")
@@ -145,11 +151,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv-dir", default=None, help="also write sim_diff.csv and balance_histogram.csv here")
 
     p = sub.add_parser("route", help="log the router's decision for each record")
+    p.set_defaults(handler=_cmd_route)
     p.add_argument("records", help="line-delimited JSON records")
     p.add_argument("--decisions", default="-", help="decision log output (default stdout)")
     _add_flags(p, _ROUTER_KEYS)
 
     p = sub.add_parser("serve-stub", help="run the stub generative resolver")
+    p.set_defaults(handler=_cmd_serve_stub)
     p.add_argument("--mode", choices=STUB_MODES, default=DEFAULT_STUB_MODE)
     p.add_argument("--port", type=int, default=8731)
     p.add_argument("--delay", type=float, default=DEFAULT_SLOW_DELAY, help="sleep for slow mode, seconds")
@@ -252,24 +260,32 @@ def _output(path: str | Path):
     """An in-memory buffer for the file at ``path``, or stdout for '-'.
 
     The file is opened before the work, so a path that cannot be opened for
-    writing is a usage error; opening creates it but keeps its content. Only
-    when the command ends cleanly is the file emptied and the buffer written
-    to it, so a command that fails or is interrupted leaves it as it was.
+    writing is a usage error. Only when the command ends cleanly is the file
+    emptied and the buffer written to it: a command that fails or is
+    interrupted leaves an existing file as it was and removes one it created.
     """
     if path == "-":
         yield sys.stdout
         return
     try:
-        fh = open(path, "ab")  # creates the file without truncating it
+        try:
+            fh, created = open(path, "xb"), True
+        except FileExistsError:  # also a device or a pipe, which is never removed
+            fh, created = open(path, "ab"), False  # without truncating it
     except OSError as exc:
         raise _UsageError(f"cannot write {path}: {exc}")
-    with fh:
-        buffer = io.StringIO()  # keeps line endings as written: resolved files keep their own, csv writes its own
-        yield buffer
-        data = buffer.getvalue().encode("utf-8")  # before the truncation, so a failed encoding loses nothing
-        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # a pipe or a device cannot be truncated
-            fh.truncate(0)
-        fh.write(data)
+    try:
+        with fh:
+            buffer = io.StringIO()  # keeps line endings as written: resolved files keep their own, csv writes its own
+            yield buffer
+            data = buffer.getvalue().encode("utf-8")  # before the truncation, so a failed encoding loses nothing
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # a pipe or a device cannot be truncated
+                fh.truncate(0)
+            fh.write(data)
+    except BaseException:  # KeyboardInterrupt too
+        if created:
+            Path(path).unlink(missing_ok=True)
+        raise
 
 
 @contextmanager
@@ -325,7 +341,7 @@ def _load_dataset(path: str) -> list[corpus.ConflictRecord]:
     return records
 
 
-def _cmd_ingest(args, config) -> int:
+def _cmd_ingest(args, config) -> None:
     with _input(args.records) as fh:
         records, rejections = corpus.ingest_records(fh, combination=not args.no_combination_filter)
     rejects_path = args.rejects or (args.out + ".rejects.jsonl" if args.out != "-" else None)
@@ -334,10 +350,9 @@ def _cmd_ingest(args, config) -> int:
         if rejects_out is not None:
             _write_jsonl(rejects_out, (report.to_json() for report in rejections))
     print(f"accepted {len(records)}, rejected {len(rejections)}", file=sys.stderr)
-    return EXIT_OK
 
 
-def _cmd_split(args, config) -> int:
+def _cmd_split(args, config) -> None:
     try:
         ratios = corpus.check_ratios([float(x) for x in args.ratios.split(",")])
     except ValueError as exc:  # a ratio that is not a number, or ratios check_ratios refuses
@@ -360,10 +375,9 @@ def _cmd_split(args, config) -> int:
         f"split {len(records)} records into {len(split.train_ids)}/{len(split.valid_ids)}/{len(split.test_ids)}",
         file=sys.stderr,
     )
-    return EXIT_OK
 
 
-def _cmd_resolve(args, config) -> int:
+def _cmd_resolve(args, config) -> None:
     engine = args.engine or "sbcr"
     if args.records:
         unused = ["--engine"] * (args.engine is not None) + [
@@ -378,28 +392,25 @@ def _cmd_resolve(args, config) -> int:
         parsed = parsing.parse_conflicted_file(text)
     except parsing.MarkerError as exc:
         raise _InputError(f"{args.file}: {exc}")
-    if args.records:
-        with _output(args.out) as out:
-            _write_jsonl(out, parsing.extract_records(parsed, path=args.file if args.file != "-" else ""))
-        return EXIT_OK
-    resolutions = []
-    for index, chunk in enumerate(parsed.chunks):
-        candidate = resolver.resolve(chunk)
-        status = candidate.status
-        # nothing falls back here; an empty answer is right only where both sides deleted every line
-        if engine == "remote" and status in UNTRUSTED and (status is not Status.EMPTY or chunk.v1_lines or chunk.v2_lines):
-            detail = f": {candidate.detail}" if candidate.detail else ""
-            raise _RemoteError(f"chunk {index}: remote answer {status.value}{detail}")
-        if status is Status.FAILED:
-            raise _InputError(f"resolver failed: {candidate.detail}")
-        resolutions.append(list(candidate.lines))
-    rendered = parsing.render_resolved(parsed, resolutions)
     with _output(args.out) as out:
-        out.write(rendered)
-    return EXIT_OK
+        if args.records:
+            _write_jsonl(out, parsing.extract_records(parsed, path=args.file if args.file != "-" else ""))
+            return
+        resolutions = []
+        for index, chunk in enumerate(parsed.chunks):
+            candidate = resolver.resolve(chunk)
+            status = candidate.status
+            # nothing falls back here; an empty answer is right only where both sides deleted every line
+            if engine == "remote" and status in UNTRUSTED and (status is not Status.EMPTY or chunk.v1_lines or chunk.v2_lines):
+                detail = f": {candidate.detail}" if candidate.detail else ""
+                raise _RemoteError(f"chunk {index}: remote answer {status.value}{detail}")
+            if status is Status.FAILED:
+                raise _InputError(f"resolver failed: {candidate.detail}")
+            resolutions.append(list(candidate.lines))
+        out.write(parsing.render_resolved(parsed, resolutions))
 
 
-def _cmd_bench(args, config) -> int:
+def _cmd_bench(args, config) -> None:
     if args.jobs < 1:
         raise _UsageError("--jobs must be at least 1")
     resolver = _build_resolver(args.engine, config)
@@ -407,7 +418,6 @@ def _cmd_bench(args, config) -> int:
     with _output(args.out) as out:
         rows = bench_mod.run_benchmark(records, resolver, jobs=args.jobs, trim_trailing=args.trim_trailing_ws)
         _write_jsonl(out, (row.to_json() for row in rows))
-    return EXIT_OK
 
 
 def _parse_grid_values(flag: str, text: str, kind) -> list:
@@ -420,7 +430,7 @@ def _parse_grid_values(flag: str, text: str, kind) -> list:
     return values
 
 
-def _cmd_tune(args, config) -> int:
+def _cmd_tune(args, config) -> None:
     if args.sample < 1:
         raise _UsageError("--sample must be at least 1")
     budgets_text = args.grid_budgets or ("10,20,40" if args.wallclock else "500,2000")
@@ -441,10 +451,9 @@ def _cmd_tune(args, config) -> int:
     with _output(args.out) as out:
         rows = bench_mod.tune_grid(sample, grid, config["seed"], ranking=args.ranking)
         bench_mod.dump_tuning_csv(rows, out)
-    return EXIT_OK
 
 
-def _cmd_compare(args, config) -> int:
+def _cmd_compare(args, config) -> None:
     if args.extremes < 0:
         raise _UsageError("--extremes must be >= 0")
     try:
@@ -465,20 +474,18 @@ def _cmd_compare(args, config) -> int:
         if len(outs) == 3:
             bench_mod.dump_sim_diff_csv(report, outs[1])
             bench_mod.dump_balance_histogram_csv(report, outs[2])
-    return EXIT_OK
 
 
-def _cmd_route(args, config) -> int:
+def _cmd_route(args, config) -> None:
     thresholds = _thresholds(config)
     records = _load_dataset(args.records)
     decisions = ((record.id, route(extract_features(record), thresholds)) for record in records)
     logged = ({"id": i, "rule": d.rule.value, "target": d.target.value, "features": d.features.to_json()} for i, d in decisions)
     with _output(args.decisions) as out:
         _write_jsonl(out, logged)
-    return EXIT_OK
 
 
-def _cmd_serve_stub(args, config) -> int:
+def _cmd_serve_stub(args, config) -> None:
     from .stub_server import StubServer  # only this command runs the server; it pulls http.server and socketserver
 
     try:
@@ -492,19 +499,6 @@ def _cmd_serve_stub(args, config) -> int:
         pass
     finally:
         server.server_close()
-    return EXIT_OK
-
-
-_COMMANDS = {
-    "ingest": _cmd_ingest,
-    "split": _cmd_split,
-    "resolve": _cmd_resolve,
-    "bench": _cmd_bench,
-    "tune": _cmd_tune,
-    "compare": _cmd_compare,
-    "route": _cmd_route,
-    "serve-stub": _cmd_serve_stub,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -518,19 +512,20 @@ def main(argv: list[str] | None = None) -> int:
         if args.show_config:
             json.dump(config, sys.stdout, indent=2, sort_keys=True)
             sys.stdout.write("\n")
-            return EXIT_OK
-        if args.command is None:
+        elif args.command is None:
             parser.print_usage(sys.stderr)
             return EXIT_USAGE
-        return _COMMANDS[args.command](args, config)
+        else:
+            args.handler(args, config)  # a handler fails only by raising
     except _Failure as exc:
         print(f"sbcr: {exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code
-    except BrokenPipeError:
-        return EXIT_OK
+    except BrokenPipeError:  # the reader went away (``sbcr route ... | head``): a success
+        pass
     except Exception as exc:  # invariant violations and bugs
         print(f"sbcr: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    return EXIT_OK
 
 
 def run() -> None:

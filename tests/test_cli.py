@@ -643,10 +643,11 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys, conflicted_file, arg
         ["tune", "{sample}", "--sample", "1", "--grid-neighbors", "1", "--grid-budgets", "10",
          "--grid-stagnation", "1", "--out", "{missing}"],
         ["route", "{sample}", "--decisions", "{missing}"],
+        ["resolve", "{conflicted}", "--engine", "sbcr", "--out", "{missing}"],
     ],
-    ids=["bench", "tune", "route-decisions"],
+    ids=["bench", "tune", "route-decisions", "resolve"],
 )
-def test_unwritable_output_fails_before_any_work(tmp_path, capsys, monkeypatch, argv):
+def test_unwritable_output_fails_before_any_work(tmp_path, capsys, monkeypatch, conflicted_file, argv):
     from sbcr import bench
 
     def no_work(*args, **kwargs):
@@ -655,8 +656,9 @@ def test_unwritable_output_fails_before_any_work(tmp_path, capsys, monkeypatch, 
     monkeypatch.setattr(bench, "run_benchmark", no_work)
     monkeypatch.setattr(bench, "tune_grid", no_work)
     monkeypatch.setattr("sbcr.cli.extract_features", no_work)
+    monkeypatch.setattr("sbcr.resolvers.SearchResolver.resolve", no_work)
     missing = tmp_path / "missing" / "dir" / "x"
-    assert main([a.format(sample=sample_args(), missing=missing) for a in argv]) == 1
+    assert main([a.format(sample=sample_args(), conflicted=conflicted_file, missing=missing) for a in argv]) == 1
     assert "cannot write" in capsys.readouterr().err
 
 
@@ -699,6 +701,49 @@ def test_output_is_replaced_only_when_the_work_is_done(tmp_path, capsys, monkeyp
     monkeypatch.setattr(bench, "run_benchmark", lambda *args, **kwargs: [])
     assert main(argv) == 0
     assert out.read_bytes() == b""  # no rows to write still replaces the file
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new-out", "existing-out"])
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["bench", "{sample}", "--engine", "trivial:take-v1"], 4),  # run_benchmark raises
+        (["resolve", "{conflicted}", "--engine", "trivial:take-base"], 2),  # a two-way file has no base
+        (["resolve", "{conflicted}", "--engine", "remote", "--endpoint", "{url}", "--output-token-limit", "2"], 3),
+        (["ingest", "{sample}", "--rejects", "{missing}"], 1),
+    ],
+    ids=["bench-crash", "resolve-input-error", "resolve-remote-error", "ingest-unwritable-rejects"],
+)
+def test_a_failed_command_removes_only_an_output_it_created(tmp_path, capsys, monkeypatch, conflicted_file, argv, code, existing):
+    """Opening ``--out`` before the work created it, and a failure used to leave it behind empty."""
+    from sbcr import bench
+
+    def crash(*args, **kwargs):
+        raise RuntimeError("interrupted")
+
+    monkeypatch.setattr(bench, "run_benchmark", crash)
+    out = tmp_path / "out.txt"
+    if existing:
+        out.write_bytes(b"earlier\r\n")
+    server = StubServer(mode="truncate", port=0).start()
+    try:
+        paths = dict(sample=sample_args(), conflicted=conflicted_file, url=server.url, missing=tmp_path / "missing" / "x")
+        assert main([*(a.format(**paths) for a in argv), "--out", str(out)]) == code
+    finally:
+        server.stop()
+    assert out.read_bytes() == b"earlier\r\n" if existing else not out.exists()
+
+
+def test_an_interrupted_output_removes_only_a_file_it_created(tmp_path):
+    from sbcr.cli import _output
+
+    new = tmp_path / "new.txt"
+    for path in (new, os.devnull):
+        with pytest.raises(KeyboardInterrupt):
+            with _output(path) as out:
+                out.write("partial\n")
+                raise KeyboardInterrupt
+    assert not new.exists() and os.path.exists(os.devnull)
 
 
 def test_compare_keeps_every_output_when_a_later_write_fails(tmp_path, capsys, monkeypatch):
